@@ -1,0 +1,42 @@
+"""Golden CLI outputs: the paper's tables and verdicts, byte for byte.
+
+Each case replays one command through ``cli.main`` in-process and compares
+stdout with a file under ``tests/golden/``.  Lines carrying ``"wall_time"``
+are dropped on both sides, since they are the only non-deterministic output.
+Regenerate a file only when a change of output is intended:
+
+    PYTHONPATH=src python -m kspectra.cli <argv> > tests/golden/<name>.txt
+"""
+from pathlib import Path
+
+import pytest
+
+from kspectra import gf2n
+from kspectra.cli import main
+
+GOLDEN = Path(__file__).parent / "golden"
+
+CASES = {
+    "verify_all": ["verify", "--theorem", "all"],
+    "table1_right_5_16": ["table1", "--side", "right", "--from", "5", "--to", "16"],
+    "table1_left_5_20": ["table1", "--side", "left", "--from", "5", "--to", "20"],
+    "qform_24": ["qform", "--n", "24"],
+    "spectrum_12_json": ["spectrum", "--n", "12", "--format", "json"],
+    "zerospace_12": ["zerospace", "--n", "12"],
+    "zerospace_14": ["zerospace", "--n", "14"],
+    "zerospace_12_mod16": ["zerospace", "--n", "12", "--set", "mod16"],
+}
+
+
+def _stable(text: str) -> str:
+    return "".join(line for line in text.splitlines(keepends=True)
+                   if '"wall_time"' not in line)
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_golden_output(name, capsys, monkeypatch):
+    monkeypatch.delenv(gf2n.POLY_TABLE_ENV, raising=False)
+    assert main(CASES[name]) == 0
+    got = capsys.readouterr().out
+    want = (GOLDEN / f"{name}.txt").read_text()
+    assert _stable(got) == _stable(want)
