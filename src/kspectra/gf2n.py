@@ -151,15 +151,22 @@ def default_poly(n: int) -> int:
     return smallest_irreducible(n)
 
 
+@lru_cache(maxsize=None)
 def _load_poly_table(path: str) -> dict[int, int]:
+    """Parse a file of `degree mask` lines (# comments allowed), once per path."""
     table: dict[int, int] = {}
     with open(path) as fh:
-        for line in fh:
-            line = line.split("#", 1)[0].strip()
+        for lineno, raw in enumerate(fh, 1):
+            line = raw.split("#", 1)[0].strip()
             if not line:
                 continue
-            deg, mask = line.split()
-            table[int(deg)] = int(mask, 0)
+            try:
+                deg, mask = line.split()
+                table[int(deg)] = int(mask, 0)
+            except ValueError:
+                raise ValueError(
+                    f"{path}:{lineno}: expected 'degree mask', got {raw.strip()!r}"
+                ) from None
     return table
 
 
@@ -177,43 +184,53 @@ def transpose_bits(vecs: tuple[int, ...] | list[int], n: int) -> tuple[int, ...]
     return tuple(out)
 
 
-def mat_inverse_rows(rows: tuple[int, ...] | list[int], n: int) -> tuple[int, ...]:
-    """Invert an n x n bit matrix given by row masks; raises on singular input."""
-    aug = [rows[i] | (1 << (n + i)) for i in range(n)]
-    r = 0
-    for col in range(n):
-        piv = next((k for k in range(r, n) if (aug[k] >> col) & 1), None)
-        if piv is None:
-            raise ValueError("matrix is singular over F_2")
-        aug[r], aug[piv] = aug[piv], aug[r]
-        for k in range(n):
-            if k != r and (aug[k] >> col) & 1:
-                aug[k] ^= aug[r]
-        r += 1
-    mask = (1 << n) - 1
-    return tuple((aug[i] >> n) & mask for i in range(n))
+def _echelon(vectors) -> dict[int, int]:
+    """Reduced echelon form keyed by pivot: {leading bit p: the row leading at p}.
 
-
-def nullspace_rows(rows: list[int], n: int) -> list[int]:
-    """Basis of {x : parity(row & x) = 0 for all rows} inside F_2^n."""
+    Every pivot bit appears in exactly one row.
+    """
     piv: dict[int, int] = {}
-    for r in rows:
-        while r:
-            p = pdeg(r)
+    for v in vectors:
+        v = int(v)
+        while v:
+            p = pdeg(v)
             if p in piv:
-                r ^= piv[p]
+                v ^= piv[p]
             else:
-                piv[p] = r
+                piv[p] = v
                 break
-    # back-substitute so each pivot bit appears in exactly one row
     for p in sorted(piv, reverse=True):
         for q in piv:
             if q != p and (piv[q] >> p) & 1:
                 piv[q] ^= piv[p]
+    return piv
+
+
+def rref(vectors) -> tuple[int, ...]:
+    """Reduced echelon form with leading (highest) bits as pivots."""
+    piv = _echelon(vectors)
+    return tuple(piv[p] for p in sorted(piv))
+
+
+def mat_inverse_rows(rows: tuple[int, ...] | list[int], n: int) -> tuple[int, ...]:
+    """Invert an n x n bit matrix given by row masks; raises on singular input.
+
+    Each row is tagged with its index in the low n bits; once the high n
+    bits are reduced to unit rows, the tags spell out the inverse.
+    """
+    piv = _echelon((rows[i] << n) | (1 << i) for i in range(n))
+    if any(n + j not in piv for j in range(n)):
+        raise ValueError("matrix is singular over F_2")
+    mask = (1 << n) - 1
+    return tuple(piv[n + j] & mask for j in range(n))
+
+
+def nullspace_rows(rows: list[int], n: int) -> list[int]:
+    """Basis of {x : parity(row & x) = 0 for all rows} inside F_2^n."""
+    piv = _echelon(rows)
     basis = []
-    pivots = set(piv)
     for f in range(n):
-        if f in pivots:
+        if f in piv:
             continue
         v = 1 << f
         for p, row in piv.items():
@@ -229,6 +246,23 @@ def nullspace_rows(rows: list[int], n: int) -> list[int]:
 
 def elem_dtype(n: int):
     return np.uint32 if n <= 31 else np.uint64
+
+
+def xor_combine(images, mask):
+    """XOR of images[i] over the set bits i of mask.
+
+    With images = the columns of a bit matrix this applies the map to mask;
+    with images = a subspace basis it embeds a coordinate mask.  images may
+    hold numpy arrays, which combines a whole batch of maps at once.
+    """
+    out = 0
+    i = 0
+    while mask:
+        if mask & 1:
+            out ^= images[i]
+        mask >>= 1
+        i += 1
+    return out
 
 
 def xor_table(images, dtype=None) -> np.ndarray:
@@ -248,10 +282,7 @@ def xor_table(images, dtype=None) -> np.ndarray:
 
 def functional_table(nbits: int, mask: int) -> np.ndarray:
     """Table of parity(m & mask) for m in [0, 2^nbits) as uint8."""
-    t = np.zeros(1 << nbits, dtype=np.uint8)
-    for i in range(nbits):
-        t[1 << i: 2 << i] = t[: 1 << i] ^ np.uint8((mask >> i) & 1)
-    return t
+    return xor_table([(mask >> i) & 1 for i in range(nbits)], np.uint8)
 
 
 def parity_fold(arr: np.ndarray) -> np.ndarray:
@@ -302,12 +333,13 @@ class FieldCtx:
         return pmod(psquare(a), self.poly)
 
     def pow(self, a: int, e: int) -> int:
+        """a^e by square-and-multiply; table-free, so the table builders can use it."""
         r = 1
         a = pmod(a, self.poly)
         while e:
             if e & 1:
-                r = self.mul(r, a)
-            a = self.mul(a, a)
+                r = self._mul_raw(r, a)
+            a = self._mul_raw(a, a)
             e >>= 1
         return r
 
@@ -352,11 +384,8 @@ class FieldCtx:
             for _ in range(d):
                 v = self.sqr(v)
             cols.append(v ^ (1 << i))
-        rows = transpose_bits(cols, self.n)
-        basis = nullspace_rows(list(rows), self.n)
-        span = {0}
-        for b in basis:
-            span |= {s ^ b for s in span}
+        basis = nullspace_rows(list(transpose_bits(cols, self.n)), self.n)
+        span = set(xor_table(basis, elem_dtype(self.n)).tolist())
         if len(span) != 1 << d:
             raise AssertionError("subfield has wrong size")
         return span
@@ -364,22 +393,12 @@ class FieldCtx:
     # -- cached tables --------------------------------------------------------
 
     def _scalar_tables(self):
+        """exp_log_tables as Python lists, exp doubled so log sums need no modulo."""
         tabs = self._cache.get("scalar")
         if tabs is None:
-            N = self.size
-            g = self._generator()
-            exp = [0] * (2 * (N - 1))
-            log = [0] * N
-            e = 1
-            for j in range(N - 1):
-                exp[j] = e
-                exp[j + N - 1] = e
-                log[e] = j
-                e = self._mul_raw(e, g)
-            if e != 1:
-                raise AssertionError("generator order mismatch")
-            tabs = (exp, log)
-            self._cache["scalar"] = tabs
+            exp, log = self.exp_log_tables()
+            exp = exp.tolist()
+            tabs = self._cache["scalar"] = (exp + exp, log.tolist())
         return tabs
 
     def _generator(self) -> int:
@@ -388,21 +407,10 @@ class FieldCtx:
             N1 = self.size - 1
             qs = _prime_factors(N1)
             g = 2
-            while True:
-                if all(self._pow_raw(g, N1 // q) != 1 for q in qs):
-                    break
+            while any(self.pow(g, N1 // q) == 1 for q in qs):
                 g += 1
             self._cache["generator"] = g
         return g
-
-    def _pow_raw(self, a: int, e: int) -> int:
-        r = 1
-        while e:
-            if e & 1:
-                r = self._mul_raw(r, a)
-            a = self._mul_raw(a, a)
-            e >>= 1
-        return r
 
     def mulx_vec(self, arr: np.ndarray) -> np.ndarray:
         """Multiply a whole element array by x, reducing modulo poly."""
@@ -438,9 +446,11 @@ class FieldCtx:
             filled = seed
             while filled < N - 1:
                 blk = min(filled, N - 1 - filled)
-                c = self._pow_raw(g, filled)
+                c = self.pow(g, filled)
                 exp[filled:filled + blk] = self._mul_scalar_vec_raw(c, exp[:blk])
                 filled += blk
+            if self._mul_raw(int(exp[-1]), g) != 1:
+                raise AssertionError("generator order mismatch")
             log = np.zeros(N, dtype=np.uint32)
             log[exp] = np.arange(N - 1, dtype=np.uint32)
             tabs = (exp, log)
@@ -474,7 +484,7 @@ class FieldCtx:
         Tr(x*y) = parity(dualenc(x) & y)."""
         t = self._cache.get("dualenc")
         if t is None:
-            t = xor_table(transpose_bits(self.gram, self.n), elem_dtype(self.n))
+            t = xor_table(self.gram, elem_dtype(self.n))  # G is symmetric
             t.flags.writeable = False
             self._cache["dualenc"] = t
         return t
@@ -490,11 +500,7 @@ class FieldCtx:
 
     def dualenc(self, x: int) -> int:
         """G*x as a scalar: Tr(x*y) = parity(dualenc(x) & y)."""
-        out = 0
-        for i in range(self.n):
-            if (x >> i) & 1:
-                out ^= self.gram[i]
-        return out
+        return xor_combine(self.gram, x)  # G is symmetric: rows are columns
 
     def mul_vec(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         """Elementwise field product of two element arrays."""
@@ -542,9 +548,6 @@ def mk_field(n: int, poly: int | None = None) -> FieldCtx:
         factor = find_factor(poly)
         raise ReduciblePolynomialError(poly, factor)
 
-    def mul(a, b):
-        return pmod(pmul(a, b), poly)
-
     def tr(a):
         acc = 0
         c = a
@@ -562,14 +565,14 @@ def mk_field(n: int, poly: int | None = None) -> FieldCtx:
     for i in range(n):
         row = 0
         for j in range(n):
-            row |= tr(mul(1 << i, 1 << j)) << j
+            row |= tr(pmod(1 << (i + j), poly)) << j
         gram.append(row)
     gram = tuple(gram)
     gram_inv = mat_inverse_rows(gram, n)  # trace form is non-degenerate
     dual_basis = gram_inv  # row i of G^-1 holds the coordinates of d_i
     for i in range(n):
         for j in range(n):
-            if tr(mul(dual_basis[i], 1 << j)) != (1 if i == j else 0):
+            if tr(pmod(dual_basis[i] << j, poly)) != (1 if i == j else 0):
                 raise AssertionError("dual basis construction failed")
     return FieldCtx(n=n, poly=poly, trace_mask=trace_mask, gram=gram,
                     gram_inv=gram_inv, dual_basis=tuple(dual_basis))

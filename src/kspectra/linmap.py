@@ -16,7 +16,9 @@ from kspectra.gf2n import (
     mat_inverse_rows,
     nullspace_rows,
     pdeg,
+    rref,
     transpose_bits,
+    xor_combine,
     xor_table,
 )
 
@@ -29,13 +31,7 @@ class LinMap:
     cols: tuple[int, ...]
 
     def __call__(self, x: int) -> int:
-        out = 0
-        i = 0
-        while x >> i:
-            if (x >> i) & 1:
-                out ^= self.cols[i]
-            i += 1
-        return out
+        return xor_combine(self.cols, x)
 
     @property
     def rows(self) -> tuple[int, ...]:
@@ -67,29 +63,18 @@ class SubspaceBasis:
         return set(int(v) for v in self.span())
 
     def contains(self, x: int) -> bool:
-        for v in reversed(self.vectors):
-            if pdeg(x) == pdeg(v):
-                x ^= v
-        return x == 0
+        return len(rref(self.vectors + (x,))) == self.dim
 
-
-def rref(vectors) -> tuple[int, ...]:
-    """Reduced echelon form with leading (highest) bits as pivots."""
-    piv: dict[int, int] = {}
-    for v in vectors:
-        v = int(v)
-        while v:
-            p = pdeg(v)
-            if p in piv:
-                v ^= piv[p]
-            else:
-                piv[p] = v
-                break
-    for p in sorted(piv, reverse=True):
-        for q in list(piv):
-            if q != p and (piv[q] >> p) & 1:
-                piv[q] ^= piv[p]
-    return tuple(piv[p] for p in sorted(piv))
+    def coords(self, x: int) -> int:
+        """Coordinate mask of x w.r.t. the basis; raises if x is outside the span."""
+        c = 0
+        for i in reversed(range(self.dim)):
+            if pdeg(x) == pdeg(self.vectors[i]):
+                x ^= self.vectors[i]
+                c |= 1 << i
+        if x:
+            raise ValueError("element outside the subspace")
+        return c
 
 
 def subspace_from_vectors(n: int, vectors) -> SubspaceBasis:
@@ -129,10 +114,6 @@ def from_linearized(ctx: FieldCtx, coeffs) -> LinMap:
     return LinMap(ctx.n, tuple(cols))
 
 
-def apply(L: LinMap, x: int) -> int:
-    return L(x)
-
-
 def compose(L1: LinMap, L2: LinMap) -> LinMap:
     """L1 after L2 (matrix product L1*L2)."""
     if L1.n != L2.n:
@@ -154,10 +135,14 @@ def adjoint(ctx: FieldCtx, L: LinMap) -> LinMap:
     return compose(ginv, compose(LinMap(ctx.n, mt), g))
 
 
+def _annihilator(n: int, rows) -> SubspaceBasis:
+    """Canonical basis of {x : parity(r & x) = 0 for every r in rows}."""
+    return subspace_from_vectors(n, nullspace_rows(list(rows), n))
+
+
 def kernel(L: LinMap) -> SubspaceBasis:
     """Canonical basis of {x : L(x) = 0}."""
-    rows = transpose_bits(L.cols, L.n)
-    return subspace_from_vectors(L.n, nullspace_rows(list(rows), L.n))
+    return _annihilator(L.n, L.rows)
 
 
 def image_basis(L: LinMap) -> SubspaceBasis:
@@ -175,13 +160,11 @@ def kernel_dim(L: LinMap) -> int:
 
 def orthogonal_complement(ctx: FieldCtx, V: SubspaceBasis) -> SubspaceBasis:
     """V-perp under the trace form Tr(xy)."""
-    rows = [ctx.dualenc(v) for v in V.vectors]
-    return subspace_from_vectors(ctx.n, nullspace_rows(rows, ctx.n))
+    return _annihilator(ctx.n, [ctx.dualenc(v) for v in V.vectors])
 
 
 def kernel_intersection(L1: LinMap, L2: LinMap) -> SubspaceBasis:
-    rows = list(transpose_bits(L1.cols, L1.n)) + list(transpose_bits(L2.cols, L2.n))
-    return subspace_from_vectors(L1.n, nullspace_rows(rows, L1.n))
+    return _annihilator(L1.n, L1.rows + L2.rows)
 
 
 def invert_map(L: LinMap) -> LinMap:
@@ -220,6 +203,22 @@ def linearized_coeffs(ctx: FieldCtx, L: LinMap) -> tuple[int, ...]:
                 A[tr_] = [v ^ ctx.mul(f, w) for v, w in zip(A[tr_], A[pr])]
                 rhs[tr_] ^= ctx.mul(f, rhs[pr])
     return tuple(rhs[perm[i]] for i in range(n))
+
+
+def canonical_children(pool: np.ndarray):
+    """Yield (v, rest) for each v of a sorted candidate pool of uint32 vectors.
+
+    rest holds the later candidates that may follow v in a canonical basis:
+    leading bit above v's and v's leading bit clear.  Extending bases only
+    this way visits each subspace exactly once.
+    """
+    for idx in range(pool.shape[0]):
+        v = int(pool[idx])
+        p = pdeg(v)
+        rest = pool[idx + 1:]
+        rest = rest[(rest >> np.uint32(p + 1)) > 0]
+        rest = rest[((rest >> np.uint32(p)) & 1) == 0]
+        yield v, rest
 
 
 def random_map(rng: np.random.Generator, n: int) -> LinMap:

@@ -9,12 +9,11 @@ evaluation, so the two routes stay independent.
 from __future__ import annotations
 
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
-from kspectra.gf2n import FieldCtx, mk_field, pdeg
+from kspectra.gf2n import FieldCtx, pdeg, xor_combine
 from kspectra.linmap import (
     LinMap,
     adjoint,
@@ -113,7 +112,6 @@ class SweepReport:
     candidates_checked: int
     permutations_found: tuple[LinMap, ...]
     wall_time_s: float
-    jobs: int
 
     def to_json(self) -> dict:
         return {
@@ -123,12 +121,11 @@ class SweepReport:
                 {"matrix_cols": [hex(c) for c in L.cols]} for L in self.permutations_found
             ],
             "wall_time": self.wall_time_s,
-            "jobs": self.jobs,
         }
 
 
-def _sweep_range(n: int, poly: int, c0_values: list[int]) -> tuple[int, list[tuple[int, ...]]]:
-    """Scan all matrices of L* whose first column lies in c0_values.
+def _sweep(ctx: FieldCtx) -> tuple[int, list[tuple[int, ...]]]:
+    """Scan all matrices of L* column by column.
 
     Enumerating in adjoint space makes every probe K(b * A(b)) a pair of
     table lookups; a probe failing at a column prefix rejects the whole
@@ -136,16 +133,16 @@ def _sweep_range(n: int, poly: int, c0_values: list[int]) -> tuple[int, list[tup
     advances by the subtree size.  Survivors are confirmed by direct
     evaluation of x^-1 + L(x).
     """
-    ctx = mk_field(n, poly)
+    n = ctx.n
     N = ctx.size
     spec = kloosterman_spectrum(ctx)
     kz = [bool(spec.data[a] == 0) for a in range(N)]
     mul = [[ctx.mul(a, b) for b in range(N)] for a in range(N)]
     inv = [ctx.inv0(x) for x in range(N)]
-    probes_at: list[list[tuple[int, int]]] = [[] for _ in range(n)]
+    probes_at: list[list[int]] = [[] for _ in range(n)]  # probes decided by column pdeg(b)
     for b in PROBE_BS:
         if b < N:
-            probes_at[pdeg(b)].append((b, b))  # (probe point, column-combination mask)
+            probes_at[pdeg(b)].append(b)
     full = (1 << N) - 1
     checked = 0
     found: list[tuple[int, ...]] = []
@@ -164,22 +161,10 @@ def _sweep_range(n: int, poly: int, c0_values: list[int]) -> tuple[int, list[tup
 
     def rec(level: int) -> None:
         nonlocal checked
-        values = c0_values if level == 0 else range(N)
         tail = N ** (n - 1 - level)
-        for c in values:
+        for c in range(N):
             acols[level] = c
-            ok = True
-            for b, comb in probes_at[level]:
-                ab = 0
-                i = 0
-                while comb >> i:
-                    if (comb >> i) & 1:
-                        ab ^= acols[i]
-                    i += 1
-                if not kz[mul[b][ab]]:
-                    ok = False
-                    break
-            if not ok:
+            if not all(kz[mul[b][xor_combine(acols, b)]] for b in probes_at[level]):  # A(b)
                 checked += tail  # every completion fails this probe
                 continue
             if level == n - 1:
@@ -192,8 +177,7 @@ def _sweep_range(n: int, poly: int, c0_values: list[int]) -> tuple[int, list[tup
     return checked, found
 
 
-def sweep_inverse_plus_linear(ctx: FieldCtx, jobs: int = 1,
-                              allow_small: bool = False) -> SweepReport:
+def sweep_inverse_plus_linear(ctx: FieldCtx, allow_small: bool = False) -> SweepReport:
     """Check every nonzero linear L: is x^-1 + L(x) ever a permutation?
 
     Sized for n = 5 (2^25 - 1 candidates); smaller degrees are allowed only
@@ -206,26 +190,13 @@ def sweep_inverse_plus_linear(ctx: FieldCtx, jobs: int = 1,
             "randomized search above"
         )
     start = time.perf_counter()
-    N = ctx.size
-    if jobs <= 1:
-        checked, found = _sweep_range(n, ctx.poly, list(range(N)))
-        found_all = list(found)
-    else:
-        chunks = [list(range(N))[i::jobs] for i in range(jobs)]
-        checked = 0
-        found_all = []
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            futs = [pool.submit(_sweep_range, n, ctx.poly, ch) for ch in chunks]
-            for fut in futs:
-                c, f = fut.result()
-                checked += c
-                found_all.extend(f)
+    checked, found = _sweep(ctx)
     if checked != (1 << (n * n)) - 1:
         raise AssertionError("sweep accounting lost candidates")
     elapsed = time.perf_counter() - start
-    perms = tuple(LinMap(n, cols) for cols in sorted(found_all))
+    perms = tuple(LinMap(n, cols) for cols in sorted(found))
     return SweepReport(n=n, candidates_checked=checked,
-                       permutations_found=perms, wall_time_s=elapsed, jobs=jobs)
+                       permutations_found=perms, wall_time_s=elapsed)
 
 
 # ---------------------------------------------------------------------------
@@ -290,12 +261,8 @@ def search_counterexample(ctx: FieldCtx, mode: str = "random", budget: int = 10*
         for b in probes:
             if not alive.any():
                 break
-            a1 = np.zeros(b_sz, dtype=np.uint32)
-            a2 = np.zeros(b_sz, dtype=np.uint32)
-            for i in range(n):
-                if (b >> i) & 1:
-                    a1 ^= c1[:, i]
-                    a2 ^= c2[:, i]
+            a1 = xor_combine(c1.T, b)
+            a2 = xor_combine(c2.T, b)
             alive &= kz_mask[ctx.mul_vec(a1, a2)]
         for idx in np.flatnonzero(alive):
             A1 = LinMap(n, tuple(int(v) for v in c1[idx]))

@@ -12,9 +12,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from kspectra.gf2n import FieldCtx, functional_table, parity_fold, pdeg
-from kspectra.linmap import SubspaceBasis, orthogonal_complement, rref, subspace_from_vectors
-from kspectra.gf2n import nullspace_rows
+from kspectra.gf2n import FieldCtx, functional_table, nullspace_rows, parity_fold, rref, xor_combine
+from kspectra.linmap import SubspaceBasis, canonical_children, orthogonal_complement, subspace_from_vectors
 
 HYPERBOLIC = "hyperbolic"
 PARABOLIC = "parabolic"
@@ -25,8 +24,12 @@ class NotQuadraticFormError(ValueError):
     """The supplied evaluator does not polarize to a bilinear form."""
 
 
-class InconsistentFormError(ValueError):
-    """Zero count matches no quadratic-form type for the given radical."""
+class InconsistentFormError(AssertionError):
+    """Zero count matches no quadratic-form type for the given radical.
+
+    The count of a genuine quadratic form always matches one type, so this
+    signals an internal inconsistency, not bad input.
+    """
 
 
 def q_eval(ctx: FieldCtx, a: int) -> int:
@@ -56,10 +59,7 @@ def q_table(ctx: FieldCtx) -> np.ndarray:
         qb = [q_eval(ctx, 1 << i) for i in range(n)]
         tr = ctx.trace_mask
         masks = [ctx.gram[i] ^ (tr if (tr >> i) & 1 else 0) for i in range(n)]
-        t = np.zeros(1 << n, dtype=np.uint8)
-        for i in range(n):
-            low = masks[i] & ((1 << i) - 1)
-            t[1 << i: 2 << i] = t[: 1 << i] ^ np.uint8(qb[i]) ^ functional_table(i, low)
+        t = _form_table(n, qb, masks)
         t.flags.writeable = False
         ctx._cache["q_table"] = t
     return t
@@ -91,16 +91,12 @@ class QuadFormRec:
 
     def embed(self, coord_mask: int) -> int:
         """Coordinate mask -> ambient element."""
-        out = 0
-        i = 0
-        while coord_mask >> i:
-            if (coord_mask >> i) & 1:
-                out ^= self.basis[i]
-            i += 1
-        return out
+        return xor_combine(self.basis, coord_mask)
 
 
 def _form_table(m: int, fvals, bmat) -> np.ndarray:
+    """Truth table of a form over coordinate masks by polarization doubling:
+    f(c + e_i) = f(c) + f(e_i) + B(c, e_i) for c below bit i."""
     ev = np.zeros(1 << m, dtype=np.uint8)
     for i in range(m):
         low = bmat[i] & ((1 << i) - 1)
@@ -172,24 +168,13 @@ def restrict(ctx: FieldCtx, f, S: SubspaceBasis, validate: bool = True) -> QuadF
     rad = _radical_coords(m, bmat, ev)
     nzeros = (1 << m) - int(ev.sum())
     form_type, witt, lam = _classify_counts(m, len(rad), nzeros)
-    emb = lambda c: _embed(basis, c)
-    rad_ambient = subspace_from_vectors(ctx.n, [emb(c) for c in rad])
+    rad_ambient = subspace_from_vectors(ctx.n, [xor_combine(basis, c) for c in rad])
     ev.flags.writeable = False
     return QuadFormRec(
         n=ctx.n, basis=basis, eval=ev, bmat=bmat, fvals=fvals,
         radical_coords=rad, radical_basis=rad_ambient,
         form_type=form_type, witt_index=witt, lam=lam,
     )
-
-
-def _embed(basis, coord_mask: int) -> int:
-    out = 0
-    i = 0
-    while coord_mask >> i:
-        if (coord_mask >> i) & 1:
-            out ^= basis[i]
-        i += 1
-    return out
 
 
 def _validate_form(f, basis, ev, m: int, samples: int = 64, triples: int = 512):
@@ -201,10 +186,10 @@ def _validate_form(f, basis, ev, m: int, samples: int = 64, triples: int = 512):
             idx = [idx[int(s)] for s in sel]
         for i, j, k in idx:
             c = (1 << i) | (1 << j) | (1 << k)
-            if int(ev[c]) != int(f(_embed(basis, c))) & 1:
+            if int(ev[c]) != int(f(xor_combine(basis, c))) & 1:
                 raise NotQuadraticFormError("polarization is not bilinear")
     for c in rng.integers(0, 1 << m, size=min(samples, 1 << m)):
-        if int(ev[int(c)]) != int(f(_embed(basis, int(c)))) & 1:
+        if int(ev[int(c)]) != int(f(xor_combine(basis, int(c)))) & 1:
             raise NotQuadraticFormError("evaluator disagrees with quadratic table")
 
 
@@ -266,22 +251,11 @@ def find_isotropic_subspace(qf: QuadFormRec, target_dim: int) -> SubspaceBasis:
         )
     cands = np.flatnonzero(qf.eval == 0).astype(np.uint32)[1:]  # drop 0
 
-    def bdot_mask(e: int) -> int:
-        out = 0
-        for i in range(qf.m):
-            out |= ((qf.bmat[i] & e).bit_count() & 1) << i
-        return out
-
     def dfs(chosen: list[int], pool: np.ndarray):
         if len(chosen) == target_dim:
             return chosen
-        for idx in range(pool.shape[0]):
-            v = int(pool[idx])
-            p = pdeg(v)
-            rest = pool[idx + 1:]
-            rest = rest[(rest >> (p + 1)) > 0]
-            rest = rest[((rest >> p) & 1) == 0]
-            bv = bdot_mask(v)
+        for v, rest in canonical_children(pool):
+            bv = xor_combine(qf.bmat, v)  # bmat is symmetric: B(., v) as a mask
             if bv:
                 rest = rest[parity_fold(rest & np.uint32(bv)) == 0]
             got = dfs(chosen + [v], rest)
@@ -293,20 +267,8 @@ def find_isotropic_subspace(qf: QuadFormRec, target_dim: int) -> SubspaceBasis:
     if got is None:
         raise AssertionError("isotropic search failed below the proven bound")
     basis = subspace_from_vectors(qf.n, [qf.embed(c) for c in got])
-    span = basis.span()
-    for x in span:  # postcondition replay
-        if int(qf.eval[_coords_of(qf, int(x))]):
+    domain = SubspaceBasis(qf.n, qf.basis)
+    for x in basis.span():  # postcondition replay
+        if int(qf.eval[domain.coords(int(x))]):
             raise AssertionError("returned span is not isotropic")
     return basis
-
-
-def _coords_of(qf: QuadFormRec, x: int) -> int:
-    """Ambient element -> coordinate mask w.r.t. qf.basis (must be in the span)."""
-    c = 0
-    for i in reversed(range(qf.m)):
-        if pdeg(x) == pdeg(qf.basis[i]):
-            x ^= qf.basis[i]
-            c |= 1 << i
-    if x:
-        raise ValueError("element outside the subspace")
-    return c

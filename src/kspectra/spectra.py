@@ -36,11 +36,6 @@ class TruthTable:
             raise ValueError("truth table entry out of field range")
 
     @classmethod
-    def from_callable(cls, n: int, fn) -> "TruthTable":
-        vals = np.fromiter((fn(x) for x in range(1 << n)), dtype=elem_dtype(n), count=1 << n)
-        return cls(n, vals)
-
-    @classmethod
     def inverse(cls, ctx: FieldCtx) -> "TruthTable":
         """x -> x^-1 with the convention 0^-1 = 0."""
         return cls(ctx.n, ctx.inverse_table())
@@ -95,15 +90,24 @@ def walsh(ctx: FieldCtx, F: TruthTable, a: int, b: int) -> int:
     return total
 
 
+def _trace_transform(ctx: FieldCtx, values: np.ndarray) -> np.ndarray:
+    """sum_x (-1)^(Tr(values[x]) + Tr(b*x)) for every b, read-only, entry enc(b).
+
+    The butterfly sums over parity(m & x); indexing by the dual-basis
+    coordinates m = G*b turns that into Tr(b*x).
+    """
+    signs = 1 - 2 * ctx.trace_table()[values].astype(np.int64)
+    fwht_inplace(signs)
+    data = signs[ctx.dualenc_table()]
+    data.flags.writeable = False
+    return data
+
+
 def walsh_row(ctx: FieldCtx, F: TruthTable, a: int) -> Spectrum:
     """All walsh(F, a, b) at once via the fast transform; entry enc(b)."""
     if F.n != ctx.n:
         raise ValueError("truth table degree mismatch")
-    tr = ctx.trace_table()
-    signs = 1 - 2 * tr[ctx.mul_scalar_vec(a, F.values)].astype(np.int64)
-    fwht_inplace(signs)
-    data = signs[ctx.dualenc_table()]
-    data.flags.writeable = False
+    data = _trace_transform(ctx, ctx.mul_scalar_vec(a, F.values))
     return Spectrum(ctx.n, "walsh_row", data)
 
 
@@ -127,27 +131,21 @@ def kloosterman_spectrum(ctx: FieldCtx, cap: int = SPECTRUM_CAP) -> Spectrum:
     hit = _spectrum_cache.get(key)
     if hit is not None:
         return hit
-    inv = ctx.inverse_table()
-    tr = ctx.trace_table()
-    signs = 1 - 2 * tr[inv].astype(np.int64)
-    fwht_inplace(signs)
-    data = signs[ctx.dualenc_table()]
-    _validate_kloosterman(ctx.n, data)
-    data.flags.writeable = False
-    spec = Spectrum(ctx.n, "kloosterman", data)
+    spec = Spectrum(ctx.n, "kloosterman", _trace_transform(ctx, ctx.inverse_table()))
+    _validate_kloosterman(spec)
     if ctx.n <= _CACHE_DEGREE:
         _spectrum_cache[key] = spec
     return spec
 
 
-def _validate_kloosterman(n: int, data: np.ndarray) -> None:
+def _validate_kloosterman(spec: Spectrum) -> None:
+    data = spec.data
     if int(data[0]) != 0:
         raise AssertionError("K(0) must vanish")
     if int((data & 1).any()):
         raise AssertionError("Kloosterman sums must be even")
     # Weil bound for the x != 0 part; the x = 0 term shifts everything by +1.
-    bound = math.isqrt(1 << (n + 2))
-    if int(np.abs(data - 1).max()) > bound:
+    if int(np.abs(data - 1).max()) > spec.weil_bound():
         raise AssertionError("spectrum violates the Weil bound")
 
 

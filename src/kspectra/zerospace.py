@@ -11,8 +11,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from kspectra.gf2n import FieldCtx, parity_fold, pdeg
-from kspectra.linmap import SubspaceBasis, orthogonal_complement, subspace_from_vectors
+from kspectra.gf2n import FieldCtx, parity_fold
+from kspectra.linmap import SubspaceBasis, canonical_children, orthogonal_complement, subspace_from_vectors
 from kspectra.quadform import q_table
 from kspectra.spectra import Spectrum, kloosterman_spectrum, kloosterman_zeros
 
@@ -117,18 +117,13 @@ def max_subspace_in_set(
             if bound is not None and len(basis) >= bound:
                 state["stop"] = True
                 return
-        for idx in range(pool.shape[0]):
+        for v, rest in canonical_children(pool):
             if state["stop"]:
                 return
             if node_budget is not None and state["nodes"] >= node_budget:
                 state["truncated"] = True
                 return
-            v = int(pool[idx])
             state["nodes"] += 1
-            p = pdeg(v)
-            rest = pool[idx + 1:]
-            rest = rest[(rest >> np.uint32(p + 1)) > 0]
-            rest = rest[((rest >> np.uint32(p)) & 1) == 0]
             added = span ^ np.uint32(v)
             for u in added:
                 if rest.size == 0:

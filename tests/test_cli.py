@@ -122,3 +122,52 @@ def test_out_file(tmp_path, capsys):
     code, _ = run_cli(capsys, "spectrum", "--n", "4", "--out", str(path))
     assert code == 0
     assert path.read_text().startswith("elem_hex,value")
+
+
+def test_zero_subspace_bound_violation_is_observable(capsys, monkeypatch):
+    # at n = 5..7 the bound is attained, so a bound lowered by one must be exceeded
+    from kspectra import cli, zerospace
+    lowered = lambda n, real=zerospace.zero_subspace_bound: real(n) - 1
+    monkeypatch.setattr(zerospace, "zero_subspace_bound", lowered)
+    monkeypatch.setattr(cli, "zero_subspace_bound", lowered)
+    code, out = run_cli(capsys, "verify", "--theorem", "zero-subspace-bound",
+                        "--from", "5", "--to", "7")
+    assert code == 1
+    assert json.loads(out)["violations"] == [{"n": 5, "dim": 1}, {"n": 6, "dim": 2},
+                                             {"n": 7, "dim": 3}]
+
+
+@pytest.mark.parametrize("theorem", ["mod16-sharpness", "zero-subspace-bound"])
+def test_truncated_search_is_inconclusive(capsys, theorem):
+    code, out = run_cli(capsys, "verify", "--theorem", theorem, "--from", "6", "--to", "9",
+                        "--budget", "1")
+    assert code == 3
+    obj = json.loads(out)
+    assert obj["violations"] == [] and obj["ok"] is False
+    assert [case["n"] for case in obj["inconclusive"]] == [6, 7, 8, 9]
+    # an exhaustive run carries no inconclusive key at all
+    code, out = run_cli(capsys, "verify", "--theorem", theorem, "--from", "6", "--to", "9")
+    assert code == 0 and "inconclusive" not in json.loads(out)
+
+
+def test_internal_error_exit_code(capsys, monkeypatch):
+    from kspectra import cli
+    from kspectra.quadform import InconsistentFormError
+
+    def broken(ctx, validate=True):
+        raise InconsistentFormError("count 9 matches no type")
+
+    monkeypatch.setattr(cli, "restrict_q_to_h", broken)
+    code = main(["qform", "--n", "8"])
+    err = capsys.readouterr().err
+    assert code == 4
+    assert err.startswith("internal error: count 9")
+
+
+def test_malformed_poly_table_is_a_usage_error(tmp_path, capsys, monkeypatch):
+    table = tmp_path / "polys.txt"
+    table.write_text("4 0x13\n5\n")
+    monkeypatch.setenv("KSPECTRA_POLY_TABLE", str(table))
+    code = main(["qform", "--n", "8"])
+    assert code == 2
+    assert f"{table}:2" in capsys.readouterr().err

@@ -271,3 +271,24 @@ def test_poly_table_env_override(tmp_path, monkeypatch):
     assert mk_field(4).poly == 0x13
     monkeypatch.delenv("KSPECTRA_POLY_TABLE")
     assert mk_field(4).poly == smallest_irreducible(4)
+
+
+def test_poly_table_parsed_once_per_path(tmp_path, monkeypatch):
+    from kspectra.gf2n import _load_poly_table
+    table = tmp_path / "polys.txt"
+    table.write_text("4 0x13\n")
+    monkeypatch.setenv("KSPECTRA_POLY_TABLE", str(table))
+    before = _load_poly_table.cache_info().misses
+    assert mk_field(4).poly == 0x13
+    assert mk_field(4).poly == 0x13
+    assert _load_poly_table.cache_info().misses == before + 1
+
+
+@pytest.mark.parametrize("body, line", [("4 0x13\n5\n", 2), ("# c\n\nfour 0x13\n", 3),
+                                        ("4 0x13 junk\n", 1), ("4 zz\n", 1)])
+def test_poly_table_malformed_line_named(tmp_path, monkeypatch, body, line):
+    table = tmp_path / "polys.txt"
+    table.write_text(body)
+    monkeypatch.setenv("KSPECTRA_POLY_TABLE", str(table))
+    with pytest.raises(ValueError, match=f"{table}:{line}:"):
+        mk_field(4)

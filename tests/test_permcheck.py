@@ -172,14 +172,6 @@ def test_sweep_guards():
         sweep_inverse_plus_linear(mk_field(4))
 
 
-def test_sweep_jobs_agree():
-    a = sweep_inverse_plus_linear(mk_field(4), allow_small=True)
-    b = sweep_inverse_plus_linear(mk_field(4), jobs=2, allow_small=True)
-    assert a.candidates_checked == b.candidates_checked
-    assert sorted(L.cols for L in a.permutations_found) == \
-        sorted(L.cols for L in b.permutations_found)
-
-
 def test_scalar_maps_never_permute_n5():
     ctx = mk_field(5)
     for c in range(1, 32):
