@@ -12,6 +12,7 @@ numpy arrays indexed by element encoding and back the fast transforms.
 from __future__ import annotations
 
 import os
+import sys
 from dataclasses import dataclass, field
 from functools import lru_cache
 
@@ -418,55 +419,71 @@ class FieldCtx:
         wrap = (arr >> dt(self.n - 1)) & dt(1)
         return (arr << dt(1)) ^ wrap * dt(self.poly)
 
-    def _mul_scalar_vec_raw(self, c: int, arr: np.ndarray) -> np.ndarray:
-        res = np.zeros_like(arr)
-        t = arr
-        j = 0
-        while c >> j:
-            if (c >> j) & 1:
-                res ^= t
-            j += 1
-            if c >> j:
-                t = self.mulx_vec(t)
-        return res
+    def _mul_const_vec(self, c: int, arr: np.ndarray) -> np.ndarray:
+        """c * arr through byte tables: x -> c*x is GF(2)-linear, so
+        c*x = XOR over bytes k of T_k[byte k of x], with T_k[b] = c * (b << 8k)."""
+        imgs = [c]
+        for _ in range(self.n - 1):
+            imgs.append(self._mul_raw(imgs[-1], 2))
+        arr = np.ascontiguousarray(arr)
+        cols = arr.view(np.uint8).reshape(-1, arr.itemsize)
+        if sys.byteorder == "big":
+            cols = cols[:, ::-1]
+        dt = arr.dtype.type
+        out = xor_table(imgs[:8], dt)[cols[:, 0]]
+        for k in range(8, self.n, 8):
+            out ^= xor_table(imgs[k:k + 8], dt)[cols[:, k // 8]]
+        return out.reshape(arr.shape)
 
-    def exp_log_tables(self) -> tuple[np.ndarray, np.ndarray]:
-        """Numpy exp/log tables for the multiplicative group (any n <= 28ish)."""
-        tabs = self._cache.get("exp_log")
-        if tabs is None:
-            N = self.size
+    def _exp_table(self) -> np.ndarray:
+        """exp[j] = g^j for the cached generator g, j < 2^n - 1.
+
+        Doubling: exp[f:2f] = g^f * exp[:f], one byte-table product per step.
+        Cached up to TABLE_DEGREE, where the scalar and vector products read
+        it; above, only inverse_table needs it, once, unless exp_log_tables
+        keeps it.
+        """
+        exp = self._cache.get("exp")
+        if exp is None:
+            N1 = self.size - 1
             g = self._generator()
-            dt = elem_dtype(self.n)
-            exp = np.zeros(N - 1, dtype=dt)
-            seed = min(N - 1, 1 << 12)
-            e = 1
-            for j in range(seed):
-                exp[j] = e
-                e = self._mul_raw(e, g)
-            filled = seed
-            while filled < N - 1:
-                blk = min(filled, N - 1 - filled)
-                c = self.pow(g, filled)
-                exp[filled:filled + blk] = self._mul_scalar_vec_raw(c, exp[:blk])
+            exp = np.empty(N1, dtype=elem_dtype(self.n))
+            exp[0] = 1
+            filled = 1
+            while filled < N1:
+                blk = min(filled, N1 - filled)
+                exp[filled:filled + blk] = self._mul_const_vec(self.pow(g, filled), exp[:blk])
                 filled += blk
             if self._mul_raw(int(exp[-1]), g) != 1:
                 raise AssertionError("generator order mismatch")
-            log = np.zeros(N, dtype=np.uint32)
-            log[exp] = np.arange(N - 1, dtype=np.uint32)
+            if self.n <= TABLE_DEGREE:
+                self._cache["exp"] = exp
+        return exp
+
+    def exp_log_tables(self) -> tuple[np.ndarray, np.ndarray]:
+        """Numpy exp table and uint32 log table (log[0] = 0 is a placeholder).
+
+        The log table costs 4 bytes per element and is built only here, on
+        first use; the spectrum path needs exp alone (see inverse_table).
+        """
+        tabs = self._cache.get("exp_log")
+        if tabs is None:
+            exp = self._exp_table()
+            log = np.zeros(self.size, dtype=np.uint32)
+            log[exp] = np.arange(self.size - 1, dtype=np.uint32)
             tabs = (exp, log)
             self._cache["exp_log"] = tabs
+            self._cache["exp"] = exp
         return tabs
 
     def inverse_table(self) -> np.ndarray:
-        """Table of inv0(x) for every x, built from the exp table."""
+        """Table of inv0(x) for every x: inv[exp[j]] = exp[-j], from exp alone."""
         inv = self._cache.get("inverse")
         if inv is None:
-            exp, _ = self.exp_log_tables()
+            exp = self._exp_table()
             inv = np.zeros(self.size, dtype=exp.dtype)
-            rolled = np.empty_like(exp)
-            rolled[0] = exp[0]
-            rolled[1:] = exp[1:][::-1]
-            inv[exp] = rolled
+            inv[exp[1:]] = exp[:0:-1]
+            inv[1] = 1
             inv.flags.writeable = False
             self._cache["inverse"] = inv
         return inv
@@ -533,7 +550,7 @@ class FieldCtx:
             out = exp[s]
             out[arr == 0] = 0
             return out
-        return self._mul_scalar_vec_raw(c, arr)
+        return self._mul_const_vec(c, arr)
 
 
 def mk_field(n: int, poly: int | None = None) -> FieldCtx:

@@ -8,16 +8,45 @@ independent oracles.
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import dataclass
 
 import numpy as np
 
-from kspectra.gf2n import FieldCtx, elem_dtype
+from kspectra.gf2n import MAX_DEGREE, FieldCtx, elem_dtype
 
-#: full spectra above this degree would not fit comfortably in memory
-SPECTRUM_CAP = 28
 
-#: spectra this small are kept in a process-wide cache (at most a few MiB)
+def sign_dtype(n: int):
+    """Signed type for 2^n-point butterflies: partial sums stay within +-2^n."""
+    return np.int32 if n <= 30 else np.int64
+
+
+def spectrum_bytes(n: int) -> int:
+    """Peak bytes of kloosterman_spectrum beyond the interpreter, estimated.
+
+    At the final gather the inverse and dual-basis tables (one element each),
+    the trace table (1 byte), the signs and the result are all alive: 17
+    bytes per entry for n <= 30, close to the measured peaks at n = 24 and
+    n = 26 (see README).
+    """
+    elem = np.dtype(elem_dtype(n)).itemsize
+    return (2 * elem + 1 + 2 * np.dtype(sign_dtype(n)).itemsize) << n
+
+
+def _memory_cap() -> int:
+    """Largest degree whose spectrum_bytes fit in physical RAM."""
+    try:
+        ram = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
+    except (AttributeError, ValueError, OSError):
+        ram = 4 << 30  # no sysconf: assume 4 GiB
+    return max(n for n in range(1, MAX_DEGREE + 1) if spectrum_bytes(n) <= ram)
+
+
+#: full spectra above this degree would not fit in this machine's RAM
+SPECTRUM_CAP = _memory_cap()
+
+#: spectra up to this degree stay in a process-wide cache, which holds at
+#: most sum_{n <= 20} 4 * 2^n bytes, about 8 MiB per reduction polynomial
 _CACHE_DEGREE = 20
 _spectrum_cache: dict[tuple[int, int], "Spectrum"] = {}
 
@@ -67,17 +96,48 @@ class Spectrum:
             yield f"{a:#x},{int(self.data[a])}"
 
 
-def fwht_inplace(w: np.ndarray) -> None:
-    """In-place Walsh-Hadamard transform of a length-2^k int64 array."""
-    m = w.shape[0]
-    h = 1
-    while h < m:
+def _butterfly_levels(w: np.ndarray, scratch: np.ndarray, h: int, stop: int) -> None:
+    """Radix-2 levels h, 2h, .. < stop of the transform of w, in place."""
+    while h < stop:
         blocks = w.reshape(-1, 2, h)
-        a = blocks[:, 0, :].copy()
+        a = blocks[:, 0, :]
         b = blocks[:, 1, :]
-        blocks[:, 0, :] = a + b
-        blocks[:, 1, :] = a - b
+        t = scratch[: w.shape[0] // 2].reshape(-1, h)
+        np.copyto(t, a)
+        a += b
+        np.subtract(t, b, out=b)
         h <<= 1
+
+
+#: the butterfly runs the levels below this block size block by block, in cache
+_FWHT_BLOCK = 1 << 16
+#: inside a block, levels below this stride run on the transposed block, so
+#: that numpy's inner loops are long
+_FWHT_ROW = 128
+
+
+def fwht_inplace(w: np.ndarray) -> None:
+    """In-place Walsh-Hadamard transform of a contiguous length-2^k signed array.
+
+    Integer dtypes of any width work; the caller picks one that holds +-2^k
+    (see sign_dtype).  Extra memory is one half-length scratch buffer.
+    """
+    if w.ndim != 1 or not w.flags.c_contiguous:
+        raise ValueError("fwht_inplace needs a contiguous 1-d array")  # reshape would copy
+    m = w.shape[0]
+    blk = min(_FWHT_BLOCK, m)
+    row = min(_FWHT_ROW, blk)
+    scratch = np.empty(m // 2, dtype=w.dtype)
+    tr = np.empty(blk, dtype=w.dtype)
+    tr_rows = tr.reshape(row, -1)
+    for s in range(0, m, blk):
+        part = w[s:s + blk]
+        rows = part.reshape(-1, row)
+        np.copyto(tr_rows, rows.T)
+        _butterfly_levels(tr, scratch, blk // row, blk)
+        np.copyto(rows, tr_rows.T)
+        _butterfly_levels(part, scratch, row, blk)
+    _butterfly_levels(w, scratch, blk, m)
 
 
 def walsh(ctx: FieldCtx, F: TruthTable, a: int, b: int) -> int:
@@ -96,7 +156,9 @@ def _trace_transform(ctx: FieldCtx, values: np.ndarray) -> np.ndarray:
     The butterfly sums over parity(m & x); indexing by the dual-basis
     coordinates m = G*b turns that into Tr(b*x).
     """
-    signs = 1 - 2 * ctx.trace_table()[values].astype(np.int64)
+    signs = ctx.trace_table()[values].astype(sign_dtype(ctx.n))
+    signs *= -2
+    signs += 1
     fwht_inplace(signs)
     data = signs[ctx.dualenc_table()]
     data.flags.writeable = False
@@ -124,8 +186,8 @@ def kloosterman_spectrum(ctx: FieldCtx, cap: int = SPECTRUM_CAP) -> Spectrum:
     """All Kloosterman sums, O(n*2^n) time and O(2^n) space."""
     if ctx.n > cap:
         raise ValueError(
-            f"full spectrum for n={ctx.n} exceeds the memory cap ({cap}); "
-            "evaluate kloosterman() pointwise instead"
+            f"full spectrum for n={ctx.n} is over the memory cap (n <= {cap}; it needs "
+            f"about {spectrum_bytes(ctx.n):,} bytes); evaluate kloosterman() pointwise instead"
         )
     key = (ctx.n, ctx.poly)
     hit = _spectrum_cache.get(key)
@@ -145,7 +207,8 @@ def _validate_kloosterman(spec: Spectrum) -> None:
     if int((data & 1).any()):
         raise AssertionError("Kloosterman sums must be even")
     # Weil bound for the x != 0 part; the x = 0 term shifts everything by +1.
-    if int(np.abs(data - 1).max()) > spec.weil_bound():
+    # max |K - 1| from the extremes in Python ints: no 2^n temporary.
+    if max(int(data.max()) - 1, 1 - int(data.min())) > spec.weil_bound():
         raise AssertionError("spectrum violates the Weil bound")
 
 

@@ -193,7 +193,9 @@ def subspace_sum_identity(ctx: FieldCtx, V: SubspaceBasis, spectrum: Spectrum | 
     K = spec.data
     k = V.dim
     span = V.span()
-    kv = K[span]
+    # Spectra are int32 and |K| <= 2^(n/2+1) + 1, so K^2 - 2K stays below
+    # 2^31 only for n <= 28; widen the 2^k values of the subspace first.
+    kv = K[span].astype(np.int64)
     lhs = int(np.sum(kv * kv - 2 * kv))
     W = orthogonal_complement(ctx, V)
     inv = ctx.inverse_table()

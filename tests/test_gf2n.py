@@ -228,6 +228,22 @@ def test_exp_table_is_group_enumeration():
         assert int(exp[int(log[a])]) == a
 
 
+@pytest.mark.parametrize("n", [17, 24])
+def test_exp_table_is_group_enumeration_sampled(n):
+    # ctx.mul is shift-and-reduce above TABLE_DEGREE: it shares no code with the
+    # byte-table doubling that builds exp
+    ctx = mk_field(n)
+    exp, log = ctx.exp_log_tables()
+    assert exp.shape == (ctx.size - 1,) and exp[0] == 1
+    g = int(exp[1])
+    rng = np.random.default_rng(n)
+    js = np.concatenate([np.arange(8), rng.integers(0, ctx.size - 2, 500), [ctx.size - 3]])
+    for j in js.tolist():
+        assert ctx.mul(int(exp[j]), g) == int(exp[j + 1])
+        assert int(log[int(exp[j])]) == j
+    assert ctx.mul(int(exp[-1]), g) == 1
+
+
 def test_xor_and_functional_tables():
     cols = [0b001, 0b010, 0b111]
     t = xor_table(cols)

@@ -1,11 +1,24 @@
-"""Property tests for the shared GF(2) kernels: xor-combine, echelon, coordinates."""
+"""Property tests for the shared kernels: xor-combine, echelon, coordinates,
+constant multiplication and the Walsh-Hadamard butterfly."""
 
+from functools import lru_cache
+
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from kspectra.gf2n import mat_inverse_rows, mk_field, nullspace_rows, rref, xor_combine, xor_table
+from kspectra.gf2n import (
+    elem_dtype,
+    mat_inverse_rows,
+    mk_field,
+    nullspace_rows,
+    rref,
+    xor_combine,
+    xor_table,
+)
 from kspectra.linmap import subspace_from_vectors
+from kspectra.spectra import fwht_inplace
 
 PROPS = settings(max_examples=150, deadline=None)
 
@@ -76,3 +89,69 @@ def test_coords_agree_with_contains(nr, data):
     else:
         with pytest.raises(ValueError):
             V.coords(x)
+
+
+_field = lru_cache(maxsize=None)(mk_field)
+
+
+@PROPS
+@given(st.sampled_from([17, 24, 31, 32]), st.data())
+def test_byte_table_constant_multiply_matches_mul(n, data):
+    # above TABLE_DEGREE mul_scalar_vec is the byte-table kernel and ctx.mul is
+    # shift-and-reduce; n = 32 runs on uint64 elements
+    ctx = _field(n)
+    c = data.draw(st.integers(2, ctx.size - 1))
+    xs = data.draw(st.lists(st.integers(0, ctx.size - 1), min_size=1, max_size=16))
+    got = ctx.mul_scalar_vec(c, np.array(xs, dtype=elem_dtype(n)))
+    assert got.dtype == elem_dtype(n)
+    assert got.tolist() == [ctx.mul(c, x) for x in xs]
+
+
+def _textbook_fwht(v):
+    """Radix-2 butterfly building a fresh int64 array at every level."""
+    w = v.astype(np.int64)
+    h = 1
+    while h < w.size:
+        blocks = w.reshape(-1, 2, h)
+        w = np.stack([blocks[:, 0] + blocks[:, 1], blocks[:, 0] - blocks[:, 1]], axis=1).ravel()
+        h <<= 1
+    return w
+
+
+# k reaches past the butterfly's 2^16 cache block, so the blocked, transposed
+# and whole-array levels all run
+_signed_vectors = st.tuples(st.integers(0, 18), st.integers(0, 2**32 - 1)).map(
+    lambda ks: np.random.default_rng(ks[1]).integers(-1000, 1001, 1 << ks[0]))
+
+
+@settings(max_examples=30, deadline=None)
+@given(_signed_vectors)
+def test_fwht_int32_equals_int64(v):
+    a = v.astype(np.int32)
+    b = v.astype(np.int64)
+    fwht_inplace(a)
+    fwht_inplace(b)
+    assert np.array_equal(a, b)
+
+
+@settings(max_examples=30, deadline=None)
+@given(_signed_vectors)
+def test_fwht_twice_scales_by_the_length(v):
+    w = v.copy()  # int64: the second pass sums reach 1000 * 4^k
+    fwht_inplace(w)
+    fwht_inplace(w)
+    assert np.array_equal(w, v * v.size)
+
+
+@settings(max_examples=30, deadline=None)
+@given(_signed_vectors)
+def test_fwht_matches_textbook_butterfly(v):
+    w = v.astype(np.int32)
+    fwht_inplace(w)
+    assert np.array_equal(w, _textbook_fwht(v))
+
+
+def test_fwht_refuses_a_strided_view():
+    w = np.zeros(16, dtype=np.int32)
+    with pytest.raises(ValueError, match="contiguous"):
+        fwht_inplace(w[::2])

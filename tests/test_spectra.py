@@ -1,15 +1,21 @@
 """Transform and spectrum tests, fast paths checked against direct sums."""
 
+import hashlib
+import json
 import math
 
 import numpy as np
 import pytest
 
+from kspectra.cli import main
 from kspectra.gf2n import mk_field
-from kspectra.linmap import random_map
+from kspectra.linmap import random_map, random_subspace
+from kspectra.permcheck import perm_spectral
 from kspectra.spectra import (
+    SPECTRUM_CAP,
     Spectrum,
     TruthTable,
+    _validate_kloosterman,
     diff_uniformity,
     fwht_inplace,
     kloosterman,
@@ -19,6 +25,11 @@ from kspectra.spectra import (
     walsh,
     walsh_row,
 )
+from kspectra.zerospace import subspace_sum_identity
+
+#: sha256 of kloosterman_spectrum(mk_field(24)).data as little-endian int64,
+#: captured from the int64 pipeline before the int32 rewrite
+SPECTRUM_24_SHA256 = "63809deccb8eb4f19865423e93d4f87fd780e11ea4c8cec0bee42b3eddb4879b"
 
 
 def test_fwht_matches_definition():
@@ -134,6 +145,44 @@ def test_spectrum_cap_error():
     ctx = mk_field(8)
     with pytest.raises(ValueError, match="pointwise"):
         kloosterman_spectrum(ctx, cap=6)
+
+
+def test_spectrum_above_memory_cap_is_refused_before_any_table():
+    assert SPECTRUM_CAP < 32  # 2^32 entries need about 132 GiB
+    ctx = mk_field(32)
+    with pytest.raises(ValueError, match="memory cap"):
+        kloosterman_spectrum(ctx)
+    assert ctx._cache == {}  # refused before building a single table
+
+
+def test_spectrum_above_memory_cap_is_a_usage_error(capsys):
+    assert main(["spectrum", "--n", "32"]) == 2
+    assert "memory cap" in capsys.readouterr().err
+
+
+def test_spectrum_n24_is_pinned():
+    data = kloosterman_spectrum(mk_field(24)).data
+    assert data.dtype == np.int32
+    assert hashlib.sha256(data.astype("<i8").tobytes()).hexdigest() == SPECTRUM_24_SHA256
+
+
+def test_int32_spectrum_consumers_match_int64(capsys):
+    n = 12
+    ctx = mk_field(n)
+    spec = kloosterman_spectrum(ctx)
+    assert spec.data.dtype == np.int32
+    wide = Spectrum(n, spec.kind, spec.data.astype(np.int64))
+    _validate_kloosterman(wide)
+    rng = np.random.default_rng(12)
+    for dim in (0, 1, 3, 6, 11):
+        V = random_subspace(rng, n, dim)
+        assert subspace_sum_identity(ctx, V, spec) == subspace_sum_identity(ctx, V, wide)
+    for _ in range(20):
+        L1, L2 = random_map(rng, n), random_map(rng, n)
+        assert perm_spectral(ctx, L1, L2, spec) == perm_spectral(ctx, L1, L2, wide)
+    assert list(spec.to_csv_rows()) == list(wide.to_csv_rows())
+    assert main(["spectrum", "--n", str(n), "--format", "json"]) == 0
+    assert json.loads(capsys.readouterr().out)["data"] == wide.data.tolist()
 
 
 def test_diff_uniformity():
