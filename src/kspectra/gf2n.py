@@ -565,26 +565,29 @@ def mk_field(n: int, poly: int | None = None) -> FieldCtx:
         factor = find_factor(poly)
         raise ReduciblePolynomialError(poly, factor)
 
+    # Squaring is F_2-linear: a^2 is the XOR of (x^i)^2 mod poly over the set
+    # bits i of a, so one table of 256 images per byte of a does the work of
+    # psquare + pmod in ceil(n/8) lookups.
+    sq_imgs = [pmod(psquare(1 << i), poly) for i in range(n)]
+    sq_bytes = [xor_table(sq_imgs[k:k + 8]).tolist() for k in range(0, n, 8)]
+
     def tr(a):
         acc = 0
-        c = a
         for _ in range(n):
-            acc ^= c
-            c = pmod(psquare(c), poly)
+            acc ^= a
+            sq = 0
+            for k, t in enumerate(sq_bytes):
+                sq ^= t[(a >> (8 * k)) & 255]
+            a = sq
         if acc not in (0, 1):
             raise AssertionError("trace left F_2")
         return acc
 
-    trace_mask = 0
-    for i in range(n):
-        trace_mask |= tr(1 << i) << i
-    gram = []
-    for i in range(n):
-        row = 0
-        for j in range(n):
-            row |= tr(pmod(1 << (i + j), poly)) << j
-        gram.append(row)
-    gram = tuple(gram)
+    # Tr(x^i * x^j) depends on i + j only: the Gram matrix is a Hankel matrix,
+    # read off the 2n - 1 traces h[k] = Tr(x^k mod poly) like trace_mask.
+    h = [tr(pmod(1 << k, poly)) for k in range(2 * n - 1)]
+    trace_mask = sum(h[i] << i for i in range(n))
+    gram = tuple(sum(h[i + j] << j for j in range(n)) for i in range(n))
     gram_inv = mat_inverse_rows(gram, n)  # trace form is non-degenerate
     dual_basis = gram_inv  # row i of G^-1 holds the coordinates of d_i
     for i in range(n):

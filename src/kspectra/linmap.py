@@ -210,7 +210,9 @@ def canonical_children(pool: np.ndarray):
 
     rest holds the later candidates that may follow v in a canonical basis:
     leading bit above v's and v's leading bit clear.  Extending bases only
-    this way visits each subspace exactly once.
+    this way visits each subspace exactly once.  Used by
+    quadform.find_isotropic_subspace; the zero-subspace search runs the same
+    enumeration on bitsets (zerospace.max_subspace_in_set).
     """
     for idx in range(pool.shape[0]):
         v = int(pool[idx])

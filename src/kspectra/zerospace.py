@@ -1,9 +1,12 @@
 """Subspaces inside the Kloosterman-zero and mod-16 sets: bounds and searches.
 
 The search enumerates subspaces by their unique reduced-echelon basis in
-increasing leading-bit order, pruning candidates with a membership bitset and
-(optionally) trace-orthogonality, so each subspace is visited exactly once
-and node counts are reproducible.
+increasing leading-bit order, so each subspace is visited exactly once and
+node counts are reproducible.  It runs on Python-int bitsets over F_2^n: for
+the span of the current basis it keeps G = {x : x + span in S}, and adding v
+to the basis intersects G with its translate G xor v (a block swap per set
+bit of v).  Candidates outside G, and optionally those not trace-orthogonal
+to v, are pruned.  The bitsets take about (n + 2 * depth) * 2^n / 8 bytes.
 """
 from __future__ import annotations
 
@@ -11,8 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from kspectra.gf2n import FieldCtx, parity_fold
-from kspectra.linmap import SubspaceBasis, canonical_children, orthogonal_complement, subspace_from_vectors
+from kspectra.gf2n import FieldCtx, xor_combine
+from kspectra.linmap import SubspaceBasis, orthogonal_complement, subspace_from_vectors
 from kspectra.quadform import q_table
 from kspectra.spectra import Spectrum, kloosterman_spectrum, kloosterman_zeros
 
@@ -85,6 +88,31 @@ class ZeroSpaceReport:
         }
 
 
+def _low_masks(n: int) -> list[int]:
+    """LOW[i]: the bitset over F_2^n of the elements with bit i clear."""
+    size = 1 << n
+    out = []
+    for i in range(n):
+        m, width = (1 << (1 << i)) - 1, 2 << i  # 2^i ones, then 2^i zeros
+        while width < size:
+            m |= m << width
+            width <<= 1
+        out.append(m)
+    return out
+
+
+def _translate(B: int, v: int, low: list[int]) -> int:
+    """The bitset B xor v = {x ^ v : x in B}: one block swap per set bit of v."""
+    i = 0
+    while v:
+        if v & 1:
+            s, m = 1 << i, low[i]
+            B = ((B & m) << s) | ((B >> s) & m)
+        v >>= 1
+        i += 1
+    return B
+
+
 def max_subspace_in_set(
     ctx: FieldCtx,
     S,
@@ -100,52 +128,70 @@ def max_subspace_in_set(
     only required of nonzero span elements).  Stops early once the supplied
     bound is attained (it cannot be beaten); a node budget yields a
     non-exhaustive report instead.
+
+    Sets are Python-int bitsets over F_2^n (bit x set iff x is in the set).
+    With span the span of the current basis, G = {x : x + span in S} is kept
+    alongside the candidate pool, a subset of G; both are S minus 0 at the
+    root.  Adding v gives G' = G & (G xor v), and the children's pool is the
+    pool's elements above v with v's leading bit clear, meet G xor v (and,
+    with prune_isotropic, the hyperplane Tr(x v) = 0).  The translation
+    G xor v is a block swap per set bit of v through LOW[i], the elements
+    with bit i clear; a leaf skips it.  Children are taken in increasing
+    order, so nodes, counts and bases are those of the canonical
+    enumeration.  Memory: the n LOW masks plus a pool and a G per level,
+    each 2^n bits (8 KiB at n = 16), far below the spectrum S comes from.
     """
-    if isinstance(S, np.ndarray):
-        members = np.unique(S).astype(np.uint32)
-    else:
-        members = np.array(sorted({int(s) for s in S}), dtype=np.uint32)
-    members = members[members > 0]
+    if not isinstance(S, np.ndarray):
+        S = np.array([int(s) for s in S], dtype=np.intp)
     mask = np.zeros(ctx.size, dtype=bool)
-    mask[members] = True
+    mask[S] = True
+    mask[0] = False
+    root = int.from_bytes(np.packbits(mask, bitorder="little").tobytes(), "little")
+    low = _low_masks(ctx.n)
 
-    state = {"best": [], "nodes": 0, "truncated": False, "stop": False}
+    best: list[int] = []
+    nodes = 0
+    truncated = stop = False
 
-    def dfs(basis: list[int], span: np.ndarray, pool: np.ndarray) -> None:
-        if len(basis) > len(state["best"]):
-            state["best"] = list(basis)
+    def dfs(basis: list[int], G: int, pool: int) -> None:
+        nonlocal best, nodes, truncated, stop
+        if len(basis) > len(best):
+            best = basis
             if bound is not None and len(basis) >= bound:
-                state["stop"] = True
+                stop = True
                 return
-        for v, rest in canonical_children(pool):
-            if state["stop"]:
+        while pool:
+            if node_budget is not None and nodes >= node_budget:
+                truncated = True
                 return
-            if node_budget is not None and state["nodes"] >= node_budget:
-                state["truncated"] = True
-                return
-            state["nodes"] += 1
-            added = span ^ np.uint32(v)
-            for u in added:
-                if rest.size == 0:
-                    break
-                rest = rest[mask[rest ^ u]]
-            if prune_isotropic and rest.size:
-                pe = ctx.dualenc(v)
-                rest = rest[parity_fold(rest & np.uint32(pe)) == 0]
-            dfs(basis + [v], np.concatenate([span, added]), rest)
-            if state["stop"] or state["truncated"]:
+            nodes += 1
+            bit = pool & -pool
+            pool ^= bit  # now only elements above v: leading bit >= v's
+            v = bit.bit_length() - 1
+            rest = pool & low[v.bit_length() - 1]
+            if rest:
+                Gv = _translate(G, v, low)
+                rest &= Gv
+                if prune_isotropic and rest:
+                    # XOR of LOW[i] over the set bits i of d: the x with
+                    # parity(x & d) != parity(d), the hyperplane iff d is odd
+                    d = ctx.dualenc(v)
+                    h = xor_combine(low, d)
+                    rest &= h if d.bit_count() & 1 else ~h
+            dfs(basis + [v], G & Gv if rest else 0, rest)  # a leaf needs no G
+            if stop or truncated:
                 return
 
-    dfs([], np.zeros(1, dtype=np.uint32), members)
-    best = subspace_from_vectors(ctx.n, state["best"])
+    dfs([], root, root)
+    best_basis = subspace_from_vectors(ctx.n, best)
     return ZeroSpaceReport(
         n=ctx.n,
         target_set=label,
-        best_basis=best,
-        best_dim=best.dim,
+        best_basis=best_basis,
+        best_dim=best_basis.dim,
         bound=bound,
-        nodes_visited=state["nodes"],
-        exhaustive=not state["truncated"],
+        nodes_visited=nodes,
+        exhaustive=not truncated,
     )
 
 

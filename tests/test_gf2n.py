@@ -1,5 +1,7 @@
 """Field arithmetic tests with independent reference oracles."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -10,6 +12,8 @@ from kspectra.gf2n import (
     mk_field,
     parity_fold,
     pdeg,
+    pmod,
+    psquare,
     smallest_irreducible,
     xor_table,
 )
@@ -308,3 +312,75 @@ def test_poly_table_malformed_line_named(tmp_path, monkeypatch, body, line):
     monkeypatch.setenv("KSPECTRA_POLY_TABLE", str(table))
     with pytest.raises(ValueError, match=f"{table}:{line}:"):
         mk_field(4)
+
+
+# sha256 of repr((poly, trace_mask, gram, gram_inv, dual_basis)), captured from
+# the per-entry definitional construction (n + n^2 traces by psquare/pmod).
+FIELD_SHA256 = {
+    2: "57f172571c3c5d3eb931bfc0595f6277312a6415b2d1febd2f4e19101ebe6721",
+    3: "acc790e1c1b4c0786f954224ee411a02a47bbb566a14484feec09c6d052d32c2",
+    4: "3f7f623fa300617839cfa44be1436cff326f02a87667d7c09fb666ad84becda0",
+    5: "9b6dfa0c8cfa89025af38c3cfc790b286f226b9a2fb3aa87736787f4fdeefc42",
+    6: "772016977e618daf87c5ffbf97d841a57ab4a4ffbc80f78de79baed620cf57db",
+    7: "81e8772a564d172e45944ee2279440d571c3aeb7a9e7cb5eed7be054d6d785b6",
+    8: "3e8199cd042837946c3e4fbfff4adb6e3f41ae2fea01232ac6e966bf4adbeda9",
+    9: "54b44e00ef288d6303575c6911e9d2b796636b9a673f4f2a91cdb7ac0429ee25",
+    10: "0b4806212b5e42485e27e7f618dc9a34830f762ced315f93f90aa0de08850548",
+    11: "bc69ead25e075b4b8c5a51f166ec8a899d414c059a594d2bee3100c43a61f75b",
+    12: "feb54b2a6fc8ca9143ba474fa80952a1afd516fcde0e30bc871e3deb8b0c5ee0",
+    13: "cbacc5826863045c30c4dbe9365e564ffa0a3363a1cb5f899cd8f971bcc92124",
+    14: "6e60f5b8c0039194e842e3cc41d34477bacb27a4b13eeaa7cdfea7337f6d89a3",
+    15: "c67c31d23e7dcfa283c662e318cc2deddf8db6c56e2fbc5e1220ec0f2cf1fc5a",
+    16: "7da65e566e39707feb74fa8631bd394f4f86c3c64d5d426b03bcf65c3c8c8926",
+    17: "99e94a257052c4106b7cd141cc26c1413f150cbe3814cfcc8e3c02c8340ee5e5",
+    18: "3f50e05e88b988848c18cdb66d9ae27cc6eab5efef93bd86be7afb5d85ca90f9",
+    19: "148e21072b39df91982c37421ad4e2624aab0d7892072a9514ccb3329b8adcca",
+    20: "acf34060b610f7c58ab868dec3657742272040eb6cf6e4e3b77b050a9ae4d676",
+    21: "ae9853b59b855f8d4cd2a722cfd892fc74eba5a499d10cc2b75a5d74b5cc4e74",
+    22: "a1a5ae3a14935c82f1af12b69cbef548b2e982aa81abf48ce8c4bc19bef3c57b",
+    23: "1383f4190bcd3f43d0acec75ab0c0d4482c73ce137189517a3bdf0525ac2ca24",
+    24: "c2eb806fcee14204bd2dfb3c15149575c4ce530f46efcac1f621868111199ee0",
+    25: "4bace06fe3f1a09a41d15180e03274f70005732f997418d96012f7647c95547f",
+    26: "4d57cb53b5e3e31cf49e35ae4b2e2c048b3e87b88e8b1325580bc4b34b0ef459",
+    27: "51800d4ec3ad85508393112c8b9e187e802d8ed16bd0bb6e86c6c512f611431c",
+    28: "c6ecae73bff1b82553991a7fcca6ab046f5487024f6d0180212c4be6b168b663",
+    29: "a6431251af4ee91054b42347d0ec245bcd1640579834a455b73cc9e04d96227b",
+    30: "1613af70c5b7f288ab62dfa6a1a9e63a049c1ef0454241e5f4e59f2ce32b4bf3",
+    31: "fd481d67eeca0a3ccf1dcc522ecc08792871e8735fcc6970d28baecafae70e21",
+    32: "08736859d5624d06badb3365f8035ab622d72d607f8fa9fe9f07bbfe450dfecd",
+}
+
+
+@pytest.mark.parametrize("n", range(2, 33))
+def test_mk_field_pinned(n):
+    ctx = mk_field(n)
+    key = repr((ctx.poly, ctx.trace_mask, ctx.gram, ctx.gram_inv, ctx.dual_basis))
+    assert hashlib.sha256(key.encode()).hexdigest() == FIELD_SHA256[n]
+
+
+@pytest.mark.parametrize("n", [2, 7, 13, 24, 32])
+def test_gram_is_definitional_trace(n):
+    ctx = mk_field(n)
+    poly = ctx.poly
+
+    def tr(a):
+        acc = 0
+        for _ in range(n):
+            acc ^= a
+            a = pmod(psquare(a), poly)
+        assert acc in (0, 1)
+        return acc
+
+    h = [tr(pmod(1 << k, poly)) for k in range(2 * n - 1)]
+    for i in range(n):
+        assert (ctx.trace_mask >> i) & 1 == h[i]
+        for j in range(n):
+            assert (ctx.gram[i] >> j) & 1 == h[i + j]
+
+
+def test_mk_field_checks_dual_basis(monkeypatch):
+    from kspectra import gf2n
+
+    monkeypatch.setattr(gf2n, "mat_inverse_rows", lambda rows, n: tuple(1 << i for i in range(n)))
+    with pytest.raises(AssertionError, match="dual basis"):
+        mk_field(8)

@@ -1,9 +1,13 @@
 """Bound formulas, membership sets, subspace searches, summation identity."""
 
+from functools import lru_cache
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from kspectra.gf2n import mk_field
+from kspectra.gf2n import mk_field, xor_table
 from kspectra.linmap import random_subspace, subspace_from_vectors
 from kspectra.spectra import kloosterman_spectrum, kloosterman_zeros
 from kspectra.zerospace import (
@@ -143,3 +147,100 @@ def test_subspace_sum_identity_single_zero():
 def test_mod16_members_guard():
     with pytest.raises(ValueError):
         mod16_members(mk_field(3))
+
+
+# (nodes_visited, best_basis) captured from the array-filter search that the
+# bitset search replaced.  mod16: no bound, no prune (the paper_repro DFS);
+# zeros: max_zero_subspace defaults (bound and prune on).
+MOD16_SEARCH = {
+    5: (5, (0x2,)),
+    6: (30, (0x2, 0x4)),
+    7: (170, (0x2, 0x4, 0x10)),
+    8: (307, (0x1, 0x2, 0x4)),
+    9: (4005, (0x2, 0x4, 0x8, 0x10)),
+    10: (19380, (0x2, 0x4, 0x8, 0x100)),
+    11: (121110, (0x2, 0x4, 0x8, 0x10)),
+}
+ZERO_SEARCH = {
+    5: (1, (0x2,)),
+    6: (2, (0x2, 0x4)),
+    7: (3, (0x2, 0x4, 0x10)),
+    8: (16, (0x6,)),
+    9: (18, (0x12,)),
+    10: (120, (0x2, 0x100)),
+    11: (77, (0x2, 0x9c)),
+    12: (100, (0x2, 0x90)),
+    13: (52, (0x2af,)),
+    14: (156, (0x59, 0x149e, 0x2816)),
+    15: (611, (0x2, 0x4, 0x10, 0x100)),
+    16: (320, (0x7, 0x9809)),
+}
+
+
+@pytest.mark.parametrize("n", sorted(MOD16_SEARCH))
+def test_mod16_search_pinned(n):
+    ctx = mk_field(n)
+    rep = max_subspace_in_set(ctx, mod16_members(ctx), label="mod16")
+    assert (rep.nodes_visited, rep.best_basis.vectors) == MOD16_SEARCH[n]
+    assert rep.best_dim == mod16_subspace_bound(n) and rep.exhaustive
+
+
+@pytest.mark.parametrize("n", sorted(ZERO_SEARCH))
+def test_zero_search_pinned(n):
+    rep = max_zero_subspace(mk_field(n))
+    assert (rep.nodes_visited, rep.best_basis.vectors) == ZERO_SEARCH[n]
+    assert rep.exhaustive
+
+
+@lru_cache(maxsize=None)
+def all_subspaces(n: int) -> tuple[frozenset, ...]:
+    """Every subspace of F_2^n of dimension >= 1, by closing under one more vector."""
+    out: list[frozenset] = []
+    level = {frozenset({0})}
+    while level:
+        level = {V | {v ^ x for v in V} for V in level for x in range(1, 1 << n) if x not in V}
+        out.extend(level)
+    return tuple(out)
+
+
+def dim_of(V: frozenset) -> int:
+    return len(V).bit_length() - 1
+
+
+@st.composite
+def field_and_set(draw):
+    """(ctx, S): a random subset of F_2^n joined with the span of a few vectors."""
+    n = draw(st.integers(2, 6))
+    bits = draw(st.integers(0, (1 << (1 << n)) - 1))
+    vecs = draw(st.lists(st.integers(1, (1 << n) - 1), max_size=n))
+    S = {x for x in range(1, 1 << n) if (bits >> x) & 1}
+    S |= {int(x) for x in xor_table(vecs)} - {0}
+    return mk_field(n), S
+
+
+@settings(max_examples=120, deadline=None)
+@given(field_and_set(), st.data())
+def test_search_matches_brute_force(cs, data):
+    ctx, S = cs
+    inside = [V for V in all_subspaces(ctx.n) if V - {0} <= S]
+    top = max((dim_of(V) for V in inside), default=0)
+    rep = max_subspace_in_set(ctx, S)
+    assert rep.exhaustive and rep.nodes_visited == len(inside)
+    assert rep.best_dim == top
+    assert {int(x) for x in rep.best_basis.span()} - {0} <= S
+    b = data.draw(st.integers(1, ctx.n))
+    assert max_subspace_in_set(ctx, S, bound=b).best_dim == min(b, top)
+
+
+@settings(max_examples=60, deadline=None)
+@given(field_and_set())
+def test_pruned_search_counts_isotropic_subspaces(cs):
+    # On trace-zero elements Tr(x * x) = Tr(x) = 0, so a basis that is pairwise
+    # trace-orthogonal spans a totally isotropic subspace, and conversely.
+    ctx, S = cs
+    S = {x for x in S if ctx.trace(x) == 0}
+    iso = [V for V in all_subspaces(ctx.n) if V - {0} <= S
+           and all(ctx.trace(ctx.mul(x, y)) == 0 for x in V for y in V)]
+    rep = max_subspace_in_set(ctx, S, prune_isotropic=True)
+    assert rep.nodes_visited == len(iso)
+    assert rep.best_dim == max((dim_of(V) for V in iso), default=0)
