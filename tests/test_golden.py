@@ -22,6 +22,7 @@ CASES = {
     "table1_left_5_20": ["table1", "--side", "left", "--from", "5", "--to", "20"],
     "qform_24": ["qform", "--n", "24"],
     "spectrum_12_json": ["spectrum", "--n", "12", "--format", "json"],
+    "spectrum_12_csv": ["spectrum", "--n", "12"],
     "zerospace_12": ["zerospace", "--n", "12"],
     "zerospace_14": ["zerospace", "--n", "14"],
     "zerospace_12_mod16": ["zerospace", "--n", "12", "--set", "mod16"],
@@ -40,3 +41,10 @@ def test_golden_output(name, capsys, monkeypatch):
     got = capsys.readouterr().out
     want = (GOLDEN / f"{name}.txt").read_text()
     assert _stable(got) == _stable(want)
+
+
+def test_golden_csv_through_out_file(tmp_path, monkeypatch):
+    monkeypatch.delenv(gf2n.POLY_TABLE_ENV, raising=False)
+    out = tmp_path / "spectrum.csv"
+    assert main(["spectrum", "--n", "12", "--out", str(out)]) == 0
+    assert out.read_bytes() == (GOLDEN / "spectrum_12_csv.txt").read_bytes()

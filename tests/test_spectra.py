@@ -3,12 +3,19 @@
 import hashlib
 import json
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import kspectra
+from kspectra import spectra
 from kspectra.cli import main
-from kspectra.gf2n import mk_field
+from kspectra.gf2n import FieldCtx, is_irreducible, mk_field, smallest_irreducible
 from kspectra.linmap import random_map, random_subspace
 from kspectra.permcheck import perm_spectral
 from kspectra.spectra import (
@@ -22,6 +29,7 @@ from kspectra.spectra import (
     kloosterman_spectrum,
     kloosterman_zeros,
     nonlinearity,
+    spectrum_bytes,
     walsh,
     walsh_row,
 )
@@ -30,6 +38,33 @@ from kspectra.zerospace import subspace_sum_identity
 #: sha256 of kloosterman_spectrum(mk_field(24)).data as little-endian int64,
 #: captured from the int64 pipeline before the int32 rewrite
 SPECTRUM_24_SHA256 = "63809deccb8eb4f19865423e93d4f87fd780e11ea4c8cec0bee42b3eddb4879b"
+
+#: the same digest for n = 2..23 (default polynomials), captured before the
+#: spectrum was built by one scatter in dual-basis coordinates
+SPECTRUM_SHA256 = {
+    2: "bd7cdcc82d46856db3e580548999dfba0d8bd38e0edbb797188de335d933c8b3",
+    3: "c4dd24049a624399063fa7a7c7dba4006af51b9aee1186c134eeae4dd896cb9d",
+    4: "ca7a060291536f44aaef43964f1a9db2839f5bd012a8e6ce0dcd9e7a9ea65646",
+    5: "556ff06fdcb39928b76201ee90cd6f224ba48bcdeca5f824052030e2d6b5c65d",
+    6: "f34ef029493882efd2ac0686ffd1bffa3d7faafcc7c29a86109636d11a3c2da6",
+    7: "5390dd71c0c51af09f601216805e61b47024e98812e23e83f8b94ed757315e82",
+    8: "93dfc88817984175c70e034a608f132369cdd8903f895028615912ad4f992f7f",
+    9: "76f56057139ca174bae00d5b5b4b6bc551116e1e36f20e9a8564c75668943a39",
+    10: "2cfd94149777cda58e853f26706626343fb3e28df7b20ff0ae69c63093bf0342",
+    11: "a018c8494ae8925c362a4816b0b67da037bb29d0d5115d7188874cced416e81d",
+    12: "12b2fc00fa5f4ab57bd89565412379fabcb415932c4e910d708d3d1687d5f069",
+    13: "9940321aef56e891ed33d47aac8af05c379496e9fb889fe9794c36ea82215da7",
+    14: "a8a212fee51192e2bdcf6e4f74c74ed7b8c73d1944dba706a080e7f01ab14537",
+    15: "94dc84f00b24b2a261c0659490c829cfd0c16b5f6c76a7d3f1fcb6148770b0d4",
+    16: "ea76ca075ed276b69242fb4420b0621f3ad4f74a4091083278f4ac5985eab9e7",
+    17: "0a23866875ba4f418b56268d406bf290590f498dcb0e695226421b75556c29c2",
+    18: "fd26bfa10fde324077990df1183bf5fd3ea065f903da9ab10707df0f2ce084ff",
+    19: "7eff36d3e9e7669004438afc9be4e8718e8dfc338717ae7bd6a2d6205208b176",
+    20: "bef97bc0834144b86616174a4be85c4784b215d6add9ad5f898f7d929f0a5dd6",
+    21: "06bf1dcdceb81334bf342e57e2adf78754b6d116071b77fadeef1841bd0bad57",
+    22: "ec366c0e3516d23d8117353851f9ad235e7ac6c53bedbf39771d2596f16b76c4",
+    23: "c48e012dd41040778e3cefce9a96180cafa8b980252c7c52f5c412c09eb466cc",
+}
 
 
 def test_fwht_matches_definition():
@@ -164,6 +199,67 @@ def test_spectrum_n24_is_pinned():
     data = kloosterman_spectrum(mk_field(24)).data
     assert data.dtype == np.int32
     assert hashlib.sha256(data.astype("<i8").tobytes()).hexdigest() == SPECTRUM_24_SHA256
+
+
+@pytest.mark.parametrize("n", sorted(SPECTRUM_SHA256))
+def test_spectrum_is_pinned(n):
+    data = kloosterman_spectrum(mk_field(n)).data
+    assert hashlib.sha256(data.astype("<i8").tobytes()).hexdigest() == SPECTRUM_SHA256[n]
+
+
+def _other_irreducible(n: int, start: int) -> int:
+    """First irreducible of degree n at or cyclically after x^n + start, skipping the default."""
+    for k in range(1 << n):
+        poly = (1 << n) | ((start + k) % (1 << n))
+        if poly != smallest_irreducible(n) and is_irreducible(poly):
+            return poly
+    raise AssertionError(f"degree {n} has a single irreducible")
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.integers(3, 10), st.integers(0, 1 << 10), st.data())
+def test_spectrum_matches_pointwise_on_other_polynomials(n, start, data):
+    # off the default polynomial the Gram matrix G and the generator change,
+    # so this exercises the G-conjugated multiply beyond one basis
+    ctx = mk_field(n, _other_irreducible(n, start))
+    spec = kloosterman_spectrum(ctx)
+    for a in data.draw(st.lists(st.integers(0, ctx.size - 1), min_size=1, max_size=6)):
+        assert int(spec.data[a]) == kloosterman(ctx, a)
+
+
+def test_non_primitive_generator_fails_the_coverage_check(monkeypatch):
+    ctx = mk_field(12)
+    cube = ctx.pow(ctx._generator(), 3)  # order (2^12 - 1) / 3
+    monkeypatch.setattr(FieldCtx, "_generator", lambda self: cube)
+    monkeypatch.setattr(spectra, "_spectrum_cache", {})
+    with pytest.raises(AssertionError):
+        kloosterman_spectrum(mk_field(12))
+
+
+_PEAK_SCRIPT = """
+from kspectra.gf2n import mk_field
+from kspectra.spectra import kloosterman_spectrum, spectrum_bytes
+
+def hwm():
+    with open("/proc/self/status") as fh:
+        return next(int(line.split()[1]) << 10 for line in fh if line.startswith("VmHWM:"))
+
+ctx = mk_field(22)
+before = hwm()
+kloosterman_spectrum(ctx)
+print(hwm() - before, spectrum_bytes(22))
+"""
+
+
+def test_spectrum_peak_memory_follows_spectrum_bytes():
+    if not os.path.exists("/proc/self/status"):
+        pytest.skip("VmHWM needs /proc/self/status")
+    src = os.path.dirname(os.path.dirname(kspectra.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    out = subprocess.run([sys.executable, "-c", _PEAK_SCRIPT], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    growth, estimate = map(int, out.split())
+    assert growth <= 1.25 * estimate + (16 << 20)
 
 
 def test_int32_spectrum_consumers_match_int64(capsys):
