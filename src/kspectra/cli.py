@@ -12,6 +12,7 @@ import argparse
 import json
 import math
 import sys
+from itertools import islice
 
 import numpy as np
 
@@ -29,7 +30,7 @@ from kspectra.quadform import (
     max_isotropic_dim,
     restrict_q_to_h,
 )
-from kspectra.spectra import kloosterman_spectrum, kloosterman_zeros
+from kspectra.spectra import CSV_CHUNK, kloosterman_spectrum, kloosterman_zeros
 from kspectra.zerospace import (
     max_mod16_subspace,
     max_subspace_in_set,
@@ -43,11 +44,16 @@ from kspectra.zerospace import (
 
 
 def _emit(args, text: str) -> None:
+    _write(args, (text, "\n"))
+
+
+def _write(args, pieces) -> None:
+    """Write string pieces to --out, or to stdout, as they are produced."""
     if getattr(args, "out", None):
         with open(args.out, "w") as fh:
-            fh.write(text + "\n")
+            fh.writelines(pieces)
     else:
-        print(text)
+        sys.stdout.writelines(pieces)
 
 
 def _json(obj) -> str:
@@ -69,13 +75,19 @@ def cmd_spectrum(args) -> int:
         raise ValueError(f"unknown spectrum kind {args.what!r}")
     spec = kloosterman_spectrum(ctx)
     if args.format == "csv":
-        lines = ["elem_hex,value"]
-        lines.extend(spec.to_csv_rows())
-        _emit(args, "\n".join(lines))
+        _write(args, _csv_chunks(spec))
     else:
         _emit(args, _json({"n": spec.n, "kind": spec.kind,
-                           "data": [int(v) for v in spec.data]}))
+                           "data": spec.data.tolist()}))
     return 0
+
+
+def _csv_chunks(spec):
+    """The CSV export in pieces of CSV_CHUNK rows, each ending in a newline."""
+    yield "elem_hex,value\n"
+    rows = spec.to_csv_rows()
+    while chunk := list(islice(rows, CSV_CHUNK)):
+        yield "\n".join(chunk) + "\n"
 
 
 def cmd_zeros(args) -> int:

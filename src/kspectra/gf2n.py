@@ -25,6 +25,10 @@ MAX_DEGREE = 32
 #: scalar products fall back to carry-less shift-and-reduce.
 TABLE_DEGREE = 16
 
+#: FieldCtx.power_blocks walks the powers of the generator in blocks of this
+#: many exponents, so a full enumeration needs O(POWER_BLOCK) memory
+POWER_BLOCK = 1 << 16
+
 POLY_TABLE_ENV = "KSPECTRA_POLY_TABLE"
 
 
@@ -281,6 +285,24 @@ def xor_table(images, dtype=None) -> np.ndarray:
     return t
 
 
+def xor_apply(images, arr: np.ndarray) -> np.ndarray:
+    """xor_combine(images, m) for every entry m of an unsigned array, same dtype.
+
+    The map is GF(2)-linear, so it is the XOR over the bytes k of m of
+    T_k[byte k], with T_k = xor_table(images[8k:8k+8]): ceil(len(images)/8)
+    lookups into 256-entry tables per entry.
+    """
+    arr = np.ascontiguousarray(arr)
+    cols = arr.view(np.uint8).reshape(-1, arr.itemsize)
+    if sys.byteorder == "big":
+        cols = cols[:, ::-1]
+    dt = arr.dtype.type
+    out = xor_table(images[:8], dt)[cols[:, 0]]
+    for k in range(8, len(images), 8):
+        out ^= xor_table(images[k:k + 8], dt)[cols[:, k // 8]]
+    return out.reshape(arr.shape)
+
+
 def functional_table(nbits: int, mask: int) -> np.ndarray:
     """Table of parity(m & mask) for m in [0, 2^nbits) as uint8."""
     return xor_table([(mask >> i) & 1 for i in range(nbits)], np.uint8)
@@ -419,43 +441,64 @@ class FieldCtx:
         wrap = (arr >> dt(self.n - 1)) & dt(1)
         return (arr << dt(1)) ^ wrap * dt(self.poly)
 
-    def _mul_const_vec(self, c: int, arr: np.ndarray) -> np.ndarray:
-        """c * arr through byte tables: x -> c*x is GF(2)-linear, so
-        c*x = XOR over bytes k of T_k[byte k of x], with T_k[b] = c * (b << 8k)."""
-        imgs = [c]
-        for _ in range(self.n - 1):
-            imgs.append(self._mul_raw(imgs[-1], 2))
-        arr = np.ascontiguousarray(arr)
-        cols = arr.view(np.uint8).reshape(-1, arr.itemsize)
-        if sys.byteorder == "big":
-            cols = cols[:, ::-1]
-        dt = arr.dtype.type
-        out = xor_table(imgs[:8], dt)[cols[:, 0]]
-        for k in range(8, self.n, 8):
-            out ^= xor_table(imgs[k:k + 8], dt)[cols[:, k // 8]]
-        return out.reshape(arr.shape)
+    def _mul_images(self, c: int, dual: bool) -> list[int]:
+        """Column images of y -> C*c*C^-1*y, with C = G (dual coordinates) or C = I.
+
+        Column i of C^-1 is row i of gram_inv (G is symmetric), so the dual
+        images are G*(c*gram_inv[i]); the polynomial ones are c*x^i.
+        """
+        if dual:
+            return [self.dualenc(self._mul_raw(c, col)) for col in self.gram_inv]
+        return [self._mul_raw(c, 1 << i) for i in range(self.n)]
+
+    def power_blocks(self, dual: bool = False):
+        """Yield (a, fwd, mir) with fwd[k] = C*g^(a+k) and mir[k] = C*g^-(a+k).
+
+        g is the cached generator and C = G (dual-basis coordinates) when
+        dual, else the identity.  a runs over 0, m, 2m, .. < 2^(n-1) with
+        m = min(POWER_BLOCK, 2^(n-1)) entries per block, so the exponents
+        0..2^n - 1 are each met once, except that g^0 = g^(2^n - 1) is both
+        fwd[0] and mir[0] of the first block.  Each block is the base block
+        C*g^k (k < m, built by doubling) times a running constant, through
+        the byte tables of xor_apply; the mirrored one reads the base block
+        reversed, and its constant g^(2^n - a - m) steps down by g^-m.
+        """
+        N1 = self.size - 1
+        m = min(POWER_BLOCK, self.size // 2)
+        g = self._generator()
+        base = np.empty(m, dtype=elem_dtype(self.n))
+        base[0] = self.dualenc(1) if dual else 1
+        f = 1
+        while f < m:
+            base[f:2 * f] = xor_apply(self._mul_images(self.pow(g, f), dual), base[:f])
+            f <<= 1
+        rbase = base[::-1].copy()
+        c_fwd, c_mir = 1, self.pow(g, N1 - m + 1)
+        step_fwd, step_mir = self.pow(g, m), self.pow(g, N1 - m)
+        for a in range(0, self.size // 2, m):
+            fwd = xor_apply(self._mul_images(c_fwd, dual), base) if a else base
+            mir = xor_apply(self._mul_images(c_mir, dual), rbase)
+            if a == 0 and fwd[0] != mir[0]:
+                raise AssertionError("generator order mismatch")
+            yield a, fwd, mir
+            c_fwd = self._mul_raw(c_fwd, step_fwd)
+            c_mir = self._mul_raw(c_mir, step_mir)
 
     def _exp_table(self) -> np.ndarray:
         """exp[j] = g^j for the cached generator g, j < 2^n - 1.
 
-        Doubling: exp[f:2f] = g^f * exp[:f], one byte-table product per step.
-        Cached up to TABLE_DEGREE, where the scalar and vector products read
-        it; above, only inverse_table needs it, once, unless exp_log_tables
-        keeps it.
+        Filled from power_blocks in polynomial coordinates.  Cached up to
+        TABLE_DEGREE, where the scalar and vector products read it; above,
+        only exp_log_tables asks for it.
         """
         exp = self._cache.get("exp")
         if exp is None:
             N1 = self.size - 1
-            g = self._generator()
-            exp = np.empty(N1, dtype=elem_dtype(self.n))
-            exp[0] = 1
-            filled = 1
-            while filled < N1:
-                blk = min(filled, N1 - filled)
-                exp[filled:filled + blk] = self._mul_const_vec(self.pow(g, filled), exp[:blk])
-                filled += blk
-            if self._mul_raw(int(exp[-1]), g) != 1:
-                raise AssertionError("generator order mismatch")
+            exp = np.empty(self.size, dtype=elem_dtype(self.n))  # exp[N1] = g^N1 = 1
+            for a, fwd, mir in self.power_blocks():
+                exp[a:a + fwd.size] = fwd
+                exp[N1 - a - mir.size + 1:N1 - a + 1] = mir[::-1]
+            exp = exp[:N1]
             if self.n <= TABLE_DEGREE:
                 self._cache["exp"] = exp
         return exp
@@ -464,7 +507,7 @@ class FieldCtx:
         """Numpy exp table and uint32 log table (log[0] = 0 is a placeholder).
 
         The log table costs 4 bytes per element and is built only here, on
-        first use; the spectrum path needs exp alone (see inverse_table).
+        first use; the spectrum and inverse_table walk power_blocks instead.
         """
         tabs = self._cache.get("exp_log")
         if tabs is None:
@@ -477,13 +520,14 @@ class FieldCtx:
         return tabs
 
     def inverse_table(self) -> np.ndarray:
-        """Table of inv0(x) for every x: inv[exp[j]] = exp[-j], from exp alone."""
+        """Table of inv0(x) for every x: inv[g^j] = g^-j, block by block from
+        power_blocks, so no exp table is built."""
         inv = self._cache.get("inverse")
         if inv is None:
-            exp = self._exp_table()
-            inv = np.zeros(self.size, dtype=exp.dtype)
-            inv[exp[1:]] = exp[:0:-1]
-            inv[1] = 1
+            inv = np.zeros(self.size, dtype=elem_dtype(self.n))
+            for _, fwd, mir in self.power_blocks():
+                inv[fwd] = mir
+                inv[mir] = fwd
             inv.flags.writeable = False
             self._cache["inverse"] = inv
         return inv
@@ -550,7 +594,7 @@ class FieldCtx:
             out = exp[s]
             out[arr == 0] = 0
             return out
-        return self._mul_const_vec(c, arr)
+        return xor_apply(self._mul_images(c, False), arr)
 
 
 def mk_field(n: int, poly: int | None = None) -> FieldCtx:

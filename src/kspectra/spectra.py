@@ -1,9 +1,9 @@
 """Walsh rows, Kloosterman sums and spectra, nonlinearity, differential uniformity.
 
-The fast paths run a Walsh-Hadamard butterfly over sign vectors and re-index
-the result through dual-basis coordinates so that Tr(a*x) becomes a plain dot
-product of coordinate masks.  Direct summation variants are kept as slow,
-independent oracles.
+The fast paths place each sign (-1)^Tr(f(x)) at the dual-basis coordinates
+G*x of x and run a Walsh-Hadamard butterfly.  Since Tr(b*x) = parity(b & G*x),
+the output is already indexed by the encoding of b: no gather follows.
+Direct summation variants are kept as slow, independent oracles.
 """
 from __future__ import annotations
 
@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from kspectra.gf2n import MAX_DEGREE, FieldCtx, elem_dtype
+from kspectra.gf2n import MAX_DEGREE, POWER_BLOCK, FieldCtx, elem_dtype
 
 
 def sign_dtype(n: int):
@@ -24,13 +24,13 @@ def sign_dtype(n: int):
 def spectrum_bytes(n: int) -> int:
     """Peak bytes of kloosterman_spectrum beyond the interpreter, estimated.
 
-    At the final gather the inverse and dual-basis tables (one element each),
-    the trace table (1 byte), the signs and the result are all alive: 17
-    bytes per entry for n <= 30, close to the measured peaks at n = 24 and
-    n = 26 (see README).
+    The result array is the only 2^n allocation: 4 bytes per entry for
+    n <= 30 (see sign_dtype).  Next to it live O(POWER_BLOCK) arrays (base
+    and power blocks, byte-table temporaries, signs, scatter indices, the
+    butterfly's transpose buffer), counted as eight of 8-byte entries,
+    4 MiB; they measured 1.8 MiB at n = 20, 22 and 24.
     """
-    elem = np.dtype(elem_dtype(n)).itemsize
-    return (2 * elem + 1 + 2 * np.dtype(sign_dtype(n)).itemsize) << n
+    return (np.dtype(sign_dtype(n)).itemsize << n) + 8 * 8 * POWER_BLOCK
 
 
 def _memory_cap() -> int:
@@ -49,6 +49,9 @@ SPECTRUM_CAP = _memory_cap()
 #: most sum_{n <= 20} 4 * 2^n bytes, about 8 MiB per reduction polynomial
 _CACHE_DEGREE = 20
 _spectrum_cache: dict[tuple[int, int], "Spectrum"] = {}
+
+#: CSV export converts and writes this many rows at a time
+CSV_CHUNK = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -92,20 +95,21 @@ class Spectrum:
         return math.isqrt(1 << (self.n + 2))
 
     def to_csv_rows(self):
-        for a in range(1 << self.n):
-            yield f"{a:#x},{int(self.data[a])}"
+        """Rows "<hex a>,<value>" in key order, reading the data CSV_CHUNK entries at a time."""
+        for s in range(0, 1 << self.n, CSV_CHUNK):
+            for a, v in zip(range(s, s + CSV_CHUNK), self.data[s:s + CSV_CHUNK].tolist()):
+                yield f"{a:#x},{v}"
 
 
-def _butterfly_levels(w: np.ndarray, scratch: np.ndarray, h: int, stop: int) -> None:
+def _butterfly_levels(w: np.ndarray, h: int, stop: int) -> None:
     """Radix-2 levels h, 2h, .. < stop of the transform of w, in place."""
     while h < stop:
         blocks = w.reshape(-1, 2, h)
         a = blocks[:, 0, :]
         b = blocks[:, 1, :]
-        t = scratch[: w.shape[0] // 2].reshape(-1, h)
-        np.copyto(t, a)
-        a += b
-        np.subtract(t, b, out=b)
+        a += b    # a + b
+        b *= -2
+        b += a    # (a + b) - 2b = a - b
         h <<= 1
 
 
@@ -120,24 +124,24 @@ def fwht_inplace(w: np.ndarray) -> None:
     """In-place Walsh-Hadamard transform of a contiguous length-2^k signed array.
 
     Integer dtypes of any width work; the caller picks one that holds +-2^k
-    (see sign_dtype).  Extra memory is one half-length scratch buffer.
+    (see sign_dtype).  Extra memory is one transpose buffer of _FWHT_BLOCK
+    entries at most.
     """
     if w.ndim != 1 or not w.flags.c_contiguous:
         raise ValueError("fwht_inplace needs a contiguous 1-d array")  # reshape would copy
     m = w.shape[0]
     blk = min(_FWHT_BLOCK, m)
     row = min(_FWHT_ROW, blk)
-    scratch = np.empty(m // 2, dtype=w.dtype)
     tr = np.empty(blk, dtype=w.dtype)
     tr_rows = tr.reshape(row, -1)
     for s in range(0, m, blk):
         part = w[s:s + blk]
         rows = part.reshape(-1, row)
         np.copyto(tr_rows, rows.T)
-        _butterfly_levels(tr, scratch, blk // row, blk)
+        _butterfly_levels(tr, blk // row, blk)
         np.copyto(rows, tr_rows.T)
-        _butterfly_levels(part, scratch, row, blk)
-    _butterfly_levels(w, scratch, blk, m)
+        _butterfly_levels(part, row, blk)
+    _butterfly_levels(w, blk, m)
 
 
 def walsh(ctx: FieldCtx, F: TruthTable, a: int, b: int) -> int:
@@ -150,27 +154,23 @@ def walsh(ctx: FieldCtx, F: TruthTable, a: int, b: int) -> int:
     return total
 
 
-def _trace_transform(ctx: FieldCtx, values: np.ndarray) -> np.ndarray:
-    """sum_x (-1)^(Tr(values[x]) + Tr(b*x)) for every b, read-only, entry enc(b).
-
-    The butterfly sums over parity(m & x); indexing by the dual-basis
-    coordinates m = G*b turns that into Tr(b*x).
-    """
-    signs = ctx.trace_table()[values].astype(sign_dtype(ctx.n))
-    signs *= -2
-    signs += 1
-    fwht_inplace(signs)
-    data = signs[ctx.dualenc_table()]
-    data.flags.writeable = False
-    return data
+def _signs(bits: np.ndarray, dtype) -> np.ndarray:
+    """1 - 2 * (bits & 1) as dtype."""
+    s = (bits & 1).astype(dtype)
+    s *= -2
+    s += 1
+    return s
 
 
 def walsh_row(ctx: FieldCtx, F: TruthTable, a: int) -> Spectrum:
     """All walsh(F, a, b) at once via the fast transform; entry enc(b)."""
     if F.n != ctx.n:
         raise ValueError("truth table degree mismatch")
-    data = _trace_transform(ctx, ctx.mul_scalar_vec(a, F.values))
-    return Spectrum(ctx.n, "walsh_row", data)
+    w = np.empty(ctx.size, dtype=sign_dtype(ctx.n))
+    w[ctx.dualenc_table()] = _signs(ctx.trace_table()[ctx.mul_scalar_vec(a, F.values)], w.dtype)
+    fwht_inplace(w)
+    w.flags.writeable = False
+    return Spectrum(ctx.n, "walsh_row", w)
 
 
 def kloosterman(ctx: FieldCtx, a: int) -> int:
@@ -193,18 +193,41 @@ def kloosterman_spectrum(ctx: FieldCtx, cap: int = SPECTRUM_CAP) -> Spectrum:
     hit = _spectrum_cache.get(key)
     if hit is not None:
         return hit
-    spec = Spectrum(ctx.n, "kloosterman", _trace_transform(ctx, ctx.inverse_table()))
+    spec = Spectrum(ctx.n, "kloosterman", _kloosterman_transform(ctx))
     _validate_kloosterman(spec)
     if ctx.n <= _CACHE_DEGREE:
         _spectrum_cache[key] = spec
     return spec
 
 
+def _kloosterman_transform(ctx: FieldCtx) -> np.ndarray:
+    """K(b) for every b, entry enc(b), from one scatter in dual-basis coordinates.
+
+    With y_j = G*g^j (power_blocks), x = g^j has sign (-1)^Tr(x^-1) =
+    1 - 2*(y_-j & 1), because Tr(z) = Tr(z*1) is bit 0 of G*z; it goes to
+    slot y_j, so the butterfly output at b is sum_x (-1)^(Tr(x^-1) + Tr(b*x)).
+    Each block pair writes both x = g^j and x = g^-j.  The 2^n - 1 writes
+    cover every nonzero slot exactly when j -> g^j is onto, which the
+    w.all() check enforces before the transform.
+    """
+    w = np.zeros(ctx.size, dtype=sign_dtype(ctx.n))
+    for a, fwd, mir in ctx.power_blocks(dual=True):
+        w[fwd] = _signs(mir, w.dtype)
+        skip = 0 if a else 1  # mir[0] = fwd[0] = G*1 at a = 0, written once
+        w[mir[skip:]] = _signs(fwd[skip:], w.dtype)
+    w[0] = 1  # x = 0 contributes (-1)^Tr(0)
+    if not w.all():
+        raise AssertionError("the powers of the generator missed a nonzero element")
+    fwht_inplace(w)
+    w.flags.writeable = False
+    return w
+
+
 def _validate_kloosterman(spec: Spectrum) -> None:
     data = spec.data
     if int(data[0]) != 0:
         raise AssertionError("K(0) must vanish")
-    if int((data & 1).any()):
+    if int(np.bitwise_or.reduce(data)) & 1:
         raise AssertionError("Kloosterman sums must be even")
     # Weil bound for the x != 0 part; the x = 0 term shifts everything by +1.
     # max |K - 1| from the extremes in Python ints: no 2^n temporary.
