@@ -7,7 +7,9 @@ reduction polynomial and precomputed trace/Gram/dual-basis data; elements
 are passed around as bare ints alongside the context.
 
 Bulk helpers (xor_table, functional_table, exp/log, inverse tables) return
-numpy arrays indexed by element encoding and back the fast transforms.
+numpy arrays indexed by element encoding; xor_apply maps whole element
+arrays through byte tables, and FieldCtx.power_blocks walks the powers of a
+generator block by block for the spectrum, which needs no 2^n-entry table.
 """
 from __future__ import annotations
 
@@ -444,12 +446,16 @@ class FieldCtx:
     def _mul_images(self, c: int, dual: bool) -> list[int]:
         """Column images of y -> C*c*C^-1*y, with C = G (dual coordinates) or C = I.
 
-        Column i of C^-1 is row i of gram_inv (G is symmetric), so the dual
-        images are G*(c*gram_inv[i]); the polynomial ones are c*x^i.
+        The polynomial images are c*x^i.  Column i of C^-1 is row i of
+        gram_inv (G is symmetric), so the dual images are G*(c*gram_inv[i]),
+        combined from the polynomial ones.
         """
+        imgs = [c]
+        for _ in range(self.n - 1):
+            imgs.append(self._mul_raw(imgs[-1], 2))
         if dual:
-            return [self.dualenc(self._mul_raw(c, col)) for col in self.gram_inv]
-        return [self._mul_raw(c, 1 << i) for i in range(self.n)]
+            return [self.dualenc(xor_combine(imgs, col)) for col in self.gram_inv]
+        return imgs
 
     def power_blocks(self, dual: bool = False):
         """Yield (a, fwd, mir) with fwd[k] = C*g^(a+k) and mir[k] = C*g^-(a+k).
