@@ -26,11 +26,11 @@ def spectrum_bytes(n: int) -> int:
 
     The result array is the only 2^n allocation: 4 bytes per entry for
     n <= 30 (see sign_dtype).  Next to it live O(POWER_BLOCK) arrays (base
-    and power blocks, byte-table temporaries, signs, scatter indices, the
-    butterfly's transpose buffer), counted as eight of 8-byte entries,
-    4 MiB; they measured 1.8 MiB at n = 20, 22 and 24.
+    and power blocks, table-lookup temporaries, signs, intp scatter indices,
+    the butterfly's transpose buffer), counted as twelve of 8-byte entries,
+    6 MiB; they measured 3.6 MiB at n = 22 and 24.
     """
-    return (np.dtype(sign_dtype(n)).itemsize << n) + 8 * 8 * POWER_BLOCK
+    return (np.dtype(sign_dtype(n)).itemsize << n) + 12 * 8 * POWER_BLOCK
 
 
 def _memory_cap() -> int:
@@ -212,6 +212,7 @@ def _kloosterman_transform(ctx: FieldCtx) -> np.ndarray:
     """
     w = np.zeros(ctx.size, dtype=sign_dtype(ctx.n))
     for a, fwd, mir in ctx.power_blocks(dual=True):
+        fwd, mir = fwd.astype(np.intp), mir.astype(np.intp)  # numpy scatters faster by intp
         w[fwd] = _signs(mir, w.dtype)
         skip = 0 if a else 1  # mir[0] = fwd[0] = G*1 at a = 0, written once
         w[mir[skip:]] = _signs(fwd[skip:], w.dtype)
