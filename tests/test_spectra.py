@@ -232,7 +232,7 @@ def test_non_primitive_generator_fails_the_coverage_check(monkeypatch):
     cube = ctx.pow(ctx._generator(), 3)  # order (2^12 - 1) / 3
     monkeypatch.setattr(FieldCtx, "_generator", lambda self: cube)
     monkeypatch.setattr(spectra, "_spectrum_cache", {})
-    with pytest.raises(AssertionError):
+    with pytest.raises(AssertionError, match="missed a nonzero element"):
         kloosterman_spectrum(mk_field(12))
 
 
