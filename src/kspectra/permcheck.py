@@ -2,29 +2,35 @@
 
 The spectral route decides bijectivity from the adjoint maps alone: the
 composite is a permutation iff ker(L1*) and ker(L2*) meet trivially and every
-product L1*(b)*L2*(b) is a Kloosterman zero.  Exhaustive and randomized
-searches below lean on cheap spectral probes and confirm survivors by direct
-evaluation, so the two routes stay independent.
+product L1*(b)*L2*(b) is a Kloosterman zero.  Both routes work on whole
+truth tables: the two maps of a pair share one packed xor_table pass, the
+adjoints are read through the cached G and G^-1 tables, and products go
+through the sentinel-log tables of gf2n.  linmap.adjoint and
+kernel_intersection stay as the matrix-level oracles.  Exhaustive and
+randomized searches below lean on cheap spectral probes and confirm survivors
+by direct evaluation, so the two routes stay independent.
 """
 from __future__ import annotations
 
+import sys
 import time
 from dataclasses import dataclass
 
 import numpy as np
 
-from kspectra.gf2n import FieldCtx, pdeg, xor_combine
-from kspectra.linmap import (
-    LinMap,
-    adjoint,
-    kernel_dim,
-    kernel_intersection,
-)
-from kspectra.spectra import Spectrum, TruthTable, kloosterman_spectrum
+from kspectra.gf2n import FieldCtx, pdeg, xor_combine, xor_table
+from kspectra.linmap import LinMap, adjoint, kernel_dim
+from kspectra.spectra import Spectrum, TruthTable, checked_kloosterman, kloosterman_spectrum
 from kspectra.zerospace import zero_subspace_bound
 
 #: fast-reject probe points: the first 8 nonzero field elements
 PROBE_BS = (1, 2, 3, 4, 5, 6, 7, 8)
+
+#: the first-collision scan sorts prefixes of this length, then 8x longer ones
+COLLISION_PREFIX = 64
+
+#: column of the low 32-bit half of a uint64 viewed as two uint32
+_LOW = 0 if sys.byteorder == "little" else 1
 
 
 @dataclass(frozen=True)
@@ -42,6 +48,21 @@ class PermReport:
 
 
 def _report_from_values(values: np.ndarray) -> PermReport:
+    """Direct verdict with the first collision in scan order as the witness.
+
+    The earliest repeated index x2 lies in every prefix that holds any
+    repeat, so sorting prefixes of growing length finds the same witness as
+    sorting everything, and a random non-permutation stops at the first.
+    """
+    size = COLLISION_PREFIX
+    while True:
+        rep = _sorted_scan(values[:size])
+        if not rep.is_perm or size >= values.size:
+            return rep
+        size *= 8
+
+
+def _sorted_scan(values: np.ndarray) -> PermReport:
     order = np.argsort(values, kind="stable")
     sv = values[order]
     dup = np.flatnonzero(sv[1:] == sv[:-1])
@@ -59,10 +80,49 @@ def is_permutation(ctx: FieldCtx, F: TruthTable) -> PermReport:
     return _report_from_values(F.values)
 
 
+def _pair_table(images1, images2) -> np.ndarray:
+    """Truth tables of the two maps with these column images, from one xor_table pass.
+
+    Entry m packs the image of m under the first map in the low 32 bits and
+    under the second in the high 32 bits (any n <= 32 fits); _halves splits it.
+    """
+    return xor_table([a | b << 32 for a, b in zip(images1, images2)], np.uint64)
+
+
+def _halves(t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The low and high uint32 halves of a uint64 table, as views."""
+    h = t.view(np.uint32).reshape(-1, 2)
+    return h[:, _LOW], h[:, 1 - _LOW]
+
+
 def compose_truth_table(ctx: FieldCtx, L1: LinMap, L2: LinMap) -> np.ndarray:
     """Values of x -> L1(x^-1) + L2(x) over the whole field."""
-    inv = ctx.inverse_table()
-    return L1.truth_table()[inv] ^ L2.truth_table()
+    T1, T2 = _halves(_pair_table(L1.cols, L2.cols))
+    return T1[ctx.inverse_table()] ^ T2
+
+
+def _rows(ctx: FieldCtx, L1: LinMap, L2: LinMap) -> np.ndarray:
+    """Row masks of both matrices, shape (2, n): row i holds bit i of every column."""
+    shifts = np.arange(ctx.n, dtype=np.uint32)
+    cols = np.array((L1.cols, L2.cols), dtype=np.uint32)
+    bits = (cols[:, None, :] >> shifts[:, None]) & np.uint32(1)  # [k, i, j]: bit i of column j
+    return (bits << shifts).sum(axis=2, dtype=np.uint32)
+
+
+def _adjoint_pair_table(ctx: FieldCtx, L1: LinMap, L2: LinMap) -> np.ndarray:
+    """_pair_table of L1* and L2*: entry enc(b) packs L1*(b) and L2*(b).
+
+    L* = G^-1 * M^T * G, so L*(b) = T[G*b] with T the table of G^-1 * M^T,
+    whose columns are G^-1 applied to the rows of M; linmap.adjoint is the
+    matrix-level oracle.
+    """
+    cols1, cols2 = ctx.ginv_table()[_rows(ctx, L1, L2)].tolist()
+    return _pair_table(cols1, cols2)[ctx.dualenc_table()]
+
+
+def adjoint_tables(ctx: FieldCtx, L1: LinMap, L2: LinMap) -> tuple[np.ndarray, np.ndarray]:
+    """Truth tables of L1* and L2*, entry enc(b)."""
+    return _halves(_adjoint_pair_table(ctx, L1, L2))
 
 
 def perm_direct(ctx: FieldCtx, L1: LinMap, L2: LinMap) -> PermReport:
@@ -75,17 +135,19 @@ def perm_spectral(ctx: FieldCtx, L1: LinMap, L2: LinMap,
     """Decide bijectivity from adjoint kernels and Kloosterman values only.
 
     Kernel witness takes priority; then b scans in increasing encoded value.
+    The kernel witness is the first vector of the canonical basis of
+    ker L1* & ker L2* (linmap.kernel_intersection), which is the smallest
+    nonzero b with L1*(b) = L2*(b) = 0: no other element of the subspace has
+    that basis vector's leading bit.
     """
-    spec = spectrum if spectrum is not None else kloosterman_spectrum(ctx)
-    A1 = adjoint(ctx, L1)
-    A2 = adjoint(ctx, L2)
-    inter = kernel_intersection(A1, A2)
-    if inter.dim > 0:
-        return PermReport(False, ("kernel_overlap", inter.vectors[0]), "spectral")
-    prods = ctx.mul_vec(A1.truth_table(), A2.truth_table())
-    bad = spec.data[prods] != 0
-    if bad.any():
-        return PermReport(False, ("spectral_b", int(np.argmax(bad))), "spectral")
+    spec = checked_kloosterman(ctx, spectrum)
+    A = _adjoint_pair_table(ctx, L1, L2)
+    b = int(np.argmin(A[1:])) + 1  # the first zero, if there is one
+    if A[b] == 0:
+        return PermReport(False, ("kernel_overlap", b), "spectral")
+    bad = np.flatnonzero(spec.data[ctx.mul_vec(*_halves(A))])
+    if bad.size:
+        return PermReport(False, ("spectral_b", int(bad[0])), "spectral")
     return PermReport(True, None, "spectral")
 
 
@@ -240,31 +302,33 @@ def search_counterexample(ctx: FieldCtx, mode: str = "random", budget: int = 10*
         raise ValueError(f"unknown mode {mode!r}")
     n = ctx.n
     N = ctx.size
-    spec = spectrum if spectrum is not None else kloosterman_spectrum(ctx)
+    spec = checked_kloosterman(ctx, spectrum)
     kz_mask = spec.data == 0
-    zeros = np.flatnonzero(kz_mask).astype(np.uint32)
+    zeros = np.flatnonzero(kz_mask)
     zeros = zeros[zeros > 0]
     inv = ctx.inverse_table()
     rng = np.random.default_rng(seed)
-    probes = [b for b in range(1, min(N, 17))]
+    # in structured mode the basis points b = x^i pass by construction:
+    # A1(x^i) * A2(x^i) is a zero z, or 0 when column i of A1 is 0
+    probes = [b for b in range(1, min(N, 17)) if mode == "random" or b & (b - 1)]
     examined = 0
     found: tuple[LinMap, LinMap] | None = None
     while examined < budget and found is None:
         b_sz = min(batch, budget - examined)
-        c1 = rng.integers(0, N, size=(b_sz, n)).astype(np.uint32)
+        c1 = rng.integers(0, N, size=(b_sz, n))
         if mode == "random":
-            c2 = rng.integers(0, N, size=(b_sz, n)).astype(np.uint32)
+            c2 = rng.integers(0, N, size=(b_sz, n))
         else:
             z = zeros[rng.integers(0, zeros.size, size=(b_sz, n))]
             c2 = ctx.mul_vec(z, inv[c1])
-        alive = np.ones(b_sz, dtype=bool)
+        alive = np.arange(b_sz)  # rows that passed every probe so far
+        s1, s2 = c1.T, c2.T       # their columns: s[i] holds column i of each row
         for b in probes:
-            if not alive.any():
+            if not alive.size:
                 break
-            a1 = xor_combine(c1.T, b)
-            a2 = xor_combine(c2.T, b)
-            alive &= kz_mask[ctx.mul_vec(a1, a2)]
-        for idx in np.flatnonzero(alive):
+            keep = kz_mask[ctx.mul_vec(xor_combine(s1, b), xor_combine(s2, b))]
+            alive, s1, s2 = alive[keep], s1[:, keep], s2[:, keep]
+        for idx in alive:
             A1 = LinMap(n, tuple(int(v) for v in c1[idx]))
             A2 = LinMap(n, tuple(int(v) for v in c2[idx]))
             if A1.is_zero() or A2.is_zero():

@@ -200,6 +200,22 @@ def kloosterman_spectrum(ctx: FieldCtx, cap: int = SPECTRUM_CAP) -> Spectrum:
     return spec
 
 
+def checked_kloosterman(ctx: FieldCtx, spectrum: Spectrum | None = None) -> Spectrum:
+    """spectrum, once it is a Kloosterman spectrum of ctx's degree; kloosterman_spectrum(ctx) when None.
+
+    Raises ValueError on a spectrum of another degree or kind, whose entries
+    would otherwise be read as K(a) for the wrong field.
+    """
+    if spectrum is None:
+        return kloosterman_spectrum(ctx)
+    if spectrum.kind != "kloosterman" or spectrum.n != ctx.n:
+        raise ValueError(
+            f"expected the Kloosterman spectrum of F_2^{ctx.n}, "
+            f"got a {spectrum.kind} spectrum at n={spectrum.n}"
+        )
+    return spectrum
+
+
 def _kloosterman_transform(ctx: FieldCtx) -> np.ndarray:
     """K(b) for every b, entry enc(b), from one scatter in dual-basis coordinates.
 

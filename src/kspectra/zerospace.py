@@ -17,7 +17,7 @@ import numpy as np
 from kspectra.gf2n import FieldCtx, xor_combine
 from kspectra.linmap import SubspaceBasis, orthogonal_complement, subspace_from_vectors
 from kspectra.quadform import q_table
-from kspectra.spectra import Spectrum, kloosterman_spectrum, kloosterman_zeros
+from kspectra.spectra import Spectrum, checked_kloosterman, kloosterman_spectrum, kloosterman_zeros
 
 
 def zero_subspace_bound(n: int) -> int:
@@ -235,7 +235,7 @@ def subspace_sum_identity(ctx: FieldCtx, V: SubspaceBasis, spectrum: Spectrum | 
     0-extended sums; on subspaces of Kloosterman zeros both sides are 0.
     Verified exhaustively over every subspace of F_2^5.
     """
-    spec = spectrum if spectrum is not None else kloosterman_spectrum(ctx)
+    spec = checked_kloosterman(ctx, spectrum)
     K = spec.data
     k = V.dim
     span = V.span()

@@ -384,3 +384,19 @@ def test_mk_field_checks_dual_basis(monkeypatch):
     monkeypatch.setattr(gf2n, "mat_inverse_rows", lambda rows, n: tuple(1 << i for i in range(n)))
     with pytest.raises(AssertionError, match="dual basis"):
         mk_field(8)
+
+
+@pytest.mark.parametrize("n", [2, 7, 13, 24, 32])
+def test_sqr_matches_psquare_pmod(n):
+    # sqr, frobenius_table and subfield_elements square through byte tables;
+    # psquare + pmod stay as the oracle
+    ctx = mk_field(n)
+    rng = np.random.default_rng(n)
+    for a in [0, 1, ctx.size - 1] + [int(v) for v in rng.integers(0, ctx.size, 200)]:
+        assert ctx.sqr(a) == pmod(psquare(a), ctx.poly)
+    if n <= 13:
+        frob = ctx.frobenius_table()
+        assert all(int(frob[a]) == pmod(psquare(a), ctx.poly) for a in range(ctx.size))
+    bare = FieldCtx(n=n, poly=ctx.poly, trace_mask=ctx.trace_mask, gram=ctx.gram,
+                    gram_inv=ctx.gram_inv, dual_basis=ctx.dual_basis)
+    assert bare.sqr(ctx.size - 1) == ctx.sqr(ctx.size - 1)

@@ -1,5 +1,6 @@
 """Property tests for the shared kernels: xor-combine, echelon, coordinates,
-constant multiplication and the Walsh-Hadamard butterfly."""
+constant multiplication, the Walsh-Hadamard butterfly and the table-driven
+permutation kernels (adjoint tables, sentinel-log products, first collision)."""
 
 from functools import lru_cache
 
@@ -13,11 +14,14 @@ from kspectra.gf2n import (
     mat_inverse_rows,
     mk_field,
     nullspace_rows,
+    pmod,
+    pmul,
     rref,
     xor_combine,
     xor_table,
 )
-from kspectra.linmap import subspace_from_vectors
+from kspectra.linmap import LinMap, adjoint, kernel_intersection, subspace_from_vectors
+from kspectra.permcheck import _report_from_values, _sorted_scan, adjoint_tables, perm_spectral
 from kspectra.spectra import fwht_inplace
 
 PROPS = settings(max_examples=150, deadline=None)
@@ -155,3 +159,73 @@ def test_fwht_refuses_a_strided_view():
     w = np.zeros(16, dtype=np.int32)
     with pytest.raises(ValueError, match="contiguous"):
         fwht_inplace(w[::2])
+
+
+@st.composite
+def map_pairs(draw, min_n=2, max_n=12):
+    """(n, L1, L2) with uniformly drawn column masks."""
+    n = draw(st.integers(min_n, max_n))
+    cols = st.lists(st.integers(0, (1 << n) - 1), min_size=n, max_size=n)
+    return n, LinMap(n, tuple(draw(cols))), LinMap(n, tuple(draw(cols)))
+
+
+@PROPS
+@given(map_pairs())
+def test_adjoint_tables_match_linmap_adjoint(nm):
+    n, L1, L2 = nm
+    ctx = _field(n)
+    A1, A2 = adjoint_tables(ctx, L1, L2)
+    assert np.array_equal(A1, adjoint(ctx, L1).truth_table())
+    assert np.array_equal(A2, adjoint(ctx, L2).truth_table())
+
+
+@PROPS
+@given(map_pairs(), st.data())
+def test_kernel_witness_is_the_canonical_basis_head(nm, data):
+    # masking both maps' columns keeps their images in a proper subspace
+    # whenever bits are cleared, so the adjoint kernels then meet
+    n, L1, L2 = nm
+    keep = data.draw(st.integers(0, (1 << n) - 1))
+    M1 = LinMap(n, tuple(c & keep for c in L1.cols))
+    M2 = LinMap(n, tuple(c & keep for c in L2.cols))
+    ctx = _field(n)
+    inter = kernel_intersection(adjoint(ctx, M1), adjoint(ctx, M2))
+    rep = perm_spectral(ctx, M1, M2)
+    if inter.dim:
+        assert rep.witness == ("kernel_overlap", inter.vectors[0])
+    else:
+        assert rep.witness is None or rep.witness[0] == "spectral_b"
+
+
+@PROPS
+@given(st.sampled_from([2, 5, 10, 16]), st.data())
+def test_sentinel_log_products_match_mul(n, data):
+    # zeros are drawn often on purpose: they hit the log[0] sentinel
+    ctx = _field(n)
+    elems = st.one_of(st.just(0), st.integers(0, ctx.size - 1))
+    xs = data.draw(st.lists(elems, min_size=1, max_size=40))
+    ys = data.draw(st.lists(elems, min_size=len(xs), max_size=len(xs)))
+    c = data.draw(elems)
+    want = [pmod(pmul(x, y), ctx.poly) for x, y in zip(xs, ys)]
+    a, b = np.array(xs, dtype=np.uint32), np.array(ys, dtype=np.uint32)
+    assert ctx.mul_vec(a, b).tolist() == want == [ctx.mul(x, y) for x, y in zip(xs, ys)]
+    assert ctx.mul_scalar_vec(c, b).tolist() == [pmod(pmul(c, y), ctx.poly) for y in ys]
+
+
+@st.composite
+def planted_repeats(draw):
+    """Distinct values with 0-3 planted repeats; some repeat sits at the last index often."""
+    size = draw(st.integers(1, 5000))
+    values = np.random.default_rng(draw(st.integers(0, 2**32))).permutation(8 * size)[:size]
+    for _ in range(draw(st.integers(0, 3))):
+        if size < 2:
+            break
+        j = draw(st.one_of(st.just(size - 1), st.integers(1, size - 1)))
+        values[j] = values[draw(st.integers(0, j - 1))]
+    return values.astype(np.uint32)
+
+
+@PROPS
+@given(planted_repeats())
+def test_prefix_first_collision_matches_full_scan(values):
+    assert _report_from_values(values) == _sorted_scan(values)

@@ -16,8 +16,8 @@ import kspectra
 from kspectra import spectra
 from kspectra.cli import main
 from kspectra.gf2n import FieldCtx, is_irreducible, mk_field, smallest_irreducible
-from kspectra.linmap import random_map, random_subspace
-from kspectra.permcheck import perm_spectral
+from kspectra.linmap import identity_map, random_map, random_subspace
+from kspectra.permcheck import perm_spectral, search_counterexample
 from kspectra.spectra import (
     SPECTRUM_CAP,
     Spectrum,
@@ -315,3 +315,34 @@ def test_spectrum_csv_rows():
     rows = list(spec.to_csv_rows())
     assert rows[0] == "0x0,0"
     assert len(rows) == 32
+
+
+# -- a spectrum passed in must be the Kloosterman spectrum of the field ------
+
+def _foreign_spectra():
+    """(label, spectrum) pairs that do not belong to F_2^6."""
+    c6 = mk_field(6)
+    return [
+        ("n=8", kloosterman_spectrum(mk_field(8))),
+        ("n=4", kloosterman_spectrum(mk_field(4))),
+        ("walsh_row", walsh_row(c6, spectra.TruthTable.inverse(c6), 1)),
+    ]
+
+
+@pytest.mark.parametrize("label,spec", _foreign_spectra())
+def test_foreign_spectrum_is_refused(label, spec):
+    ctx = mk_field(6)
+    L = identity_map(6)
+    with pytest.raises(ValueError, match="Kloosterman spectrum of F_2\\^6"):
+        perm_spectral(ctx, L, L, spec)
+    with pytest.raises(ValueError, match="Kloosterman spectrum of F_2\\^6"):
+        search_counterexample(ctx, "random", budget=100, spectrum=spec)
+    with pytest.raises(ValueError, match="Kloosterman spectrum of F_2\\^6"):
+        subspace_sum_identity(ctx, random_subspace(np.random.default_rng(1), 6, 2), spec)
+
+
+def test_own_spectrum_is_accepted():
+    ctx = mk_field(6)
+    spec = kloosterman_spectrum(ctx)
+    assert spectra.checked_kloosterman(ctx, spec) is spec
+    assert spectra.checked_kloosterman(ctx) is spec  # the cached one
