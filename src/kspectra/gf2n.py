@@ -451,6 +451,9 @@ class FieldCtx:
         log is the discrete log with log[0] = 2(N - 1), N = 2^n; ext holds
         exp twice and then zeros up to index 4(N - 1), so a sum of two logs
         needs no modulo and any sum with a zero factor lands on a 0 entry.
+        The array products gather with take, which costs 11.5 against 19 us
+        for fancy indexing on 2^10 uint32 indices (1.0 against 1.9 ms on
+        163840).
         """
         tabs = self._cache.get("mul")
         if tabs is None:
@@ -618,7 +621,7 @@ class FieldCtx:
         """Elementwise field product of two element arrays."""
         if self.n <= TABLE_DEGREE:
             ext, log = self._mul_tables()
-            return ext[log[a] + log[b]]
+            return ext.take(log.take(a) + log.take(b))
         res = np.zeros_like(b)
         t = b.copy()
         dt = b.dtype.type
@@ -636,7 +639,7 @@ class FieldCtx:
             return arr.copy()
         if self.n <= TABLE_DEGREE:
             ext, log = self._mul_tables()
-            return ext[log[arr] + log[c]]
+            return ext.take(log.take(arr) + log[c])
         return xor_apply(self._mul_images(c, False), arr)
 
 

@@ -32,6 +32,9 @@ COLLISION_PREFIX = 64
 #: column of the low 32-bit half of a uint64 viewed as two uint32
 _LOW = 0 if sys.byteorder == "little" else 1
 
+_SHIFTS = np.arange(32, dtype=np.uint32)
+_POWERS = np.uint32(1) << _SHIFTS
+
 
 @dataclass(frozen=True)
 class PermReport:
@@ -63,13 +66,13 @@ def _report_from_values(values: np.ndarray) -> PermReport:
 
 
 def _sorted_scan(values: np.ndarray) -> PermReport:
-    order = np.argsort(values, kind="stable")
+    order = values.argsort(kind="stable")
     sv = values[order]
-    dup = np.flatnonzero(sv[1:] == sv[:-1])
+    dup = (sv[1:] == sv[:-1]).nonzero()[0]
     if dup.size == 0:
         return PermReport(True, None, "direct")
     seconds = order[dup + 1]
-    j = int(np.argmin(seconds))  # first collision in scan order
+    j = int(seconds.argmin())  # first collision in scan order
     return PermReport(False, ("collision", int(order[dup[j]]), int(seconds[j])), "direct")
 
 
@@ -98,15 +101,15 @@ def _halves(t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 def compose_truth_table(ctx: FieldCtx, L1: LinMap, L2: LinMap) -> np.ndarray:
     """Values of x -> L1(x^-1) + L2(x) over the whole field."""
     T1, T2 = _halves(_pair_table(L1.cols, L2.cols))
-    return T1[ctx.inverse_table()] ^ T2
+    return T1.take(ctx.inverse_table()) ^ T2
 
 
 def _rows(ctx: FieldCtx, L1: LinMap, L2: LinMap) -> np.ndarray:
     """Row masks of both matrices, shape (2, n): row i holds bit i of every column."""
-    shifts = np.arange(ctx.n, dtype=np.uint32)
+    shifts = _SHIFTS[:ctx.n]
     cols = np.array((L1.cols, L2.cols), dtype=np.uint32)
     bits = (cols[:, None, :] >> shifts[:, None]) & np.uint32(1)  # [k, i, j]: bit i of column j
-    return (bits << shifts).sum(axis=2, dtype=np.uint32)
+    return bits @ _POWERS[:ctx.n]
 
 
 def _adjoint_pair_table(ctx: FieldCtx, L1: LinMap, L2: LinMap) -> np.ndarray:
@@ -117,12 +120,7 @@ def _adjoint_pair_table(ctx: FieldCtx, L1: LinMap, L2: LinMap) -> np.ndarray:
     matrix-level oracle.
     """
     cols1, cols2 = ctx.ginv_table()[_rows(ctx, L1, L2)].tolist()
-    return _pair_table(cols1, cols2)[ctx.dualenc_table()]
-
-
-def adjoint_tables(ctx: FieldCtx, L1: LinMap, L2: LinMap) -> tuple[np.ndarray, np.ndarray]:
-    """Truth tables of L1* and L2*, entry enc(b)."""
-    return _halves(_adjoint_pair_table(ctx, L1, L2))
+    return _pair_table(cols1, cols2).take(ctx.dualenc_table())
 
 
 def perm_direct(ctx: FieldCtx, L1: LinMap, L2: LinMap) -> PermReport:
@@ -142,10 +140,10 @@ def perm_spectral(ctx: FieldCtx, L1: LinMap, L2: LinMap,
     """
     spec = checked_kloosterman(ctx, spectrum)
     A = _adjoint_pair_table(ctx, L1, L2)
-    b = int(np.argmin(A[1:])) + 1  # the first zero, if there is one
+    b = int(A[1:].argmin()) + 1  # the first zero, if there is one
     if A[b] == 0:
         return PermReport(False, ("kernel_overlap", b), "spectral")
-    bad = np.flatnonzero(spec.data[ctx.mul_vec(*_halves(A))])
+    bad = spec.data.take(ctx.mul_vec(*_halves(A))).nonzero()[0]
     if bad.size:
         return PermReport(False, ("spectral_b", int(bad[0])), "spectral")
     return PermReport(True, None, "spectral")
@@ -304,7 +302,7 @@ def search_counterexample(ctx: FieldCtx, mode: str = "random", budget: int = 10*
     N = ctx.size
     spec = checked_kloosterman(ctx, spectrum)
     kz_mask = spec.data == 0
-    zeros = np.flatnonzero(kz_mask)
+    zeros = np.flatnonzero(kz_mask).astype(np.uint32)
     zeros = zeros[zeros > 0]
     inv = ctx.inverse_table()
     rng = np.random.default_rng(seed)
@@ -315,18 +313,18 @@ def search_counterexample(ctx: FieldCtx, mode: str = "random", budget: int = 10*
     found: tuple[LinMap, LinMap] | None = None
     while examined < budget and found is None:
         b_sz = min(batch, budget - examined)
-        c1 = rng.integers(0, N, size=(b_sz, n))
+        c1 = rng.integers(0, N, size=(b_sz, n)).astype(np.uint32)
         if mode == "random":
-            c2 = rng.integers(0, N, size=(b_sz, n))
+            c2 = rng.integers(0, N, size=(b_sz, n)).astype(np.uint32)
         else:
-            z = zeros[rng.integers(0, zeros.size, size=(b_sz, n))]
-            c2 = ctx.mul_vec(z, inv[c1])
+            z = zeros.take(rng.integers(0, zeros.size, size=(b_sz, n)))
+            c2 = ctx.mul_vec(z, inv.take(c1))
         alive = np.arange(b_sz)  # rows that passed every probe so far
         s1, s2 = c1.T, c2.T       # their columns: s[i] holds column i of each row
         for b in probes:
             if not alive.size:
                 break
-            keep = kz_mask[ctx.mul_vec(xor_combine(s1, b), xor_combine(s2, b))]
+            keep = kz_mask.take(ctx.mul_vec(xor_combine(s1, b), xor_combine(s2, b)))
             alive, s1, s2 = alive[keep], s1[:, keep], s2[:, keep]
         for idx in alive:
             A1 = LinMap(n, tuple(int(v) for v in c1[idx]))

@@ -21,7 +21,13 @@ from kspectra.gf2n import (
     xor_table,
 )
 from kspectra.linmap import LinMap, adjoint, kernel_intersection, subspace_from_vectors
-from kspectra.permcheck import _report_from_values, _sorted_scan, adjoint_tables, perm_spectral
+from kspectra.permcheck import (
+    _adjoint_pair_table,
+    _halves,
+    _report_from_values,
+    _sorted_scan,
+    perm_spectral,
+)
 from kspectra.spectra import fwht_inplace
 
 PROPS = settings(max_examples=150, deadline=None)
@@ -174,7 +180,7 @@ def map_pairs(draw, min_n=2, max_n=12):
 def test_adjoint_tables_match_linmap_adjoint(nm):
     n, L1, L2 = nm
     ctx = _field(n)
-    A1, A2 = adjoint_tables(ctx, L1, L2)
+    A1, A2 = _halves(_adjoint_pair_table(ctx, L1, L2))
     assert np.array_equal(A1, adjoint(ctx, L1).truth_table())
     assert np.array_equal(A2, adjoint(ctx, L2).truth_table())
 

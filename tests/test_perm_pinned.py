@@ -123,6 +123,11 @@ SEARCH_SHA256 = {
         "265bee76f1608c139b4e7460ab53247cdf570b7c9085a069b6a800bff31b8865",
     (10, "structured"):
         "891ac269cbf82c55d75a89115b48f6240aa321a1eff356cd758128b8af7b72fa",
+    # above gf2n.TABLE_DEGREE products are shift-and-reduce on the arrays' dtype
+    (17, "random"):
+        "68d2d6cd7021bdf8362293fa43752bc1295bfcf0f51178e5924e0cfc2ac6699f",
+    (17, "structured"):
+        "7e45d37044913808e97dfb25986a6bc8c17c26514a20c9d9bdf404bb8c16839f",
 }
 
 
