@@ -661,7 +661,10 @@ def mk_field(n: int, poly: int | None = None) -> FieldCtx:
         acc = 0
         for _ in range(n):
             acc ^= a
-            a = _square(sq_tabs, a)
+            sq = 0  # _square inlined: this loop runs n^3 times
+            for k, t in enumerate(sq_tabs):
+                sq ^= t[(a >> (8 * k)) & 255]
+            a = sq
         if acc not in (0, 1):
             raise AssertionError("trace left F_2")
         return acc
