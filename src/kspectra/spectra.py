@@ -201,7 +201,8 @@ def kloosterman_spectrum(ctx: FieldCtx, cap: int = SPECTRUM_CAP) -> Spectrum:
 
 
 def checked_kloosterman(ctx: FieldCtx, spectrum: Spectrum | None = None) -> Spectrum:
-    """spectrum, once it is a Kloosterman spectrum of ctx's degree; kloosterman_spectrum(ctx) when None.
+    """The Kloosterman spectrum of ctx: spectrum itself once checked, or
+    kloosterman_spectrum(ctx) when None.
 
     Raises ValueError on a spectrum of another degree or kind, whose entries
     would otherwise be read as K(a) for the wrong field.
