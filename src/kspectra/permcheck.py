@@ -32,6 +32,7 @@ COLLISION_PREFIX = 64
 #: column of the low 32-bit half of a uint64 viewed as two uint32
 _LOW = 0 if sys.byteorder == "little" else 1
 
+#: bit positions and their weights, for _rows
 _SHIFTS = np.arange(32, dtype=np.uint32)
 _POWERS = np.uint32(1) << _SHIFTS
 
