@@ -12,7 +12,6 @@ import argparse
 import json
 import math
 import sys
-from itertools import islice
 
 import numpy as np
 
@@ -30,7 +29,7 @@ from kspectra.quadform import (
     max_isotropic_dim,
     restrict_q_to_h,
 )
-from kspectra.spectra import CSV_CHUNK, kloosterman_spectrum, kloosterman_zeros
+from kspectra.spectra import kloosterman_spectrum, kloosterman_zeros
 from kspectra.zerospace import (
     max_mod16_subspace,
     max_subspace_in_set,
@@ -85,9 +84,7 @@ def cmd_spectrum(args) -> int:
 def _csv_chunks(spec):
     """The CSV export in pieces of CSV_CHUNK rows, each ending in a newline."""
     yield "elem_hex,value\n"
-    rows = spec.to_csv_rows()
-    while chunk := list(islice(rows, CSV_CHUNK)):
-        yield "\n".join(chunk) + "\n"
+    yield from spec.to_csv_rows()
 
 
 def cmd_zeros(args) -> int:

@@ -622,9 +622,10 @@ class FieldCtx:
         if self.n <= TABLE_DEGREE:
             ext, log = self._mul_tables()
             return ext.take(log.take(a) + log.take(b))
-        res = np.zeros_like(b)
-        t = b.copy()
-        dt = b.dtype.type
+        dt = elem_dtype(self.n)
+        a = a.astype(dt, copy=False)  # one dtype for both, as the table branch allows
+        t = b.astype(dt)
+        res = np.zeros_like(t)
         for j in range(self.n):
             res ^= (((a >> dt(j)) & dt(1)) * t)
             if j + 1 < self.n:

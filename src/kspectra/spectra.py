@@ -95,10 +95,50 @@ class Spectrum:
         return math.isqrt(1 << (self.n + 2))
 
     def to_csv_rows(self):
-        """Rows "<hex a>,<value>" in key order, reading the data CSV_CHUNK entries at a time."""
+        """Rows "<hex a>,<value>\\n" in key order, one string per CSV_CHUNK rows."""
         for s in range(0, 1 << self.n, CSV_CHUNK):
-            for a, v in zip(range(s, s + CSV_CHUNK), self.data[s:s + CSV_CHUNK].tolist()):
-                yield f"{a:#x},{v}"
+            yield _csv_block(s, self.data[s:s + CSV_CHUNK])
+
+
+def _csv_block(start: int, values: np.ndarray) -> str:
+    """"".join(f"{a:#x},{v}\\n") over a = start, start + 1, .. and the signed
+    integers v of a non-empty values, formatted as one byte matrix.
+
+    Each row is "0x", the hex digits, ",", a sign column, the decimal digits
+    and "\\n", right-aligned in columns as wide as the block's last key and
+    largest |v| need; the 0 bytes padding shorter numbers are dropped at the end.
+    """
+    m = values.size
+    last = start + m - 1
+    hw = max(1, (last.bit_length() + 3) // 4)
+    top = max(int(values.max()), -int(values.min()))
+    dw = len(str(top))
+    # abs wraps the most negative value onto itself; read unsigned, it is |v|
+    mag = np.abs(values).astype(np.min_scalar_type(top))
+    out = np.zeros((m, hw + dw + 5), dtype=np.uint8)
+    out[:, 0] = ord("0")
+    out[:, 1] = ord("x")
+    keys = np.arange(start, last + 1, dtype=np.min_scalar_type(last))
+    for j in range(hw):
+        lo = max((1 << 4 * j) - start, 0) if j else 0  # keys below 16^j have no digit j
+        d = ((keys[lo:] >> 4 * j) & 15).astype(np.uint8)
+        d += ord("0")
+        d += (d > ord("9")) * np.uint8(ord("a") - ord("9") - 1)
+        out[lo:, 1 + hw - j] = d
+    comma = hw + 2
+    out[:, comma] = ord(",")
+    out[:, comma + 1] = (values < 0) * np.uint8(ord("-"))
+    ten = mag.dtype.type(10)
+    for k in range(dw):
+        q = mag // ten
+        d = (mag - q * ten).astype(np.uint8)
+        d += ord("0")
+        if k:
+            d *= mag != 0  # |v| < 10^k: no digit k
+        out[:, comma + 1 + dw - k] = d
+        mag = q
+    out[:, -1] = ord("\n")
+    return out[out != 0].tobytes().decode("ascii")
 
 
 def _butterfly_levels(w: np.ndarray, h: int, stop: int) -> None:

@@ -221,6 +221,17 @@ def test_bulk_tables_match_scalar_ops(n):
         assert int(tr[int(x)]) == ctx.trace(int(x))
 
 
+@pytest.mark.parametrize("n", [17, 24])
+def test_mul_vec_mixed_dtypes_above_table_degree(n):
+    ctx = mk_field(n)
+    rng = np.random.default_rng(n)
+    wide = rng.integers(0, ctx.size, 200)  # int64
+    narrow = rng.integers(0, ctx.size, 200).astype(np.uint32)
+    for a, b in ((wide, narrow), (narrow, wide)):
+        prod = ctx.mul_vec(a, b)
+        assert [int(p) for p in prod] == [ctx.mul(int(x), int(y)) for x, y in zip(a, b)]
+
+
 def test_exp_table_is_group_enumeration():
     ctx = mk_field(10)
     exp, log = ctx.exp_log_tables()

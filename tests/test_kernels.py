@@ -1,6 +1,7 @@
 """Property tests for the shared kernels: xor-combine, echelon, coordinates,
-constant multiplication, the Walsh-Hadamard butterfly and the table-driven
-permutation kernels (adjoint tables, sentinel-log products, first collision)."""
+constant multiplication, the Walsh-Hadamard butterfly, the table-driven
+permutation kernels (adjoint tables, sentinel-log products, first collision)
+and the CSV block formatter."""
 
 from functools import lru_cache
 
@@ -28,7 +29,7 @@ from kspectra.permcheck import (
     _sorted_scan,
     perm_spectral,
 )
-from kspectra.spectra import fwht_inplace
+from kspectra.spectra import CSV_CHUNK, _csv_block, fwht_inplace
 
 PROPS = settings(max_examples=150, deadline=None)
 
@@ -235,3 +236,34 @@ def planted_repeats(draw):
 @given(planted_repeats())
 def test_prefix_first_collision_matches_full_scan(values):
     assert _report_from_values(values) == _sorted_scan(values)
+
+
+@st.composite
+def csv_blocks(draw):
+    """(start, values): a block start at a multiple of CSV_CHUNK below 2^32 and
+    1..CSV_CHUNK int32 or int64 values, with 0, -1 and both extremes planted."""
+    dtype = draw(st.sampled_from([np.int32, np.int64]))
+    info = np.iinfo(dtype)
+    last_start = (1 << 32) - CSV_CHUNK
+    start = draw(st.one_of(st.sampled_from([0, CSV_CHUNK, last_start]),
+                           st.integers(0, last_start // CSV_CHUNK).map(CSV_CHUNK.__mul__)))
+    size = draw(st.one_of(st.integers(1, 300), st.integers(1, CSV_CHUNK), st.just(CSV_CHUNK)))
+    bound = draw(st.sampled_from([0, 9, 10, 8192, 10**6, int(info.max)]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32)))
+    values = rng.integers(-bound, bound, size, dtype=dtype, endpoint=True)
+    for v in draw(st.lists(st.sampled_from([0, -1, int(info.min), int(info.max)]), max_size=4)):
+        values[draw(st.integers(0, size - 1))] = v
+    return start, values
+
+
+@PROPS
+@given(csv_blocks())
+def test_csv_block_matches_row_by_row_format(block):
+    start, values = block
+    rows = [f"{a:#x},{v}\n" for a, v in zip(range(start, start + values.size), values.tolist())]
+    got = _csv_block(start, values)
+    # assert a bool: pytest would diff two megabyte texts at every shrink step
+    same = got == "".join(rows)
+    assert same, next((f"row {i}: {g!r} != {w!r}" for i, (g, w)
+                       in enumerate(zip(got.splitlines(True) + [""], rows)) if g != w),
+                      "extra rows")
