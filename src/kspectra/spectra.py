@@ -101,8 +101,8 @@ class Spectrum:
 
 
 def _csv_block(start: int, values: np.ndarray) -> str:
-    """"".join(f"{a:#x},{v}\\n") over a = start, start + 1, .. and the signed
-    integers v of a non-empty values, formatted as one byte matrix.
+    """The rows f"{a:#x},{v}\\n", joined, for a = start, start + 1, .. and the
+    signed integers v of a non-empty values, formatted as one byte matrix.
 
     Each row is "0x", the hex digits, ",", a sign column, the decimal digits
     and "\\n", right-aligned in columns as wide as the block's last key and
