@@ -1,10 +1,12 @@
-"""Pinned CSV export of the Kloosterman spectrum.
+"""Pinned CSV and JSON exports of the Kloosterman spectrum.
 
 The hashes below were captured from the row-by-row export (one
 f"{a:#x},{v}" per row).  Any faster formatting must reproduce every byte.
+The JSON export must equal json.dumps(..., indent=2) of the whole spectrum.
 """
 
 import hashlib
+import json
 
 import pytest
 
@@ -90,3 +92,20 @@ def test_rows_at_hex_width_boundaries(tmp_path):
         assert rows[a] == f"{a:#x},{int(K[a])}"
     assert rows[0xf].startswith("0xf,") and rows[0x10].startswith("0x10,")
     assert rows[0xffff].startswith("0xffff,") and rows[0x10000].startswith("0x10000,")
+
+
+def _json_oracle(n: int) -> str:
+    data = kloosterman_spectrum(mk_field(n)).data.tolist()
+    return json.dumps({"n": n, "kind": "kloosterman", "data": data}, indent=2) + "\n"
+
+
+@pytest.mark.parametrize("n", range(2, 17))
+def test_spectrum_json_matches_json_dumps(n, capsys):
+    assert main(["spectrum", "--n", str(n), "--format", "json"]) == 0
+    assert capsys.readouterr().out == _json_oracle(n)
+
+
+def test_spectrum_json_out_file_spans_chunks(tmp_path):
+    out = tmp_path / "spectrum.json"
+    assert main(["spectrum", "--n", "17", "--format", "json", "--out", str(out)]) == 0
+    assert out.read_text() == _json_oracle(17)

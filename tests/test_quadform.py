@@ -1,5 +1,7 @@
 """Quadratic form tests: closed forms, restriction, classification, isotropy."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -25,6 +27,34 @@ from kspectra.quadform import (
     restrict_q_to_h,
 )
 
+#: sha256 of q_table(mk_field(n)).tobytes() for n = 2..24 (default polynomials),
+#: captured while the basis values came from the definitional q_eval
+Q_TABLE_SHA256 = {
+    2: "cbd95ae5ef8810691e3fc7efb7c39ef9ffb661135d858aa0ccc81fc74a0160ae",
+    3: "b57c8b5d220a1815034d61d960f92e41fcd7b783ed41202c5c6286ca011336d7",
+    4: "6eab970d128ef1acbd38b11cd9ec55b7de3a54bc1087580896532ccb20018373",
+    5: "ce9340f8bf0404e0942019ebbe34e7f76078474941778b9292be53e9af2297ac",
+    6: "3d709455562491d607c8c098ae332ed386c07ee885ca416f7af981371a30a4de",
+    7: "9d4fdc2256313ce35dd306cf6f5f07681dee225aeb61e3d754fd7bd43f8df009",
+    8: "08345de2188864f33a4b59a09f3091a503c2633a39634fbed7ca731c0f3c5515",
+    9: "c6daf378216467ff715925c737063a00035286e55e78d3c46414e8f4d93198de",
+    10: "5bc0723c8d92fd4948f2cb3d377c772b2e0259524ecf573b88d8a588d9d2ea98",
+    11: "7a7e1d482d40af6d955419108f93c31ab4bb955702ab8a7b572411a8986d5014",
+    12: "a07a6af23d167e344cf94f4eb159c1d43b7b501a0fd451a2ba51f9b23d3de900",
+    13: "24b950b60874b39cdadabc5f6f0f86b1772d5bde34e57218c07664cfaccfbe25",
+    14: "a3b1943111903add514342ef5beb16769fa654c48b95e3c1b30e6496d2ece7f0",
+    15: "8a23a01739119a19b6fc93c14a8b86195b9047ad84d7e12ebc41a80af7a2dd3a",
+    16: "1ae63803f05b41d2793425c8a510257350e876ff22006965ce2c311387c10833",
+    17: "7131ce22673e206561711a06f453ece31de0166f35e690a7d7a96381972fcbf4",
+    18: "dd2de7404dd800887717a37bba5e0cbb15fa3f8abc7409c607005ab2c54170a0",
+    19: "cc78af018d960f71a2d2801cd5e50d9c8db6c834f0c619da9f5681d65761e5f0",
+    20: "8f8156b98c9339f0babcf764716786e015182b8ec043821e46c8c4ba04ade413",
+    21: "c58ab9c195fbbe6fd2e79f2a8240ecc016733b07eed7cdcfd3f35d2bc93d7721",
+    22: "39c72b5784af5d39021b6cf05e9d70a87390f8a4745cbdc2b7c3316183869ba7",
+    23: "c245fbf645dcc7b025ba13bdec62af4c0e0cc7174e67d058fd4a9e5f2d6c3eae",
+    24: "1ac779d8f054338cf3594cca29a4e92381e063dd515f37586213433c333b3f00",
+}
+
 
 def test_q_eval_basics():
     for n in (4, 5, 6, 7, 8, 9, 10):
@@ -48,6 +78,11 @@ def test_q_table_matches_q_eval(n):
     step = max(1, ctx.size // 512)
     for a in range(0, ctx.size, step):
         assert int(qt[a]) == q_eval(ctx, a)
+
+
+@pytest.mark.parametrize("n", sorted(Q_TABLE_SHA256))
+def test_q_table_is_pinned(n):
+    assert hashlib.sha256(q_table(mk_field(n)).tobytes()).hexdigest() == Q_TABLE_SHA256[n]
 
 
 @pytest.mark.parametrize("n", [4, 5, 6, 7, 8])
