@@ -29,7 +29,7 @@ from kspectra.quadform import (
     max_isotropic_dim,
     restrict_q_to_h,
 )
-from kspectra.spectra import kloosterman_spectrum, kloosterman_zeros
+from kspectra.spectra import CSV_CHUNK, kloosterman_spectrum, kloosterman_zeros
 from kspectra.zerospace import (
     max_mod16_subspace,
     max_subspace_in_set,
@@ -73,11 +73,7 @@ def cmd_spectrum(args) -> int:
     if args.what != "kloosterman":
         raise ValueError(f"unknown spectrum kind {args.what!r}")
     spec = kloosterman_spectrum(ctx)
-    if args.format == "csv":
-        _write(args, _csv_chunks(spec))
-    else:
-        _emit(args, _json({"n": spec.n, "kind": spec.kind,
-                           "data": spec.data.tolist()}))
+    _write(args, (_csv_chunks if args.format == "csv" else _json_chunks)(spec))
     return 0
 
 
@@ -85,6 +81,15 @@ def _csv_chunks(spec):
     """The CSV export in pieces of CSV_CHUNK rows, each ending in a newline."""
     yield "elem_hex,value\n"
     yield from spec.to_csv_rows()
+
+
+def _json_chunks(spec):
+    """_json of {"n", "kind", "data"} and a newline, CSV_CHUNK values at a time."""
+    sep = ",\n    "
+    yield f'{{\n  "n": {spec.n},\n  "kind": {json.dumps(spec.kind)},\n  "data": [\n    '
+    for s in range(0, spec.data.size, CSV_CHUNK):
+        yield (sep if s else "") + sep.join(map(str, spec.data[s:s + CSV_CHUNK].tolist()))
+    yield "\n  ]\n}\n"
 
 
 def cmd_zeros(args) -> int:

@@ -298,13 +298,14 @@ def xor_apply(images, arr: np.ndarray) -> np.ndarray:
     The map is GF(2)-linear, so it is the XOR over the 12-bit chunks k of m
     of T_k[chunk k], with T_k = xor_table(images[12k:12k+12]): one lookup
     into a 4096-entry table per 12 images.  At 2^16 entries and 24 images
-    this measured 0.58 ms against 0.86 ms for three 256-entry byte tables.
+    this measured 0.58 ms against 0.86 ms for three 256-entry byte tables,
+    and gathering with take instead of fancy indexing cut it to 0.35 ms.
     """
     dt = arr.dtype.type
     mask = dt(4095)
-    out = xor_table(images[:12], dt)[arr & mask]
+    out = xor_table(images[:12], dt).take(arr & mask)
     for k in range(12, len(images), 12):
-        out ^= xor_table(images[k:k + 12], dt)[(arr >> dt(k)) & mask]
+        out ^= xor_table(images[k:k + 12], dt).take((arr >> dt(k)) & mask)
     return out
 
 
@@ -494,16 +495,37 @@ class FieldCtx:
     def _mul_images(self, c: int, dual: bool) -> list[int]:
         """Column images of y -> C*c*C^-1*y, with C = G (dual coordinates) or C = I.
 
-        The polynomial images are c*x^i.  Column i of C^-1 is row i of
-        gram_inv (G is symmetric), so the dual images are G*(c*gram_inv[i]),
-        combined from the polynomial ones.
+        The images depend F_2-linearly on c, so, packed n bits apiece into
+        one int, they are the XOR of one entry of _mul_image_tables per byte
+        of c: 5 us against 110-180 us for n products at n = 24.
         """
-        imgs = [c]
-        for _ in range(self.n - 1):
-            imgs.append(self._mul_raw(imgs[-1], 2))
-        if dual:
-            return [self.dualenc(xor_combine(imgs, col)) for col in self.gram_inv]
-        return imgs
+        packed = 0
+        for k, t in enumerate(self._mul_image_tables(dual)):
+            packed ^= t[(c >> (8 * k)) & 255]
+        mask = (1 << self.n) - 1
+        return [(packed >> (self.n * i)) & mask for i in range(self.n)]
+
+    def _mul_image_tables(self, dual: bool) -> list[list[int]]:
+        """ceil(n/8) lists of 256 packed _mul_images: table k holds those of
+        the constants whose set bits lie in byte k.
+
+        For c = x^j the polynomial images are x^(i+j).  Column i of C^-1 is
+        row i of gram_inv (G is symmetric), so the dual images are
+        G*(c*gram_inv[i]), combined from the polynomial ones.
+        """
+        key = "dual_images" if dual else "poly_images"
+        tabs = self._cache.get(key)
+        if tabs is None:
+            n = self.n
+            packed = []
+            for j in range(n):
+                imgs = [pmod(1 << (i + j), self.poly) for i in range(n)]
+                if dual:
+                    imgs = [self.dualenc(xor_combine(imgs, col)) for col in self.gram_inv]
+                packed.append(sum(v << (n * i) for i, v in enumerate(imgs)))
+            tabs = self._cache[key] = [xor_table(packed[k:k + 8], object).tolist()
+                                       for k in range(0, n, 8)]
+        return tabs
 
     def power_blocks(self, dual: bool = False):
         """Yield (a, fwd, mir) with fwd[k] = C*g^(a+k) and mir[k] = C*g^-(a+k).

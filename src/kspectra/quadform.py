@@ -46,6 +46,32 @@ def q_eval(ctx: FieldCtx, a: int) -> int:
     return acc
 
 
+def _q_by_traces(ctx: FieldCtx, a: int) -> int:
+    """q(a) from about n/2 products instead of q_eval's n(n-1)/2.
+
+    The term of the pair i < j is (a^(1+2^d))^(2^i) with d = j - i, and since
+    (a^(1+2^(n-d)))^(2^d) = a^(1+2^d), the pairs at distances d and n - d
+    together hold every conjugate of a^(1+2^d) once: q(a) is the sum of
+    Tr(a^(1+2^d)) over 1 <= d < n/2, plus, for even n, the trace of
+    a^(1+2^(n/2)) from F_2^(n/2), the sum of its first n/2 conjugates.
+    """
+    n = ctx.n
+    conj = [a]
+    for _ in range(n // 2):
+        conj.append(ctx.sqr(conj[-1]))
+    acc = 0
+    for d in range(1, (n + 1) // 2):
+        acc ^= ctx.trace(ctx.mul(a, conj[d]))
+    if n % 2 == 0:
+        b = ctx.mul(a, conj[n // 2])
+        for _ in range(n // 2):
+            acc ^= b
+            b = ctx.sqr(b)
+    if acc not in (0, 1):
+        raise AssertionError("quadratic form left F_2")
+    return acc
+
+
 def bilinear_eval(ctx: FieldCtx, x: int, y: int) -> int:
     """Polarization of q in closed form: Tr(xy) + Tr(x)Tr(y)."""
     return ctx.trace(ctx.mul(x, y)) ^ (ctx.trace(x) & ctx.trace(y))
@@ -56,7 +82,7 @@ def q_table(ctx: FieldCtx) -> np.ndarray:
     t = ctx._cache.get("q_table")
     if t is None:
         n = ctx.n
-        qb = [q_eval(ctx, 1 << i) for i in range(n)]
+        qb = [_q_by_traces(ctx, 1 << i) for i in range(n)]
         tr = ctx.trace_mask
         masks = [ctx.gram[i] ^ (tr if (tr >> i) & 1 else 0) for i in range(n)]
         t = _form_table(n, qb, masks)

@@ -158,30 +158,60 @@ _FWHT_BLOCK = 1 << 16
 #: inside a block, levels below this stride run on the transposed block, so
 #: that numpy's inner loops are long
 _FWHT_ROW = 128
+#: with a +-1 int8 source, the levels below this stride run in int16: after
+#: the 14 levels of strides 1..2^13 every |v| <= 2^14, inside int16's 2^15 - 1
+_NARROW_STOP = 1 << 14
+#: the levels from stride _FWHT_BLOCK up run on contiguous copies of column
+#: panels of w.reshape(-1, _FWHT_BLOCK) with this many entries (2^14 rows at
+#: n = 30), so that each panel's levels run in cache
+_FWHT_PANEL = 4 * POWER_BLOCK
 
 
-def fwht_inplace(w: np.ndarray) -> None:
+def fwht_inplace(w: np.ndarray, src: np.ndarray | None = None) -> None:
     """In-place Walsh-Hadamard transform of a contiguous length-2^k signed array.
 
     Integer dtypes of any width work; the caller picks one that holds +-2^k
-    (see sign_dtype).  Extra memory is one transpose buffer of _FWHT_BLOCK
-    entries at most.
+    (see sign_dtype).  With src, an int8 array as long as w with entries
+    in {-1, 0, 1}, w receives the transform of src instead of its own, and
+    the levels below _NARROW_STOP run in int16.  src may be the last bytes of
+    w itself, w.view(np.int8)[(w.itemsize - 1) * w.size:].  Extra memory is
+    two int16 blocks of _FWHT_BLOCK entries and one panel of _FWHT_PANEL.
     """
     if w.ndim != 1 or not w.flags.c_contiguous:
         raise ValueError("fwht_inplace needs a contiguous 1-d array")  # reshape would copy
+    narrow = src is not None
+    if narrow and (src.shape != w.shape or src.dtype != np.int8):
+        raise ValueError("fwht_inplace needs an int8 source as long as w")
     m = w.shape[0]
     blk = min(_FWHT_BLOCK, m)
     row = min(_FWHT_ROW, blk)
-    tr = np.empty(blk, dtype=w.dtype)
+    stop = min(_NARROW_STOP, blk) if narrow else row
+    tr = np.empty(blk, dtype=np.int16 if narrow else w.dtype)
     tr_rows = tr.reshape(row, -1)
+    low = np.empty_like(tr) if narrow else None
+    # When src is the last bytes of w, input block b begins at byte
+    # (itemsize - 1) * m + b * blk, and output block b ends at byte
+    # itemsize * (b + 1) * blk <= (itemsize - 1) * m + (b + 1) * blk, where
+    # input block b + 1 begins, as (b + 1) * blk <= m.  So writing output
+    # block b overwrites only input blocks <= b, which are already read.
     for s in range(0, m, blk):
         part = w[s:s + blk]
-        rows = part.reshape(-1, row)
-        np.copyto(tr_rows, rows.T)
+        np.copyto(tr_rows, (src if narrow else w)[s:s + blk].reshape(-1, row).T)
         _butterfly_levels(tr, blk // row, blk)
-        np.copyto(rows, tr_rows.T)
-        _butterfly_levels(part, row, blk)
-    _butterfly_levels(w, blk, m)
+        lo = low if narrow else part
+        np.copyto(lo.reshape(-1, row), tr_rows.T)
+        _butterfly_levels(lo, row, stop)
+        if narrow:
+            np.copyto(part, lo)  # widen
+        _butterfly_levels(part, stop, blk)
+    if m > blk:
+        grid = w.reshape(-1, blk)
+        cols = min(blk, max(1, _FWHT_PANEL // grid.shape[0]))
+        panel = np.empty((grid.shape[0], cols), dtype=w.dtype)
+        for c in range(0, blk, cols):
+            np.copyto(panel, grid[:, c:c + cols])
+            _butterfly_levels(panel.reshape(-1), cols, panel.size)
+            np.copyto(grid[:, c:c + cols], panel)
 
 
 def walsh(ctx: FieldCtx, F: TruthTable, a: int, b: int) -> int:
@@ -268,15 +298,16 @@ def _kloosterman_transform(ctx: FieldCtx) -> np.ndarray:
     w.all() check enforces before the transform.
     """
     w = np.zeros(ctx.size, dtype=sign_dtype(ctx.n))
+    signs = w.view(np.int8)[(w.itemsize - 1) * ctx.size:]  # the last bytes of w
     for a, fwd, mir in ctx.power_blocks(dual=True):
         fwd, mir = fwd.astype(np.intp), mir.astype(np.intp)  # numpy scatters faster by intp
-        w[fwd] = _signs(mir, w.dtype)
+        signs[fwd] = _signs(mir, np.int8)
         skip = 0 if a else 1  # mir[0] = fwd[0] = G*1 at a = 0, written once
-        w[mir[skip:]] = _signs(fwd[skip:], w.dtype)
-    w[0] = 1  # x = 0 contributes (-1)^Tr(0)
-    if not w.all():
+        signs[mir[skip:]] = _signs(fwd[skip:], np.int8)
+    signs[0] = 1  # x = 0 contributes (-1)^Tr(0)
+    if not signs.all():
         raise AssertionError("the powers of the generator missed a nonzero element")
-    fwht_inplace(w)
+    fwht_inplace(w, signs)
     w.flags.writeable = False
     return w
 

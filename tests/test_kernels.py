@@ -7,7 +7,7 @@ from functools import lru_cache
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from kspectra.gf2n import (
@@ -116,6 +116,9 @@ def test_byte_table_constant_multiply_matches_mul(n, data):
     got = ctx.mul_scalar_vec(c, np.array(xs, dtype=elem_dtype(n)))
     assert got.dtype == elem_dtype(n)
     assert got.tolist() == [ctx.mul(c, x) for x in xs]
+    # in dual-basis coordinates the same map is G*c*G^-1
+    dual = ctx._mul_images(c, True)
+    assert [xor_combine(dual, ctx.dualenc(x)) for x in xs] == [ctx.dualenc(ctx.mul(c, x)) for x in xs]
 
 
 def _textbook_fwht(v):
@@ -160,6 +163,37 @@ def test_fwht_matches_textbook_butterfly(v):
     w = v.astype(np.int32)
     fwht_inplace(w)
     assert np.array_equal(w, _textbook_fwht(v))
+
+
+# +-1 int8 sources for the narrow path, k = 1..20
+_sign_vectors = st.tuples(st.integers(1, 20), st.integers(0, 2**32 - 1)).map(
+    lambda ks: (1 - 2 * np.random.default_rng(ks[1]).integers(0, 2, 1 << ks[0])).astype(np.int8))
+
+
+@settings(max_examples=30, deadline=None)
+@given(_sign_vectors, st.sampled_from([np.int32, np.int64]), st.booleans())
+# all +1: after the int16 levels every entry is 2^14, the bound exactly
+@example(np.ones(1 << 20, dtype=np.int8), np.int32, True)
+@example(np.ones(1 << 15, dtype=np.int8), np.int32, False)
+def test_fwht_of_int8_signs_equals_int64(v, dtype, aliased):
+    ref = v.astype(np.int64)
+    fwht_inplace(ref)
+    w = np.zeros(v.size, dtype=dtype)
+    if aliased:  # as in the Kloosterman spectrum: the signs in the last bytes of w
+        src = w.view(np.int8)[(w.itemsize - 1) * v.size:]
+        src[:] = v
+    else:
+        src = v.copy()
+    fwht_inplace(w, src)
+    assert np.array_equal(w, ref)
+
+
+def test_fwht_refuses_a_bad_source():
+    w = np.zeros(16, dtype=np.int32)
+    with pytest.raises(ValueError, match="int8 source"):
+        fwht_inplace(w, np.ones(16, dtype=np.int16))
+    with pytest.raises(ValueError, match="int8 source"):
+        fwht_inplace(w, np.ones(8, dtype=np.int8))
 
 
 def test_fwht_refuses_a_strided_view():

@@ -4,6 +4,8 @@ import hashlib
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from kspectra.gf2n import mk_field
 from kspectra.linmap import subspace_from_vectors
@@ -13,6 +15,7 @@ from kspectra.quadform import (
     PARABOLIC,
     InconsistentFormError,
     NotQuadraticFormError,
+    _q_by_traces,
     bilinear_eval,
     classify,
     count_zeros,
@@ -78,6 +81,20 @@ def test_q_table_matches_q_eval(n):
     step = max(1, ctx.size // 512)
     for a in range(0, ctx.size, step):
         assert int(qt[a]) == q_eval(ctx, a)
+
+
+@pytest.mark.parametrize("n", range(2, 11))
+def test_q_by_traces_matches_q_eval_everywhere(n):
+    ctx = mk_field(n)
+    assert [_q_by_traces(ctx, a) for a in range(ctx.size)] == [q_eval(ctx, a) for a in range(ctx.size)]
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(11, 32), st.data())
+def test_q_by_traces_matches_q_eval(n, data):
+    ctx = mk_field(n)
+    a = data.draw(st.integers(0, ctx.size - 1))
+    assert _q_by_traces(ctx, a) == q_eval(ctx, a)
 
 
 @pytest.mark.parametrize("n", sorted(Q_TABLE_SHA256))

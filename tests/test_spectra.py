@@ -236,6 +236,26 @@ def test_non_primitive_generator_fails_the_coverage_check(monkeypatch):
         kloosterman_spectrum(mk_field(12))
 
 
+def test_coverage_check_holds_on_dirty_allocations(monkeypatch):
+    # the check reads the sign slots the powers left untouched, so the buffer
+    # they live in must be zero-filled, not taken from np.empty's leftovers
+    empty = np.empty
+
+    def dirty_empty(*args, **kwargs):
+        out = empty(*args, **kwargs)
+        if not out.dtype.hasobject:
+            out.view(np.uint8).fill(0xA5)
+        return out
+
+    ctx = mk_field(12)
+    cube = ctx.pow(ctx._generator(), 3)
+    monkeypatch.setattr(np, "empty", dirty_empty)
+    monkeypatch.setattr(FieldCtx, "_generator", lambda self: cube)
+    monkeypatch.setattr(spectra, "_spectrum_cache", {})
+    with pytest.raises(AssertionError, match="missed a nonzero element"):
+        kloosterman_spectrum(mk_field(12))
+
+
 _PEAK_SCRIPT = """
 from kspectra.gf2n import mk_field
 from kspectra.spectra import kloosterman_spectrum, spectrum_bytes
