@@ -84,7 +84,7 @@ def _csv_chunks(spec):
 
 
 def _json_chunks(spec):
-    """_json of {"n", "kind", "data"} and a newline, CSV_CHUNK values at a time."""
+    """_json({"n", "kind", "data"}) and a newline, CSV_CHUNK values of data at a time."""
     sep = ",\n    "
     yield f'{{\n  "n": {spec.n},\n  "kind": {json.dumps(spec.kind)},\n  "data": [\n    '
     for s in range(0, spec.data.size, CSV_CHUNK):

@@ -25,10 +25,14 @@ def spectrum_bytes(n: int) -> int:
     """Peak bytes of kloosterman_spectrum beyond the interpreter, estimated.
 
     The result array is the only 2^n allocation: 4 bytes per entry for
-    n <= 30 (see sign_dtype).  Next to it live O(POWER_BLOCK) arrays (base
-    and power blocks, table-lookup temporaries, signs, intp scatter indices,
-    the butterfly's transpose buffer), counted as twelve of 8-byte entries,
-    6 MiB; they measured 3.6 MiB at n = 22 and 24.
+    n <= 30 (see sign_dtype); the int8 signs live in its last bytes.  Next
+    to it live O(POWER_BLOCK) arrays, counted as twelve of 8-byte entries,
+    6 MiB.  While the powers are enumerated these are the base and power
+    blocks, table-lookup temporaries, signs and intp scatter indices; in the
+    butterfly, two int16 blocks of _FWHT_BLOCK entries, one panel of
+    _FWHT_PANEL result entries (1 MiB for int32) and the last block's
+    indices.  Beyond the result, the peak measured 3.3-3.5 MiB at n = 18..22
+    and 4.4 MiB at n = 24.
     """
     return (np.dtype(sign_dtype(n)).itemsize << n) + 12 * 8 * POWER_BLOCK
 
@@ -180,7 +184,9 @@ def fwht_inplace(w: np.ndarray, src: np.ndarray | None = None) -> None:
     if w.ndim != 1 or not w.flags.c_contiguous:
         raise ValueError("fwht_inplace needs a contiguous 1-d array")  # reshape would copy
     narrow = src is not None
-    if narrow and (src.shape != w.shape or src.dtype != np.int8):
+    if not narrow:
+        src = w
+    elif src.shape != w.shape or src.dtype != np.int8:
         raise ValueError("fwht_inplace needs an int8 source as long as w")
     m = w.shape[0]
     blk = min(_FWHT_BLOCK, m)
@@ -196,7 +202,7 @@ def fwht_inplace(w: np.ndarray, src: np.ndarray | None = None) -> None:
     # block b overwrites only input blocks <= b, which are already read.
     for s in range(0, m, blk):
         part = w[s:s + blk]
-        np.copyto(tr_rows, (src if narrow else w)[s:s + blk].reshape(-1, row).T)
+        np.copyto(tr_rows, src[s:s + blk].reshape(-1, row).T)
         _butterfly_levels(tr, blk // row, blk)
         lo = low if narrow else part
         np.copyto(lo.reshape(-1, row), tr_rows.T)
@@ -295,10 +301,12 @@ def _kloosterman_transform(ctx: FieldCtx) -> np.ndarray:
     slot y_j, so the butterfly output at b is sum_x (-1)^(Tr(x^-1) + Tr(b*x)).
     Each block pair writes both x = g^j and x = g^-j.  The 2^n - 1 writes
     cover every nonzero slot exactly when j -> g^j is onto, which the
-    w.all() check enforces before the transform.
+    signs.all() check enforces before the transform.  The signs are int8 in
+    the last bytes of the result w, which must start zero-filled: a slot no
+    write reached then reads 0 and fails that check.
     """
     w = np.zeros(ctx.size, dtype=sign_dtype(ctx.n))
-    signs = w.view(np.int8)[(w.itemsize - 1) * ctx.size:]  # the last bytes of w
+    signs = w.view(np.int8)[(w.itemsize - 1) * ctx.size:]
     for a, fwd, mir in ctx.power_blocks(dual=True):
         fwd, mir = fwd.astype(np.intp), mir.astype(np.intp)  # numpy scatters faster by intp
         signs[fwd] = _signs(mir, np.int8)
