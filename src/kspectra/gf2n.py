@@ -218,6 +218,27 @@ def rref(vectors) -> tuple[int, ...]:
     return tuple(piv[p] for p in sorted(piv))
 
 
+def spans(vectors, n: int) -> bool:
+    """True when the n-bit vectors span F_2^n, i.e. len(rref(vectors)) == n.
+
+    The forward half of _echelon, stopped at the n-th pivot: a rank test
+    needs no back-substitution, which is most of _echelon's cost.
+    """
+    piv = [0] * n
+    left = n
+    for v in vectors:
+        while v:
+            p = v.bit_length() - 1
+            if not piv[p]:
+                piv[p] = v
+                left -= 1
+                if not left:
+                    return True
+                break
+            v ^= piv[p]
+    return False
+
+
 def mat_inverse_rows(rows: tuple[int, ...] | list[int], n: int) -> tuple[int, ...]:
     """Invert an n x n bit matrix given by row masks; raises on singular input.
 
@@ -271,6 +292,14 @@ def xor_combine(images, mask):
     return out
 
 
+def span_list(images) -> list[int]:
+    """xor_combine(images, m) for every m in [0, 2^len(images)), as a Python list."""
+    t = [0]
+    for img in images:
+        t += [v ^ img for v in t]
+    return t
+
+
 def xor_table(images, dtype=None) -> np.ndarray:
     """Table T of length 2^k with T[m] = XOR of images[i] over the set bits of m.
 
@@ -281,9 +310,7 @@ def xor_table(images, dtype=None) -> np.ndarray:
     if dtype is None:
         dtype = np.uint32 if all(v < (1 << 31) for v in images) else np.uint64
     t = np.empty(1 << k, dtype=dtype)
-    head = [0]  # the first 16 entries in Python: a numpy call costs more below that
-    for img in images[:4]:
-        head += [v ^ img for v in head]
+    head = span_list(images[:4])  # in Python: a numpy call costs more below 16 entries
     h = len(head)
     t[:h] = head
     for img in images[4:]:

@@ -2,13 +2,16 @@
 
 The spectral route decides bijectivity from the adjoint maps alone: the
 composite is a permutation iff ker(L1*) and ker(L2*) meet trivially and every
-product L1*(b)*L2*(b) is a Kloosterman zero.  Both routes work on whole
-truth tables: the two maps of a pair share one packed xor_table pass, the
-adjoints are read through the cached G and G^-1 tables, and products go
-through the sentinel-log tables of gf2n.  linmap.adjoint and
-kernel_intersection stay as the matrix-level oracles.  Exhaustive and
-randomized searches below lean on cheap spectral probes and confirm survivors
-by direct evaluation, so the two routes stay independent.
+product L1*(b)*L2*(b) is a Kloosterman zero.  Both routes first try to
+settle a pair with Python ints: the spectral route by a rank test on the
+columns and the PROBE_BS points, the direct route by the first
+COLLISION_PREFIX values.  Otherwise they work on whole truth tables: the
+two maps of a pair share one packed xor_table pass, the adjoints are read
+through the cached G and G^-1 tables, and products go through the
+sentinel-log tables of gf2n.  Both ways give the same witness.
+linmap.adjoint and kernel_intersection stay as the matrix-level oracles.
+Exhaustive and randomized searches below lean on cheap spectral probes and
+confirm survivors by direct evaluation, so the two routes stay independent.
 """
 from __future__ import annotations
 
@@ -18,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from kspectra.gf2n import FieldCtx, pdeg, xor_combine, xor_table
+from kspectra.gf2n import FieldCtx, pdeg, span_list, spans, xor_combine, xor_table
 from kspectra.linmap import LinMap, adjoint, kernel_dim
 from kspectra.spectra import Spectrum, TruthTable, checked_kloosterman, kloosterman_spectrum
 from kspectra.zerospace import zero_subspace_bound
@@ -26,7 +29,8 @@ from kspectra.zerospace import zero_subspace_bound
 #: fast-reject probe points: the first 8 nonzero field elements
 PROBE_BS = (1, 2, 3, 4, 5, 6, 7, 8)
 
-#: the first-collision scan sorts prefixes of this length, then 8x longer ones
+#: perm_direct scans this many values in Python; the table scan sorts prefixes
+#: of this length, then 8x longer ones
 COLLISION_PREFIX = 64
 
 #: column of the low 32-bit half of a uint64 viewed as two uint32
@@ -125,8 +129,37 @@ def _adjoint_pair_table(ctx: FieldCtx, L1: LinMap, L2: LinMap) -> np.ndarray:
 
 
 def perm_direct(ctx: FieldCtx, L1: LinMap, L2: LinMap) -> PermReport:
-    """Evaluate L1(x^-1) + L2(x) everywhere and test bijectivity."""
+    """Test bijectivity of L1(x^-1) + L2(x), with the first collision as witness.
+
+    The first COLLISION_PREFIX values are scanned in Python first: L2(x)
+    from L2(x & (x - 1)) and the column of x's lowest bit, L1(x^-1) through
+    the spans of L1's low and high column halves.  The first repeat, by
+    first sighting, is the first collision of the whole scan; only when the
+    prefix holds none is the full truth table built.
+    """
+    k = min(COLLISION_PREFIX, ctx.size)
+    h = ctx.n // 2
+    lo, hi = span_list(L1.cols[:h]), span_list(L1.cols[h:])
+    mask = (1 << h) - 1
+    cols2 = L2.cols
+    t2 = [0] * k
+    seen = {0: 0}  # x = 0 maps to 0
+    for x, y in enumerate(ctx.inverse_table()[1:k].tolist(), 1):
+        t = t2[x] = t2[x & (x - 1)] ^ cols2[(x & -x).bit_length() - 1]
+        v = lo[y & mask] ^ hi[y >> h] ^ t
+        if v in seen:
+            return PermReport(False, ("collision", seen[v], x), "direct")
+        seen[v] = x
     return _report_from_values(compose_truth_table(ctx, L1, L2))
+
+
+def _adjoint_at(ctx: FieldCtx, cols, d: int) -> int:
+    """L*(b) = G^-1 * M^T * G*b for the map with columns cols, given d = G*b:
+    bit j of M^T*d is parity(d & cols[j])."""
+    w = 0
+    for c in reversed(cols):
+        w = w << 1 | (d & c).bit_count() & 1
+    return xor_combine(ctx.gram_inv, w)
 
 
 def perm_spectral(ctx: FieldCtx, L1: LinMap, L2: LinMap,
@@ -138,8 +171,19 @@ def perm_spectral(ctx: FieldCtx, L1: LinMap, L2: LinMap,
     ker L1* & ker L2* (linmap.kernel_intersection), which is the smallest
     nonzero b with L1*(b) = L2*(b) = 0: no other element of the subspace has
     that basis vector's leading bit.
+
+    L*(b) = 0 means G*b is orthogonal to every column of L, so the kernels
+    meet trivially exactly when the columns of L1 and L2 together span
+    F_2^n.  Then the PROBE_BS points, evaluated one adjoint bit at a time,
+    settle most pairs before any 2^n table is built.
     """
     spec = checked_kloosterman(ctx, spectrum)
+    if spans(L1.cols + L2.cols, ctx.n):
+        K = spec.data
+        for b in PROBE_BS[:ctx.size - 1]:
+            d = ctx.dualenc(b)
+            if K[ctx.mul(_adjoint_at(ctx, L1.cols, d), _adjoint_at(ctx, L2.cols, d))]:
+                return PermReport(False, ("spectral_b", b), "spectral")
     A = _adjoint_pair_table(ctx, L1, L2)
     b = int(A[1:].argmin()) + 1  # the first zero, if there is one
     if A[b] == 0:
@@ -188,17 +232,16 @@ class SweepReport:
 def _sweep(ctx: FieldCtx) -> tuple[int, list[tuple[int, ...]]]:
     """Scan all matrices of L* column by column.
 
-    Enumerating in adjoint space makes every probe K(b * A(b)) a pair of
-    table lookups; a probe failing at a column prefix rejects the whole
-    subtree at once (every completion fails that same probe), so the count
-    advances by the subtree size.  Survivors are confirmed by direct
+    Enumerating in adjoint space makes every probe K(b * A(b)) one scalar
+    product and one lookup; a probe failing at a column prefix rejects the
+    whole subtree at once (every completion fails that same probe), so the
+    count advances by the subtree size.  Survivors are confirmed by direct
     evaluation of x^-1 + L(x).
     """
     n = ctx.n
     N = ctx.size
     spec = kloosterman_spectrum(ctx)
     kz = [bool(spec.data[a] == 0) for a in range(N)]
-    mul = [[ctx.mul(a, b) for b in range(N)] for a in range(N)]
     inv = [ctx.inv0(x) for x in range(N)]
     probes_at: list[list[int]] = [[] for _ in range(n)]  # probes decided by column pdeg(b)
     for b in PROBE_BS:
@@ -225,7 +268,7 @@ def _sweep(ctx: FieldCtx) -> tuple[int, list[tuple[int, ...]]]:
         tail = N ** (n - 1 - level)
         for c in range(N):
             acols[level] = c
-            if not all(kz[mul[b][xor_combine(acols, b)]] for b in probes_at[level]):  # A(b)
+            if not all(kz[ctx.mul(b, xor_combine(acols, b))] for b in probes_at[level]):  # A(b)
                 checked += tail  # every completion fails this probe
                 continue
             if level == n - 1:
@@ -314,9 +357,9 @@ def search_counterexample(ctx: FieldCtx, mode: str = "random", budget: int = 10*
     found: tuple[LinMap, LinMap] | None = None
     while examined < budget and found is None:
         b_sz = min(batch, budget - examined)
-        c1 = rng.integers(0, N, size=(b_sz, n)).astype(np.uint32)
+        c1 = rng.integers(0, N, size=(b_sz, n), dtype=np.uint32)
         if mode == "random":
-            c2 = rng.integers(0, N, size=(b_sz, n)).astype(np.uint32)
+            c2 = rng.integers(0, N, size=(b_sz, n), dtype=np.uint32)
         else:
             z = zeros.take(rng.integers(0, zeros.size, size=(b_sz, n)))
             c2 = ctx.mul_vec(z, inv.take(c1))

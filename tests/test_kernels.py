@@ -1,7 +1,8 @@
-"""Property tests for the shared kernels: xor-combine, echelon, coordinates,
-constant multiplication, the Walsh-Hadamard butterfly, the table-driven
-permutation kernels (adjoint tables, sentinel-log products, first collision)
-and the CSV block formatter."""
+"""Property tests for the shared kernels: xor-combine, echelon, rank,
+coordinates, constant multiplication, the Walsh-Hadamard butterfly, the
+permutation kernels (adjoint tables, sentinel-log products, first collision,
+the rank-and-probe and 64-point prefix fast checks) and the CSV block
+formatter."""
 
 from functools import lru_cache
 
@@ -18,18 +19,29 @@ from kspectra.gf2n import (
     pmod,
     pmul,
     rref,
+    spans,
     xor_combine,
     xor_table,
 )
-from kspectra.linmap import LinMap, adjoint, kernel_intersection, subspace_from_vectors
+from kspectra.linmap import (
+    LinMap,
+    adjoint,
+    identity_map,
+    kernel_intersection,
+    subspace_from_vectors,
+)
 from kspectra.permcheck import (
+    PermReport,
     _adjoint_pair_table,
     _halves,
     _report_from_values,
     _sorted_scan,
+    compose_truth_table,
+    perm_direct,
     perm_spectral,
+    sweep_inverse_plus_linear,
 )
-from kspectra.spectra import CSV_CHUNK, _csv_block, fwht_inplace
+from kspectra.spectra import CSV_CHUNK, _csv_block, fwht_inplace, kloosterman_spectrum
 
 PROPS = settings(max_examples=150, deadline=None)
 
@@ -87,6 +99,13 @@ def test_nullspace_annihilates_rows_with_complementary_dimension(nr):
     assert len(rref(basis)) == len(basis)
     for v in basis:
         assert all((r & v).bit_count() % 2 == 0 for r in rows)
+
+
+@PROPS
+@given(bit_rows(max_rows=24))
+def test_spans_is_full_rank(nr):
+    n, vecs = nr
+    assert spans(vecs, n) == (len(rref(vecs)) == n)
 
 
 @PROPS
@@ -236,6 +255,86 @@ def test_kernel_witness_is_the_canonical_basis_head(nm, data):
         assert rep.witness == ("kernel_overlap", inter.vectors[0])
     else:
         assert rep.witness is None or rep.witness[0] == "spectral_b"
+
+
+def _spectral_oracle(ctx, L1, L2) -> PermReport:
+    """perm_spectral from linmap.adjoint truth tables and kernel_intersection."""
+    A1, A2 = adjoint(ctx, L1), adjoint(ctx, L2)
+    inter = kernel_intersection(A1, A2)
+    if inter.dim:
+        return PermReport(False, ("kernel_overlap", inter.vectors[0]), "spectral")
+    K = kloosterman_spectrum(ctx).data
+    bad = K.take(ctx.mul_vec(A1.truth_table(), A2.truth_table())).nonzero()[0]
+    if bad.size:
+        return PermReport(False, ("spectral_b", int(bad[0])), "spectral")
+    return PermReport(True, None, "spectral")
+
+
+def _assert_fast_checks_match_tables(ctx, L1, L2):
+    assert perm_direct(ctx, L1, L2) == _report_from_values(compose_truth_table(ctx, L1, L2))
+    assert perm_spectral(ctx, L1, L2) == _spectral_oracle(ctx, L1, L2)
+
+
+@lru_cache(maxsize=None)
+def _sweep4_pairs():
+    """The n = 4 permutations x^-1 + L(x): every probe passes on them."""
+    found = sweep_inverse_plus_linear(_field(4), allow_small=True).permutations_found
+    assert len(found) == 5
+    return tuple((identity_map(4), L) for L in found)
+
+
+@st.composite
+def masked_pairs(draw):
+    """map_pairs with both maps' columns masked: cleared bits keep the images
+    in a proper subspace, so the adjoint kernels then meet."""
+    n, L1, L2 = draw(map_pairs())
+    keep = draw(st.integers(0, (1 << n) - 1))
+    return n, *(LinMap(n, tuple(c & keep for c in L.cols)) for L in (L1, L2))
+
+
+@st.composite
+def structured_pairs(draw):
+    """Pairs drawn as adjoints as in search_counterexample's structured mode:
+    A2(x^i) = z_i / A1(x^i) for nonzero Kloosterman zeros z_i, so the basis
+    probes b = x^i all pass."""
+    n = draw(st.integers(2, 12))
+    ctx = _field(n)
+    zeros = np.flatnonzero(kloosterman_spectrum(ctx).data[1:] == 0) + 1
+    rng = np.random.default_rng(draw(st.integers(0, 2**32)))
+    a1 = rng.integers(1, ctx.size, n).tolist()
+    a2 = [ctx.mul(int(rng.choice(zeros)), ctx.inv0(c)) for c in a1]
+    return n, adjoint(ctx, LinMap(n, tuple(a1))), adjoint(ctx, LinMap(n, tuple(a2)))
+
+
+@st.composite
+def probe_passing_pairs(draw):
+    """Pairs on which every PROBE_BS probe passes, so only the whole-table
+    scan can reject them: one adjoint vanishes on x^0..x^3, hence on every
+    probe point b < 16, and K(0) = 0."""
+    n = draw(st.integers(2, 12))
+    ctx = _field(n)
+    rng = np.random.default_rng(draw(st.integers(0, 2**32)))
+    a = [rng.integers(0, ctx.size, n).tolist() for _ in range(2)]
+    a[draw(st.integers(0, 1))][:4] = [0] * min(n, 4)
+    return n, *(adjoint(ctx, LinMap(n, tuple(c))) for c in a)
+
+
+@PROPS
+@given(st.one_of(map_pairs(), masked_pairs(), structured_pairs(), probe_passing_pairs(),
+                 st.sampled_from(range(5)).map(lambda i: (4, *_sweep4_pairs()[i]))))
+def test_fast_checks_match_whole_tables(nm):
+    n, L1, L2 = nm
+    _assert_fast_checks_match_tables(_field(n), L1, L2)
+
+
+@settings(max_examples=6, deadline=None)
+@given(st.integers(0, 2**32), st.one_of(st.just((1 << 17) - 1), st.integers(0, (1 << 17) - 1)))
+def test_fast_checks_match_whole_tables_n17(seed, keep):
+    # above TABLE_DEGREE the probes multiply by shift-and-reduce
+    cols = np.random.default_rng(seed).integers(0, 1 << 17, 34).tolist()
+    L1 = LinMap(17, tuple(c & keep for c in cols[:17]))
+    L2 = LinMap(17, tuple(cols[17:]))
+    _assert_fast_checks_match_tables(_field(17), L1, L2)
 
 
 @PROPS
