@@ -222,6 +222,36 @@ def test_find_isotropic_subspace():
         find_isotropic_subspace(rec, 4)
 
 
+#: find_isotropic_subspace(restrict_q_to_h(mk_field(n)), max_isotropic_dim).vectors,
+#: captured from the numpy DFS over coordinate masks; at capture every lower
+#: target d returned the first d of these vectors
+ISOTROPIC_BASES = {
+    3: (),
+    4: (0x1, 0x2),
+    5: (0x2,),
+    6: (0x2, 0x4),
+    7: (0x2, 0x4, 0x10),
+    8: (0x1, 0x2, 0x4),
+    9: (0x2, 0x4, 0x8, 0x10),
+    10: (0x2, 0x4, 0x8, 0x100),
+    11: (0x2, 0x4, 0x8, 0x10),
+    12: (0x1, 0x2, 0x4, 0x8, 0x10, 0x400),
+    13: (0x2, 0x4, 0x8, 0x10, 0xaa1),
+    14: (0x2, 0x4, 0x8, 0x10, 0x400, 0x800),
+    15: (0x2, 0x4, 0x8, 0x10, 0x20, 0x40, 0x100),
+    16: (0x1, 0x2, 0x4, 0x8, 0x10, 0x20, 0x5140),
+}
+
+
+@pytest.mark.parametrize("n", sorted(ISOTROPIC_BASES))
+def test_find_isotropic_subspace_pinned(n):
+    rec = restrict_q_to_h(mk_field(n))
+    full = ISOTROPIC_BASES[n]
+    assert max_isotropic_dim(rec) == len(full)
+    for d in range(len(full) + 1):
+        assert find_isotropic_subspace(rec, d).vectors == full[:d]
+
+
 @pytest.mark.parametrize("n", [5, 6, 7, 9, 12])
 def test_find_isotropic_at_max_dim(n):
     rec = restrict_q_to_h(mk_field(n))
