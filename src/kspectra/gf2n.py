@@ -341,16 +341,6 @@ def functional_table(nbits: int, mask: int) -> np.ndarray:
     return xor_table([(mask >> i) & 1 for i in range(nbits)], np.uint8)
 
 
-def parity_fold(arr: np.ndarray) -> np.ndarray:
-    """Elementwise parity of the set bits of an unsigned integer array."""
-    v = arr
-    shift = arr.dtype.itemsize * 4
-    while shift:
-        v = v ^ (v >> shift)
-        shift >>= 1
-    return (v & 1).astype(np.uint8)
-
-
 def _square_byte_tables(n: int, poly: int) -> list[list[int]]:
     """ceil(n/8) lists of 256 entries: table k maps byte k of a to its share of a^2.
 

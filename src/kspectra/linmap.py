@@ -3,6 +3,8 @@
 Maps are stored as tuples of column masks (column i = image of basis
 element x^i); subspaces as reduced-echelon bases with strictly increasing
 leading-bit positions, which makes the representation unique per subspace.
+canonical_search is the one subspace DFS: the largest subspace inside a set,
+for zerospace's searches and quadform's isotropic subspaces.
 """
 from __future__ import annotations
 
@@ -205,22 +207,84 @@ def linearized_coeffs(ctx: FieldCtx, L: LinMap) -> tuple[int, ...]:
     return tuple(rhs[perm[i]] for i in range(n))
 
 
-def canonical_children(pool: np.ndarray):
-    """Yield (v, rest) for each v of a sorted candidate pool of uint32 vectors.
+def _low_masks(n: int) -> list[int]:
+    """LOW[i]: the bitset over F_2^n of the elements with bit i clear."""
+    size = 1 << n
+    out = []
+    for i in range(n):
+        m, width = (1 << (1 << i)) - 1, 2 << i  # 2^i ones, then 2^i zeros
+        while width < size:
+            m |= m << width
+            width <<= 1
+        out.append(m)
+    return out
 
-    rest holds the later candidates that may follow v in a canonical basis:
-    leading bit above v's and v's leading bit clear.  Extending bases only
-    this way visits each subspace exactly once.  Used by
-    quadform.find_isotropic_subspace; the zero-subspace search runs the same
-    enumeration on bitsets (zerospace.max_subspace_in_set).
+
+def _translate(B: int, v: int, low: list[int]) -> int:
+    """The bitset B xor v = {x ^ v : x in B}: one block swap per set bit of v."""
+    while v:
+        s = v & -v  # flipping bit i of every x swaps blocks of s = 2^i elements
+        m = low[s.bit_length() - 1]
+        B = ((B & m) << s) | ((B >> s) & m)
+        v ^= s
+    return B
+
+
+def canonical_search(n: int, members: np.ndarray, *, bound: int | None = None,
+                     node_budget: int | None = None, dualenc=None) -> tuple[list[int], int, bool]:
+    """(basis, nodes visited, truncated): a deepest basis whose nonzero span
+    lies in members, a boolean array over F_2^n (entry 0 is ignored).
+
+    Depth-first canonical extension: a basis is extended only by larger
+    vectors with its last vector's leading bit clear, so each subspace is
+    visited once, in increasing order.  It stops once the basis reaches
+    bound or the node budget runs out.  Sets are Python-int bitsets (bit x
+    set iff x is in the set).  G = {x : x + span in members} is kept with
+    the candidate pool, a subset of G; both are the members minus 0 at the
+    root.  Adding v gives G' = G & (G xor v), a block swap per set bit of v
+    through LOW[i] (a leaf skips it), and the children's pool is the pool
+    above v with v's leading bit clear, meet G xor v and, given dualenc, the
+    hyperplane Tr(x v) = 0.  Memory: the n LOW masks plus a pool and a G per
+    level, each 2^n bits (8 KiB at n = 16).
     """
-    for idx in range(pool.shape[0]):
-        v = int(pool[idx])
-        p = pdeg(v)
-        rest = pool[idx + 1:]
-        rest = rest[(rest >> np.uint32(p + 1)) > 0]
-        rest = rest[((rest >> np.uint32(p)) & 1) == 0]
-        yield v, rest
+    root = int.from_bytes(np.packbits(members, bitorder="little").tobytes(), "little") & ~1
+    low = _low_masks(n)
+
+    best: list[int] = []
+    nodes = 0
+    truncated = False
+
+    def dfs(basis: list[int], G: int, pool: int) -> bool:
+        """Search below basis; True once the search must stop."""
+        nonlocal best, nodes, truncated
+        if len(basis) > len(best):
+            best = basis
+        if bound is not None and len(best) >= bound:
+            return True
+        while pool:
+            if node_budget is not None and nodes >= node_budget:
+                truncated = True
+                return True
+            nodes += 1
+            bit = pool & -pool
+            pool ^= bit  # now only elements above v: leading bit >= v's
+            v = bit.bit_length() - 1
+            rest = pool & low[v.bit_length() - 1]
+            if rest:
+                Gv = _translate(G, v, low)
+                rest &= Gv
+                if dualenc is not None and rest:
+                    # XOR of LOW[i] over the set bits i of d: the x with
+                    # parity(x & d) != parity(d), the hyperplane iff d is odd
+                    d = dualenc(v)
+                    h = xor_combine(low, d)
+                    rest &= h if d.bit_count() & 1 else ~h
+            if dfs(basis + [v], G & Gv if rest else 0, rest):  # a leaf needs no G
+                return True
+        return False
+
+    dfs([], root, root)
+    return best, nodes, truncated
 
 
 def random_map(rng: np.random.Generator, n: int) -> LinMap:

@@ -4,7 +4,8 @@ The form q(x) = sum_{0<=i<j<n} x^(2^i+2^j) takes values in F_2 (it is the
 x^(n-2) coefficient of the characteristic polynomial) and polarizes to
 B(x,y) = Tr(xy) + Tr(x)Tr(y).  Restrictions to subspaces are tabulated with
 an xor-doubling pass driven by basis values and the polarization, classified
-by zero counting, and searched for totally isotropic subspaces.
+by zero counting, and searched for totally isotropic subspaces with
+linmap.canonical_search, the subspace DFS the zero-set searches also run.
 """
 from __future__ import annotations
 
@@ -12,8 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from kspectra.gf2n import FieldCtx, functional_table, nullspace_rows, parity_fold, rref, xor_combine
-from kspectra.linmap import SubspaceBasis, canonical_children, orthogonal_complement, subspace_from_vectors
+from kspectra.gf2n import FieldCtx, functional_table, nullspace_rows, rref, xor_combine
+from kspectra.linmap import SubspaceBasis, canonical_search, orthogonal_complement, subspace_from_vectors
 
 HYPERBOLIC = "hyperbolic"
 PARABOLIC = "parabolic"
@@ -266,31 +267,19 @@ def expected_h_zero_count(n: int) -> int:
 def find_isotropic_subspace(qf: QuadFormRec, target_dim: int) -> SubspaceBasis:
     """A totally isotropic subspace of the requested dimension.
 
-    Greedy extension with backtracking over coordinate masks in increasing
-    encoded order: a candidate must vanish under f and be B-orthogonal to the
-    current basis, which makes the whole span isotropic.  Deterministic.
+    linmap.canonical_search over the zeros of f, by coordinate mask, stopped
+    at the first basis of target_dim vectors.  For isotropic span and
+    f(c) = 0, f(c + s) = f(s) + B(c, s), so c + span stays among the zeros
+    exactly when c is B-orthogonal to the span: every span found is totally
+    isotropic.  Deterministic.
     """
     if target_dim < 0 or target_dim > max_isotropic_dim(qf):
         raise ValueError(
             f"target {target_dim} exceeds the maximal isotropic dimension "
             f"{max_isotropic_dim(qf)}"
         )
-    cands = np.flatnonzero(qf.eval == 0).astype(np.uint32)[1:]  # drop 0
-
-    def dfs(chosen: list[int], pool: np.ndarray):
-        if len(chosen) == target_dim:
-            return chosen
-        for v, rest in canonical_children(pool):
-            bv = xor_combine(qf.bmat, v)  # bmat is symmetric: B(., v) as a mask
-            if bv:
-                rest = rest[parity_fold(rest & np.uint32(bv)) == 0]
-            got = dfs(chosen + [v], rest)
-            if got is not None:
-                return got
-        return None
-
-    got = dfs([], cands)
-    if got is None:
+    got, _, _ = canonical_search(qf.m, qf.eval == 0, bound=target_dim)
+    if len(got) < target_dim:
         raise AssertionError("isotropic search failed below the proven bound")
     basis = subspace_from_vectors(qf.n, [qf.embed(c) for c in got])
     domain = SubspaceBasis(qf.n, qf.basis)

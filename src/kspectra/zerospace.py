@@ -1,12 +1,11 @@
 """Subspaces inside the Kloosterman-zero and mod-16 sets: bounds and searches.
 
-The search enumerates subspaces by their unique reduced-echelon basis in
-increasing leading-bit order, so each subspace is visited exactly once and
-node counts are reproducible.  It runs on Python-int bitsets over F_2^n: for
-the span of the current basis it keeps G = {x : x + span in S}, and adding v
-to the basis intersects G with its translate G xor v (a block swap per set
-bit of v).  Candidates outside G, and optionally those not trace-orthogonal
-to v, are pruned.  The bitsets take about (n + 2 * depth) * 2^n / 8 bytes.
+The searches run linmap.canonical_search, the one subspace DFS, which
+quadform.find_isotropic_subspace also runs.  It enumerates subspaces by
+their unique reduced-echelon basis in increasing leading-bit order, so each
+subspace is visited exactly once and node counts are reproducible, on
+Python-int bitsets over F_2^n that take about (n + 2 * depth) * 2^n / 8
+bytes.  Candidates not trace-orthogonal to the basis can also be pruned.
 """
 from __future__ import annotations
 
@@ -14,8 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from kspectra.gf2n import FieldCtx, xor_combine
-from kspectra.linmap import SubspaceBasis, orthogonal_complement, subspace_from_vectors
+from kspectra.gf2n import FieldCtx
+from kspectra.linmap import SubspaceBasis, canonical_search, orthogonal_complement, subspace_from_vectors
 from kspectra.quadform import q_table
 from kspectra.spectra import Spectrum, checked_kloosterman, kloosterman_spectrum, kloosterman_zeros
 
@@ -88,31 +87,6 @@ class ZeroSpaceReport:
         }
 
 
-def _low_masks(n: int) -> list[int]:
-    """LOW[i]: the bitset over F_2^n of the elements with bit i clear."""
-    size = 1 << n
-    out = []
-    for i in range(n):
-        m, width = (1 << (1 << i)) - 1, 2 << i  # 2^i ones, then 2^i zeros
-        while width < size:
-            m |= m << width
-            width <<= 1
-        out.append(m)
-    return out
-
-
-def _translate(B: int, v: int, low: list[int]) -> int:
-    """The bitset B xor v = {x ^ v : x in B}: one block swap per set bit of v."""
-    i = 0
-    while v:
-        if v & 1:
-            s, m = 1 << i, low[i]
-            B = ((B & m) << s) | ((B >> s) & m)
-        v >>= 1
-        i += 1
-    return B
-
-
 def max_subspace_in_set(
     ctx: FieldCtx,
     S,
@@ -124,65 +98,18 @@ def max_subspace_in_set(
 ) -> ZeroSpaceReport:
     """Maximum-dimension subspace whose nonzero elements all lie in S.
 
-    Depth-first canonical extension; 0 is handled implicitly (membership is
-    only required of nonzero span elements).  Stops early once the supplied
-    bound is attained (it cannot be beaten); a node budget yields a
-    non-exhaustive report instead.
-
-    Sets are Python-int bitsets over F_2^n (bit x set iff x is in the set).
-    With span the span of the current basis, G = {x : x + span in S} is kept
-    alongside the candidate pool, a subset of G; both are S minus 0 at the
-    root.  Adding v gives G' = G & (G xor v), and the children's pool is the
-    pool's elements above v with v's leading bit clear, meet G xor v (and,
-    with prune_isotropic, the hyperplane Tr(x v) = 0).  The translation
-    G xor v is a block swap per set bit of v through LOW[i], the elements
-    with bit i clear; a leaf skips it.  Children are taken in increasing
-    order, so nodes, counts and bases are those of the canonical
-    enumeration.  Memory: the n LOW masks plus a pool and a G per level,
-    each 2^n bits (8 KiB at n = 16), far below the spectrum S comes from.
+    Runs linmap.canonical_search.  Stops early once the supplied bound is
+    attained (it cannot be beaten); a node budget yields a non-exhaustive
+    report instead.  prune_isotropic keeps trace-orthogonal bases only.
     """
     if not isinstance(S, np.ndarray):
         S = np.array([int(s) for s in S], dtype=np.intp)
     mask = np.zeros(ctx.size, dtype=bool)
     mask[S] = True
-    mask[0] = False
-    root = int.from_bytes(np.packbits(mask, bitorder="little").tobytes(), "little")
-    low = _low_masks(ctx.n)
-
-    best: list[int] = []
-    nodes = 0
-    truncated = stop = False
-
-    def dfs(basis: list[int], G: int, pool: int) -> None:
-        nonlocal best, nodes, truncated, stop
-        if len(basis) > len(best):
-            best = basis
-            if bound is not None and len(basis) >= bound:
-                stop = True
-                return
-        while pool:
-            if node_budget is not None and nodes >= node_budget:
-                truncated = True
-                return
-            nodes += 1
-            bit = pool & -pool
-            pool ^= bit  # now only elements above v: leading bit >= v's
-            v = bit.bit_length() - 1
-            rest = pool & low[v.bit_length() - 1]
-            if rest:
-                Gv = _translate(G, v, low)
-                rest &= Gv
-                if prune_isotropic and rest:
-                    # XOR of LOW[i] over the set bits i of d: the x with
-                    # parity(x & d) != parity(d), the hyperplane iff d is odd
-                    d = ctx.dualenc(v)
-                    h = xor_combine(low, d)
-                    rest &= h if d.bit_count() & 1 else ~h
-            dfs(basis + [v], G & Gv if rest else 0, rest)  # a leaf needs no G
-            if stop or truncated:
-                return
-
-    dfs([], root, root)
+    best, nodes, truncated = canonical_search(
+        ctx.n, mask, bound=bound, node_budget=node_budget,
+        dualenc=ctx.dualenc if prune_isotropic else None,
+    )
     best_basis = subspace_from_vectors(ctx.n, best)
     return ZeroSpaceReport(
         n=ctx.n,

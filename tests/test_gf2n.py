@@ -10,7 +10,6 @@ from kspectra.gf2n import (
     ReduciblePolynomialError,
     functional_table,
     mk_field,
-    parity_fold,
     pdeg,
     pmod,
     psquare,
@@ -267,8 +266,6 @@ def test_xor_and_functional_tables():
     f = functional_table(4, 0b1010)
     for m in range(16):
         assert int(f[m]) == (m & 0b1010).bit_count() & 1
-    arr = np.arange(64, dtype=np.uint32)
-    assert np.array_equal(parity_fold(arr), np.array([(v).bit_count() & 1 for v in range(64)], dtype=np.uint8))
 
 
 def test_frobenius_table():

@@ -7,8 +7,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from kspectra.gf2n import mk_field, xor_table
+from kspectra.gf2n import mk_field, xor_combine, xor_table
 from kspectra.linmap import random_subspace, subspace_from_vectors
+from kspectra.quadform import find_isotropic_subspace, max_isotropic_dim, restrict
 from kspectra.spectra import kloosterman_spectrum, kloosterman_zeros
 from kspectra.zerospace import (
     max_mod16_subspace,
@@ -70,6 +71,8 @@ def test_search_trivial_sets():
     ctx6 = mk_field(6)
     rep6 = max_subspace_in_set(ctx6, range(1, 64), bound=6)
     assert rep6.best_dim == 6 and rep6.exhaustive
+    rep4 = max_subspace_in_set(mk_field(4), range(1, 16), bound=0)  # met at the root
+    assert (rep4.best_dim, rep4.nodes_visited) == (0, 0)
 
 
 def test_zero_subspace_known_dims():
@@ -228,7 +231,7 @@ def test_search_matches_brute_force(cs, data):
     assert rep.exhaustive and rep.nodes_visited == len(inside)
     assert rep.best_dim == top
     assert {int(x) for x in rep.best_basis.span()} - {0} <= S
-    b = data.draw(st.integers(1, ctx.n))
+    b = data.draw(st.integers(0, ctx.n))
     assert max_subspace_in_set(ctx, S, bound=b).best_dim == min(b, top)
 
 
@@ -244,3 +247,22 @@ def test_pruned_search_counts_isotropic_subspaces(cs):
     rep = max_subspace_in_set(ctx, S, prune_isotropic=True)
     assert rep.nodes_visited == len(iso)
     assert rep.best_dim == max((dim_of(V) for V in iso), default=0)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(2, 6).flatmap(
+    lambda m: st.lists(st.integers(0, (1 << m) - 1), min_size=m, max_size=m)))
+def test_isotropic_search_on_random_forms(ucols):
+    # f(x) = x^T U x on the whole of F_2^m, U given by its columns
+    m = len(ucols)
+    def f(x):
+        return (x & xor_combine(ucols, x)).bit_count() & 1
+    qf = restrict(mk_field(m), f, subspace_from_vectors(m, [1 << i for i in range(m)]))
+    top = max_isotropic_dim(qf)
+    for d in range(top + 1):
+        W = find_isotropic_subspace(qf, d)
+        assert W.dim == d and not any(f(int(x)) for x in W.span())
+    zeros = {x for x in range(1 << m) if not f(x)}
+    assert top == max((dim_of(V) for V in all_subspaces(m) if V <= zeros), default=0)
+    with pytest.raises(ValueError):
+        find_isotropic_subspace(qf, top + 1)
