@@ -59,6 +59,13 @@ def _json(obj) -> str:
     return json.dumps(obj, indent=2)
 
 
+def _positive_int(text: str) -> int:
+    """argparse type for --budget and --samples: a count of at least 1."""
+    if int(text) < 1:
+        raise argparse.ArgumentTypeError(f"expected a positive integer, got {text}")
+    return int(text)
+
+
 def _ctx(args):
     poly = int(args.poly, 0) if getattr(args, "poly", None) else None
     return mk_field(args.n, poly)
@@ -402,7 +409,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--set", default="zeros", choices=["zeros", "mod16"])
     sp.add_argument("--no-prune", action="store_true",
                     help="disable the trace-orthogonality pruning")
-    sp.add_argument("--budget", type=int, help="node budget (non-exhaustive report)")
+    sp.add_argument("--budget", type=_positive_int, help="node budget (non-exhaustive report)")
     sp.set_defaults(func=cmd_zerospace)
 
     sp = sub.add_parser("qform", help="invariants of the hyperplane quadratic form")
@@ -420,7 +427,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--side", required=True, choices=["left", "right"])
     sp.add_argument("--from", dest="start", type=int, required=True)
     sp.add_argument("--to", dest="end", type=int, required=True)
-    sp.add_argument("--budget", type=int)
+    sp.add_argument("--budget", type=_positive_int)
     sp.add_argument("--out")
     sp.set_defaults(func=cmd_table1)
 
@@ -429,8 +436,8 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--from", dest="start", type=int)
     sp.add_argument("--to", dest="end", type=int)
     sp.add_argument("--seed", type=int, default=0)
-    sp.add_argument("--budget", type=int)
-    sp.add_argument("--samples", type=int)
+    sp.add_argument("--budget", type=_positive_int)
+    sp.add_argument("--samples", type=_positive_int)
     sp.add_argument("--out")
     sp.set_defaults(func=cmd_verify)
 

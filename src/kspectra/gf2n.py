@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import lru_cache, wraps
 
 import numpy as np
 
@@ -360,6 +360,28 @@ def _square(tables: list[list[int]], a: int) -> int:
     return sq
 
 
+def memo(build):
+    """Cache build(ctx, *args) in ctx._cache, keyed by its name (and args).
+
+    Cached ndarrays, alone or in a tuple, are made read-only, since every
+    caller shares them.  Without args a hit is one dict lookup under a
+    string key: ctx.mul pays it on every call.
+    """
+    name = build.__name__
+
+    @wraps(build)
+    def cached(ctx, *args):
+        key = (name, *args) if args else name
+        hit = ctx._cache.get(key)
+        if hit is None:
+            hit = ctx._cache[key] = build(ctx, *args)
+            for a in hit if isinstance(hit, tuple) else (hit,):
+                if isinstance(a, np.ndarray):
+                    a.flags.writeable = False
+        return hit
+    return cached
+
+
 # ---------------------------------------------------------------------------
 # Field context
 # ---------------------------------------------------------------------------
@@ -456,13 +478,12 @@ class FieldCtx:
 
     # -- cached tables --------------------------------------------------------
 
+    @memo
     def _square_tables(self) -> list[list[int]]:
-        """The cached _square_byte_tables of this field, for sqr and subfield_elements."""
-        tabs = self._cache.get("square")
-        if tabs is None:
-            tabs = self._cache["square"] = _square_byte_tables(self.n, self.poly)
-        return tabs
+        """The _square_byte_tables of this field, for sqr and subfield_elements."""
+        return _square_byte_tables(self.n, self.poly)
 
+    @memo
     def _mul_tables(self) -> tuple[np.ndarray, np.ndarray]:
         """Sentinel-log tables (ext, log) with a*b = ext[log[a] + log[b]], zeros included.
 
@@ -473,34 +494,27 @@ class FieldCtx:
         for fancy indexing on 2^10 uint32 indices (1.0 against 1.9 ms on
         163840).
         """
-        tabs = self._cache.get("mul")
-        if tabs is None:
-            exp, log = self.exp_log_tables()
-            N1 = self.size - 1
-            ext = np.zeros(4 * N1 + 1, dtype=exp.dtype)
-            ext[:N1] = ext[N1:2 * N1] = exp
-            log = log.copy()
-            log[0] = 2 * N1
-            tabs = self._cache["mul"] = (ext, log)
-        return tabs
+        exp, log = self.exp_log_tables()
+        N1 = self.size - 1
+        ext = np.zeros(4 * N1 + 1, dtype=exp.dtype)
+        ext[:N1] = ext[N1:2 * N1] = exp
+        log = log.copy()
+        log[0] = 2 * N1
+        return ext, log
 
+    @memo
     def _scalar_tables(self) -> tuple[list[int], list[int]]:
         """_mul_tables as Python lists, for scalar products."""
-        tabs = self._cache.get("scalar")
-        if tabs is None:
-            ext, log = self._mul_tables()
-            tabs = self._cache["scalar"] = (ext.tolist(), log.tolist())
-        return tabs
+        ext, log = self._mul_tables()
+        return ext.tolist(), log.tolist()
 
+    @memo
     def _generator(self) -> int:
-        g = self._cache.get("generator")
-        if g is None:
-            N1 = self.size - 1
-            qs = _prime_factors(N1)
-            g = 2
-            while any(self.pow(g, N1 // q) == 1 for q in qs):
-                g += 1
-            self._cache["generator"] = g
+        N1 = self.size - 1
+        qs = _prime_factors(N1)
+        g = 2
+        while any(self.pow(g, N1 // q) == 1 for q in qs):
+            g += 1
         return g
 
     def mulx_vec(self, arr: np.ndarray) -> np.ndarray:
@@ -522,6 +536,7 @@ class FieldCtx:
         mask = (1 << self.n) - 1
         return [(packed >> (self.n * i)) & mask for i in range(self.n)]
 
+    @memo
     def _mul_image_tables(self, dual: bool) -> list[list[int]]:
         """ceil(n/8) lists of 256 packed _mul_images: table k holds those of
         the constants whose set bits lie in byte k.
@@ -530,19 +545,14 @@ class FieldCtx:
         row i of gram_inv (G is symmetric), so the dual images are
         G*(c*gram_inv[i]), combined from the polynomial ones.
         """
-        key = "dual_images" if dual else "poly_images"
-        tabs = self._cache.get(key)
-        if tabs is None:
-            n = self.n
-            packed = []
-            for j in range(n):
-                imgs = [pmod(1 << (i + j), self.poly) for i in range(n)]
-                if dual:
-                    imgs = [self.dualenc(xor_combine(imgs, col)) for col in self.gram_inv]
-                packed.append(sum(v << (n * i) for i, v in enumerate(imgs)))
-            tabs = self._cache[key] = [xor_table(packed[k:k + 8], object).tolist()
-                                       for k in range(0, n, 8)]
-        return tabs
+        n = self.n
+        packed = []
+        for j in range(n):
+            imgs = [pmod(1 << (i + j), self.poly) for i in range(n)]
+            if dual:
+                imgs = [self.dualenc(xor_combine(imgs, col)) for col in self.gram_inv]
+            packed.append(sum(v << (n * i) for i, v in enumerate(imgs)))
+        return [xor_table(packed[k:k + 8], object).tolist() for k in range(0, n, 8)]
 
     def power_blocks(self, dual: bool = False):
         """Yield (a, fwd, mir) with fwd[k] = C*g^(a+k) and mir[k] = C*g^-(a+k).
@@ -587,70 +597,47 @@ class FieldCtx:
             exp[N1 - a - mir.size + 1:N1 - a + 1] = mir[::-1]
         return exp[:N1]
 
+    @memo
     def exp_log_tables(self) -> tuple[np.ndarray, np.ndarray]:
         """Numpy exp table and uint32 log table (log[0] = 0 is a placeholder).
 
         The log table costs 4 bytes per element and is built only here, on
         first use; the spectrum and inverse_table walk power_blocks instead.
         """
-        tabs = self._cache.get("exp_log")
-        if tabs is None:
-            exp = self._exp_table()
-            log = np.zeros(self.size, dtype=np.uint32)
-            log[exp] = np.arange(self.size - 1, dtype=np.uint32)
-            tabs = (exp, log)
-            self._cache["exp_log"] = tabs
-        return tabs
+        exp = self._exp_table()
+        log = np.zeros(self.size, dtype=np.uint32)
+        log[exp] = np.arange(self.size - 1, dtype=np.uint32)
+        return exp, log
 
+    @memo
     def inverse_table(self) -> np.ndarray:
         """Table of inv0(x) for every x: inv[g^j] = g^-j, block by block from
         power_blocks, so no exp table is built."""
-        inv = self._cache.get("inverse")
-        if inv is None:
-            inv = np.zeros(self.size, dtype=elem_dtype(self.n))
-            for _, fwd, mir in self.power_blocks():
-                inv[fwd] = mir
-                inv[mir] = fwd
-            inv.flags.writeable = False
-            self._cache["inverse"] = inv
+        inv = np.zeros(self.size, dtype=elem_dtype(self.n))
+        for _, fwd, mir in self.power_blocks():
+            inv[fwd] = mir
+            inv[mir] = fwd
         return inv
 
+    @memo
     def trace_table(self) -> np.ndarray:
-        t = self._cache.get("trace")
-        if t is None:
-            t = functional_table(self.n, self.trace_mask)
-            t.flags.writeable = False
-            self._cache["trace"] = t
-        return t
+        return functional_table(self.n, self.trace_mask)
 
+    @memo
     def dualenc_table(self) -> np.ndarray:
         """Table of G*x: coordinates of x in the dual basis, so that
         Tr(x*y) = parity(dualenc(x) & y)."""
-        t = self._cache.get("dualenc")
-        if t is None:
-            t = xor_table(self.gram, elem_dtype(self.n))  # G is symmetric
-            t.flags.writeable = False
-            self._cache["dualenc"] = t
-        return t
+        return xor_table(self.gram, elem_dtype(self.n))  # G is symmetric
 
+    @memo
     def ginv_table(self) -> np.ndarray:
         """Table of G^-1*x, the inverse of dualenc_table: the element whose
         dual-basis coordinates are x."""
-        t = self._cache.get("ginv")
-        if t is None:
-            t = xor_table(self.gram_inv, elem_dtype(self.n))  # G^-1 is symmetric
-            t.flags.writeable = False
-            self._cache["ginv"] = t
-        return t
+        return xor_table(self.gram_inv, elem_dtype(self.n))  # G^-1 is symmetric
 
+    @memo
     def frobenius_table(self) -> np.ndarray:
-        t = self._cache.get("frobenius")
-        if t is None:
-            cols = [self.sqr(1 << i) for i in range(self.n)]
-            t = xor_table(cols, elem_dtype(self.n))
-            t.flags.writeable = False
-            self._cache["frobenius"] = t
-        return t
+        return xor_table([self.sqr(1 << i) for i in range(self.n)], elem_dtype(self.n))
 
     def dualenc(self, x: int) -> int:
         """G*x as a scalar: Tr(x*y) = parity(dualenc(x) & y)."""

@@ -176,35 +176,20 @@ def invert_map(L: LinMap) -> LinMap:
 
 
 def linearized_coeffs(ctx: FieldCtx, L: LinMap) -> tuple[int, ...]:
-    """Solve for c_0..c_{n-1} with L(x) = sum c_i x^(2^i).
+    """The unique c_0..c_{n-1} with L(x) = sum c_i x^(2^i).
 
-    Gaussian elimination over the field on the system given by the images of
-    the polynomial basis; every linear map has exactly one such expression.
+    With d_j the dual basis, x = sum_j Tr(x d_j) x^j, so
+    L(x) = sum_i x^(2^i) sum_j L(x^j) d_j^(2^i): c_i = sum_j L(x^j) d_j^(2^i).
     """
-    n = ctx.n
-    # A[j][i] = (x^j)^(2^i), rhs[j] = L(x^j)
-    A = [[0] * n for _ in range(n)]
-    for j in range(n):
-        b = 1 << j
-        for i in range(n):
-            A[j][i] = b
-            b = ctx.sqr(b)
-    rhs = [L(1 << j) for j in range(n)]
-    perm = list(range(n))
-    for col in range(n):
-        piv = next(r for r in range(col, n) if A[perm[r]][col] != 0)
-        perm[col], perm[piv] = perm[piv], perm[col]
-        pr = perm[col]
-        inv = ctx.inv0(A[pr][col])
-        A[pr] = [ctx.mul(inv, v) for v in A[pr]]
-        rhs[pr] = ctx.mul(inv, rhs[pr])
-        for r in range(n):
-            tr_ = perm[r]
-            if tr_ != pr and A[tr_][col] != 0:
-                f = A[tr_][col]
-                A[tr_] = [v ^ ctx.mul(f, w) for v, w in zip(A[tr_], A[pr])]
-                rhs[tr_] ^= ctx.mul(f, rhs[pr])
-    return tuple(rhs[perm[i]] for i in range(n))
+    d = ctx.dual_basis
+    coeffs = []
+    for _ in range(ctx.n):
+        c = 0
+        for img, dj in zip(L.cols, d):
+            c ^= ctx.mul(img, dj)
+        coeffs.append(c)
+        d = [ctx.sqr(v) for v in d]
+    return tuple(coeffs)
 
 
 def _low_masks(n: int) -> list[int]:
@@ -322,17 +307,24 @@ def map_to_json(ctx: FieldCtx, L: LinMap, with_linearized: bool = True) -> dict:
 
 
 def map_from_json(ctx: FieldCtx, obj: dict) -> LinMap:
-    n = int(obj["n"])
+    """The map of a {n, matrix_rows, linearized} object; ValueError on any other shape."""
+    def as_int(v):
+        return int(v, 0) if isinstance(v, str) else int(v)
+    try:
+        n = int(obj["n"])
+        rows = [as_int(r) for r in obj["matrix_rows"]]
+        lin = obj.get("linearized")
+        coeffs = None if lin is None else [as_int(c) for c in lin]
+    except (KeyError, TypeError):
+        raise ValueError("a map must be a JSON object {n, matrix_rows, linearized}") from None
     if n != ctx.n:
         raise ValueError(f"map degree {n} does not match field degree {ctx.n}")
-    rows = [int(r, 0) if isinstance(r, str) else int(r) for r in obj["matrix_rows"]]
     if len(rows) != n or any(r >> n for r in rows):
         raise ValueError("matrix_rows must be n masks of n bits")
     L = from_matrix_rows(n, rows)
-    lin = obj.get("linearized")
-    if lin is not None:
-        coeffs = [int(c, 0) if isinstance(c, str) else int(c) for c in lin]
-        M = from_linearized(ctx, coeffs)
-        if M.cols != L.cols:  # checked on a basis by construction
+    if coeffs is not None:
+        if any(not 0 <= c < ctx.size for c in coeffs):
+            raise ValueError("linearized coefficients must be field elements")
+        if from_linearized(ctx, coeffs).cols != L.cols:  # checked on a basis by construction
             raise ValueError("matrix and linearized coefficients disagree")
     return L

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from kspectra.gf2n import FieldCtx, pdeg, span_list, spans, xor_combine, xor_table
-from kspectra.linmap import LinMap, adjoint, kernel_dim
+from kspectra.linmap import LinMap, adjoint, identity_map, kernel_dim
 from kspectra.spectra import Spectrum, TruthTable, checked_kloosterman, kloosterman_spectrum
 from kspectra.zerospace import zero_subspace_bound
 
@@ -35,10 +35,6 @@ COLLISION_PREFIX = 64
 
 #: column of the low 32-bit half of a uint64 viewed as two uint32
 _LOW = 0 if sys.byteorder == "little" else 1
-
-#: bit positions and their weights, for _rows
-_SHIFTS = np.arange(32, dtype=np.uint32)
-_POWERS = np.uint32(1) << _SHIFTS
 
 
 @dataclass(frozen=True)
@@ -109,14 +105,6 @@ def compose_truth_table(ctx: FieldCtx, L1: LinMap, L2: LinMap) -> np.ndarray:
     return T1.take(ctx.inverse_table()) ^ T2
 
 
-def _rows(ctx: FieldCtx, L1: LinMap, L2: LinMap) -> np.ndarray:
-    """Row masks of both matrices, shape (2, n): row i holds bit i of every column."""
-    shifts = _SHIFTS[:ctx.n]
-    cols = np.array((L1.cols, L2.cols), dtype=np.uint32)
-    bits = (cols[:, None, :] >> shifts[:, None]) & np.uint32(1)  # [k, i, j]: bit i of column j
-    return bits @ _POWERS[:ctx.n]
-
-
 def _adjoint_pair_table(ctx: FieldCtx, L1: LinMap, L2: LinMap) -> np.ndarray:
     """_pair_table of L1* and L2*: entry enc(b) packs L1*(b) and L2*(b).
 
@@ -124,7 +112,7 @@ def _adjoint_pair_table(ctx: FieldCtx, L1: LinMap, L2: LinMap) -> np.ndarray:
     whose columns are G^-1 applied to the rows of M; linmap.adjoint is the
     matrix-level oracle.
     """
-    cols1, cols2 = ctx.ginv_table()[_rows(ctx, L1, L2)].tolist()
+    cols1, cols2 = ctx.ginv_table()[[L1.rows, L2.rows]].tolist()
     return _pair_table(cols1, cols2).take(ctx.dualenc_table())
 
 
@@ -235,32 +223,27 @@ def _sweep(ctx: FieldCtx) -> tuple[int, list[tuple[int, ...]]]:
     Enumerating in adjoint space makes every probe K(b * A(b)) one scalar
     product and one lookup; a probe failing at a column prefix rejects the
     whole subtree at once (every completion fails that same probe), so the
-    count advances by the subtree size.  Survivors are confirmed by direct
-    evaluation of x^-1 + L(x).
+    count advances by the subtree size.  Survivors are confirmed by
+    perm_direct on x^-1 + L(x), i.e. L1 = identity.
     """
     n = ctx.n
     N = ctx.size
     spec = kloosterman_spectrum(ctx)
     kz = [bool(spec.data[a] == 0) for a in range(N)]
-    inv = [ctx.inv0(x) for x in range(N)]
     probes_at: list[list[int]] = [[] for _ in range(n)]  # probes decided by column pdeg(b)
     for b in PROBE_BS:
         if b < N:
             probes_at[pdeg(b)].append(b)
-    full = (1 << N) - 1
     checked = 0
     found: list[tuple[int, ...]] = []
     acols = [0] * n
+    ident = identity_map(n)
 
     def confirm() -> None:
         nonlocal checked
         checked += 1
-        A = LinMap(n, tuple(acols))
-        L = adjoint(ctx, A)  # involution: A is exactly L*
-        seen = 0
-        for x in range(N):
-            seen |= 1 << (inv[x] ^ L(x))
-        if seen == full:
+        L = adjoint(ctx, LinMap(n, tuple(acols)))  # involution: acols are exactly L*
+        if perm_direct(ctx, ident, L).is_perm:
             found.append(L.cols)
 
     def rec(level: int) -> None:

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from kspectra.gf2n import FieldCtx, functional_table, nullspace_rows, rref, xor_combine
+from kspectra.gf2n import FieldCtx, functional_table, memo, nullspace_rows, rref, xor_combine
 from kspectra.linmap import SubspaceBasis, canonical_search, orthogonal_complement, subspace_from_vectors
 
 HYPERBOLIC = "hyperbolic"
@@ -78,18 +78,14 @@ def bilinear_eval(ctx: FieldCtx, x: int, y: int) -> int:
     return ctx.trace(ctx.mul(x, y)) ^ (ctx.trace(x) & ctx.trace(y))
 
 
+@memo
 def q_table(ctx: FieldCtx) -> np.ndarray:
     """q on the whole field as uint8, built by the polarization doubling pass."""
-    t = ctx._cache.get("q_table")
-    if t is None:
-        n = ctx.n
-        qb = [_q_by_traces(ctx, 1 << i) for i in range(n)]
-        tr = ctx.trace_mask
-        masks = [ctx.gram[i] ^ (tr if (tr >> i) & 1 else 0) for i in range(n)]
-        t = _form_table(n, qb, masks)
-        t.flags.writeable = False
-        ctx._cache["q_table"] = t
-    return t
+    n = ctx.n
+    qb = [_q_by_traces(ctx, 1 << i) for i in range(n)]
+    tr = ctx.trace_mask
+    masks = [ctx.gram[i] ^ (tr if (tr >> i) & 1 else 0) for i in range(n)]
+    return _form_table(n, qb, masks)
 
 
 def hyperplane_H(ctx: FieldCtx) -> SubspaceBasis:

@@ -117,6 +117,34 @@ def test_usage_errors(capsys):
     assert exc.value.code == 2
 
 
+@pytest.mark.parametrize("argv", [
+    ["verify", "--theorem", "perm-search", "--budget", "-1"],
+    ["verify", "--theorem", "perm-search", "--budget", "0"],
+    ["verify", "--theorem", "spectral-vs-direct", "--samples", "-1"],
+    ["verify", "--theorem", "subspace-sum-identity", "--samples", "0"],
+    ["zerospace", "--n", "6", "--budget", "0"],
+    ["table1", "--side", "right", "--from", "5", "--to", "6", "--budget", "-3"],
+])
+def test_nonpositive_budget_or_samples_is_a_usage_error(capsys, argv):
+    # no vacuous "ok": a count below 1 is refused before any check runs
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert "positive integer" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("l1", ['{"n": 5}', "[1, 2]",
+                                '{"n": 5, "matrix_rows": 5}',
+                                '{"n": 5, "matrix_rows": ["0x1", "0x2", "0x4", "0x8", "0x10"], '
+                                '"linearized": 5}'],
+                         ids=["no-rows", "list", "int-rows", "int-linearized"])
+def test_permcheck_malformed_map_is_a_usage_error(capsys, l1):
+    l2 = json.dumps(map_to_json(mk_field(5), zero_map(5)))
+    code = main(["permcheck", "--n", "5", "--l1", l1, "--l2", l2])
+    assert code == 2
+    assert capsys.readouterr().err.startswith("error: ")
+
+
 def test_out_file(tmp_path, capsys):
     path = tmp_path / "spec.csv"
     code, _ = run_cli(capsys, "spectrum", "--n", "4", "--out", str(path))

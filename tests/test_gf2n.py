@@ -275,6 +275,25 @@ def test_frobenius_table():
         assert int(frob[a]) == ctx.sqr(a)
 
 
+def test_cached_tables_are_read_only():
+    """Every memoized accessor hands out shared objects, so its arrays must be frozen."""
+    from kspectra.quadform import q_table
+
+    ctx = mk_field(6)
+    calls = [ctx._square_tables, ctx._mul_tables, ctx._scalar_tables, ctx._generator,
+             lambda: ctx._mul_image_tables(False), lambda: ctx._mul_image_tables(True),
+             ctx.exp_log_tables, ctx.inverse_table, ctx.trace_table, ctx.dualenc_table,
+             ctx.ginv_table, ctx.frobenius_table, lambda: q_table(ctx)]
+    arrays = []
+    for call in calls:
+        out = call()
+        assert call() is out  # built once, then served from the cache
+        arrays += [a for a in (out if isinstance(out, tuple) else (out,))
+                   if isinstance(a, np.ndarray)]
+    assert len(arrays) == 10
+    assert [a.flags.writeable for a in arrays] == [False] * 10
+
+
 def test_mk_field_large_n_smoke():
     ctx = mk_field(20)
     a = 0xABCDE % ctx.size

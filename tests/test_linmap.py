@@ -186,7 +186,7 @@ def test_kernel_intersection():
 
 def test_linearized_coeffs_round_trip():
     rng = np.random.default_rng(31)
-    for n in (4, 5, 8):
+    for n in (*range(2, 13), 17, 24):  # 17 and 24 multiply by shift-and-reduce
         ctx = mk_field(n)
         for _ in range(20):
             L = random_map(rng, n)
@@ -220,6 +220,21 @@ def test_json_round_trip():
             map_from_json(ctx, obj_bad)
     with pytest.raises(ValueError):
         map_from_json(ctx, {"n": 6, "matrix_rows": ["0x0"] * 6, "linearized": None})
+
+
+@pytest.mark.parametrize("obj", [
+    {"n": 5},
+    [1, 2],
+    "0x1",
+    {"n": 5, "matrix_rows": 5},
+    {"n": 5, "matrix_rows": [[1]] * 5},
+    {"n": 5, "matrix_rows": ["0x1"] * 5, "linearized": 5},
+    {"n": 5, "matrix_rows": ["0x1"] * 5, "linearized": ["0x20"]},
+    {"n": 5, "matrix_rows": ["0x1"] * 5, "linearized": [-1]},
+])
+def test_map_from_json_rejects_malformed_shapes(obj):
+    with pytest.raises(ValueError):
+        map_from_json(mk_field(5), obj)
 
 
 def test_from_matrix_rows_round_trip():
