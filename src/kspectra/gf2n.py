@@ -360,6 +360,22 @@ def _square(tables: list[list[int]], a: int) -> int:
     return sq
 
 
+def _traces(tables: list[list[int]], n: int, elems) -> np.ndarray:
+    """Definitional traces sum_k a^(2^k) of an array of elements, squared
+    through the _square_byte_tables of the field: one gather per byte and
+    one XOR per conjugate.  Raises if any leaves F_2."""
+    dt = elem_dtype(n)
+    tabs = [np.array(t, dtype=dt) for t in tables]
+    a = np.array(elems, dtype=dt)
+    acc = np.zeros_like(a)
+    for _ in range(n):
+        acc ^= a
+        a = np.bitwise_xor.reduce([t.take((a >> dt(8 * k)) & dt(255)) for k, t in enumerate(tabs)])
+    if (acc > 1).any():
+        raise AssertionError("trace left F_2")
+    return acc
+
+
 def memo(build):
     """Cache build(ctx, *args) in ctx._cache, keyed by its name (and args).
 
@@ -671,7 +687,8 @@ class FieldCtx:
 
 
 def mk_field(n: int, poly: int | None = None) -> FieldCtx:
-    """Build a FieldCtx for F_2^n, verifying the reduction polynomial."""
+    """Build a FieldCtx for F_2^n, verifying the reduction polynomial and, through
+    _traces, all 2n - 1 Gram and n^2 dual-basis traces Tr(d_i * x^j) = delta_ij."""
     if not MIN_DEGREE <= n <= MAX_DEGREE:
         raise ValueError(f"degree {n} outside supported range {MIN_DEGREE}..{MAX_DEGREE}")
     if poly is None:
@@ -683,29 +700,18 @@ def mk_field(n: int, poly: int | None = None) -> FieldCtx:
         raise ReduciblePolynomialError(poly, factor)
 
     sq_tabs = _square_byte_tables(n, poly)
-
-    def tr(a):
-        acc = 0
-        for _ in range(n):
-            acc ^= a
-            sq = 0  # _square inlined: this loop runs n^3 times
-            for k, t in enumerate(sq_tabs):
-                sq ^= t[(a >> (8 * k)) & 255]
-            a = sq
-        if acc not in (0, 1):
-            raise AssertionError("trace left F_2")
-        return acc
-
     # Tr(x^i * x^j) depends on i + j only: the Gram matrix is a Hankel matrix,
     # read off the 2n - 1 traces h[k] = Tr(x^k mod poly) like trace_mask.
-    h = [tr(pmod(1 << k, poly)) for k in range(2 * n - 1)]
+    h = _traces(sq_tabs, n, [pmod(1 << k, poly) for k in range(2 * n - 1)]).tolist()
     trace_mask = sum(h[i] << i for i in range(n))
     gram = tuple(sum(h[i + j] << j for j in range(n)) for i in range(n))
     gram_inv = mat_inverse_rows(gram, n)  # trace form is non-degenerate
     dual_basis = gram_inv  # row i of G^-1 holds the coordinates of d_i
-    for i in range(n):
-        for j in range(n):
-            if tr(pmod(dual_basis[i] << j, poly)) != (1 if i == j else 0):
-                raise AssertionError("dual basis construction failed")
-    return FieldCtx(n=n, poly=poly, trace_mask=trace_mask, gram=gram,
-                    gram_inv=gram_inv, dual_basis=tuple(dual_basis))
+    ctx = FieldCtx(n=n, poly=poly, trace_mask=trace_mask, gram=gram,
+                   gram_inv=gram_inv, dual_basis=dual_basis)
+    prods = [np.array(dual_basis, dtype=elem_dtype(n))]  # prods[j][i] = d_i * x^j
+    for _ in range(n - 1):
+        prods.append(ctx.mulx_vec(prods[-1]))
+    if not np.array_equal(_traces(sq_tabs, n, prods), np.eye(n)):
+        raise AssertionError("dual basis construction failed")
+    return ctx

@@ -269,6 +269,7 @@ def canonical_search(n: int, members: np.ndarray, *, bound: int | None = None,
         return False
 
     dfs([], root, root)
+    del dfs  # dfs refers to itself: break the cycle, or it keeps dualenc's field alive
     return best, nodes, truncated
 
 
@@ -309,9 +310,11 @@ def map_to_json(ctx: FieldCtx, L: LinMap, with_linearized: bool = True) -> dict:
 def map_from_json(ctx: FieldCtx, obj: dict) -> LinMap:
     """The map of a {n, matrix_rows, linearized} object; ValueError on any other shape."""
     def as_int(v):
-        return int(v, 0) if isinstance(v, str) else int(v)
+        if isinstance(v, bool) or not isinstance(v, (int, str)):
+            raise ValueError(f"map entries must be ints or integer strings, not {v!r}")
+        return int(v, 0) if isinstance(v, str) else v
     try:
-        n = int(obj["n"])
+        n = as_int(obj["n"])
         rows = [as_int(r) for r in obj["matrix_rows"]]
         lin = obj.get("linearized")
         coeffs = None if lin is None else [as_int(c) for c in lin]

@@ -30,7 +30,7 @@ from kspectra.zerospace import zero_subspace_bound
 PROBE_BS = (1, 2, 3, 4, 5, 6, 7, 8)
 
 #: perm_direct scans this many values in Python; the table scan sorts prefixes
-#: of this length, then 8x longer ones
+#: of this length (8x it after perm_direct's scan), then 8x longer ones
 COLLISION_PREFIX = 64
 
 #: column of the low 32-bit half of a uint64 viewed as two uint32
@@ -51,14 +51,14 @@ class PermReport:
         return {"is_perm": self.is_perm, "witness": w, "method": self.method}
 
 
-def _report_from_values(values: np.ndarray) -> PermReport:
+def _report_from_values(values: np.ndarray, size: int = COLLISION_PREFIX) -> PermReport:
     """Direct verdict with the first collision in scan order as the witness.
 
     The earliest repeated index x2 lies in every prefix that holds any
-    repeat, so sorting prefixes of growing length finds the same witness as
-    sorting everything, and a random non-permutation stops at the first.
+    repeat, so sorting prefixes of growing length, from size on, finds the
+    same witness as sorting everything, and a random non-permutation stops
+    at the first.  Start past a prefix known to hold no repeat.
     """
-    size = COLLISION_PREFIX
     while True:
         rep = _sorted_scan(values[:size])
         if not rep.is_perm or size >= values.size:
@@ -123,7 +123,8 @@ def perm_direct(ctx: FieldCtx, L1: LinMap, L2: LinMap) -> PermReport:
     from L2(x & (x - 1)) and the column of x's lowest bit, L1(x^-1) through
     the spans of L1's low and high column halves.  The first repeat, by
     first sighting, is the first collision of the whole scan; only when the
-    prefix holds none is the full truth table built.
+    prefix holds none is the full truth table built, and its sorts start at
+    8 * COLLISION_PREFIX values.
     """
     k = min(COLLISION_PREFIX, ctx.size)
     h = ctx.n // 2
@@ -138,7 +139,7 @@ def perm_direct(ctx: FieldCtx, L1: LinMap, L2: LinMap) -> PermReport:
         if v in seen:
             return PermReport(False, ("collision", seen[v], x), "direct")
         seen[v] = x
-    return _report_from_values(compose_truth_table(ctx, L1, L2))
+    return _report_from_values(compose_truth_table(ctx, L1, L2), 8 * COLLISION_PREFIX)
 
 
 def _adjoint_at(ctx: FieldCtx, cols, d: int) -> int:

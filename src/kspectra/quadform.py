@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from kspectra.gf2n import FieldCtx, functional_table, memo, nullspace_rows, rref, xor_combine
+from kspectra.gf2n import FieldCtx, functional_table, memo, nullspace_rows, pmod, pmul, rref, xor_combine
 from kspectra.linmap import SubspaceBasis, canonical_search, orthogonal_complement, subspace_from_vectors
 
 HYPERBOLIC = "hyperbolic"
@@ -55,16 +55,17 @@ def _q_by_traces(ctx: FieldCtx, a: int) -> int:
     together hold every conjugate of a^(1+2^d) once: q(a) is the sum of
     Tr(a^(1+2^d)) over 1 <= d < n/2, plus, for even n, the trace of
     a^(1+2^(n/2)) from F_2^(n/2), the sum of its first n/2 conjugates.
+    Products are shift-and-reduce: no 2^n table; q_eval keeps ctx.mul.
     """
-    n = ctx.n
+    n, poly = ctx.n, ctx.poly
     conj = [a]
     for _ in range(n // 2):
         conj.append(ctx.sqr(conj[-1]))
     acc = 0
     for d in range(1, (n + 1) // 2):
-        acc ^= ctx.trace(ctx.mul(a, conj[d]))
+        acc ^= ctx.trace(pmod(pmul(a, conj[d]), poly))
     if n % 2 == 0:
-        b = ctx.mul(a, conj[n // 2])
+        b = pmod(pmul(a, conj[n // 2]), poly)
         for _ in range(n // 2):
             acc ^= b
             b = ctx.sqr(b)
@@ -80,7 +81,8 @@ def bilinear_eval(ctx: FieldCtx, x: int, y: int) -> int:
 
 @memo
 def q_table(ctx: FieldCtx) -> np.ndarray:
-    """q on the whole field as uint8, built by the polarization doubling pass."""
+    """q on the whole field as uint8, by the polarization doubling pass from
+    the n basis values _q_by_traces(x^i), about n^2/2 table-free products."""
     n = ctx.n
     qb = [_q_by_traces(ctx, 1 << i) for i in range(n)]
     tr = ctx.trace_mask
@@ -189,7 +191,7 @@ def restrict(ctx: FieldCtx, f, S: SubspaceBasis, validate: bool = True) -> QuadF
     if validate:
         _validate_form(f, basis, ev, m)
     rad = _radical_coords(m, bmat, ev)
-    nzeros = (1 << m) - int(ev.sum())
+    nzeros = (1 << m) - int(np.count_nonzero(ev))
     form_type, witt, lam = _classify_counts(m, len(rad), nzeros)
     rad_ambient = subspace_from_vectors(ctx.n, [xor_combine(basis, c) for c in rad])
     ev.flags.writeable = False
@@ -234,7 +236,7 @@ def classify(qf: QuadFormRec) -> tuple[str, int, int]:
 
 
 def count_zeros(qf: QuadFormRec) -> int:
-    return (1 << qf.m) - int(qf.eval.sum())
+    return (1 << qf.m) - int(np.count_nonzero(qf.eval))
 
 
 def max_isotropic_dim(qf: QuadFormRec) -> int:

@@ -136,8 +136,11 @@ def test_nonpositive_budget_or_samples_is_a_usage_error(capsys, argv):
 @pytest.mark.parametrize("l1", ['{"n": 5}', "[1, 2]",
                                 '{"n": 5, "matrix_rows": 5}',
                                 '{"n": 5, "matrix_rows": ["0x1", "0x2", "0x4", "0x8", "0x10"], '
-                                '"linearized": 5}'],
-                         ids=["no-rows", "list", "int-rows", "int-linearized"])
+                                '"linearized": 5}',
+                                '{"n": 5.9, "matrix_rows": [1.9, 2.2, 4.7, 8.0, 16.5]}',
+                                '{"n": 5, "matrix_rows": [true, 2, 4, 8, 16]}'],
+                         ids=["no-rows", "list", "int-rows", "int-linearized", "float-rows",
+                              "bool-row"])
 def test_permcheck_malformed_map_is_a_usage_error(capsys, l1):
     l2 = json.dumps(map_to_json(mk_field(5), zero_map(5)))
     code = main(["permcheck", "--n", "5", "--l1", l1, "--l2", l2])

@@ -4,6 +4,8 @@ import hashlib
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from kspectra.gf2n import (
     FieldCtx,
@@ -411,6 +413,43 @@ def test_mk_field_checks_dual_basis(monkeypatch):
     monkeypatch.setattr(gf2n, "mat_inverse_rows", lambda rows, n: tuple(1 << i for i in range(n)))
     with pytest.raises(AssertionError, match="dual basis"):
         mk_field(8)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(2, 32), st.data())
+def test_batched_traces_match_scalar_definition(n, data):
+    from kspectra import gf2n
+
+    ctx = mk_field(n)
+    elems = data.draw(st.lists(st.integers(0, ctx.size - 1), min_size=1, max_size=40))
+
+    def tr(a):  # n conjugates through ctx.sqr
+        acc = 0
+        for _ in range(n):
+            acc ^= a
+            a = ctx.sqr(a)
+        return acc
+
+    got = gf2n._traces(gf2n._square_byte_tables(n, ctx.poly), n, elems)
+    assert got.tolist() == [tr(a) for a in elems]
+    assert got.tolist() == [ctx.trace(a) for a in elems]
+
+
+def test_mk_field_checks_square_tables(monkeypatch):
+    # a wrong squaring table must trip the trace checks, not yield a wrong field
+    from kspectra import gf2n
+
+    real = gf2n._square_byte_tables
+
+    def wrong(n, poly):
+        tabs = real(n, poly)
+        tabs[0][1] ^= 1 << (n - 1)  # x^0 no longer squares to 1
+        return tabs
+
+    monkeypatch.setattr(gf2n, "_square_byte_tables", wrong)
+    for n in (2, 8, 13, 24):
+        with pytest.raises(AssertionError):
+            mk_field(n)
 
 
 @pytest.mark.parametrize("n", [2, 7, 13, 24, 32])

@@ -366,9 +366,11 @@ def planted_repeats(draw):
 
 
 @PROPS
-@given(planted_repeats())
-def test_prefix_first_collision_matches_full_scan(values):
+@given(planted_repeats(), st.sampled_from([1, 64, 512, 4096]))
+def test_prefix_first_collision_matches_full_scan(values, start):
+    # any first prefix length finds the same witness; perm_direct starts at 512
     assert _report_from_values(values) == _sorted_scan(values)
+    assert _report_from_values(values, start) == _sorted_scan(values)
 
 
 @st.composite

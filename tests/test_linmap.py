@@ -231,6 +231,10 @@ def test_json_round_trip():
     {"n": 5, "matrix_rows": ["0x1"] * 5, "linearized": 5},
     {"n": 5, "matrix_rows": ["0x1"] * 5, "linearized": ["0x20"]},
     {"n": 5, "matrix_rows": ["0x1"] * 5, "linearized": [-1]},
+    {"n": 5.9, "matrix_rows": [1.9, 2.2, 4.7, 8.0, 16.5]},
+    {"n": 5, "matrix_rows": [1, 2, 4, 8, 16.0]},
+    {"n": 5, "matrix_rows": [True, 2, 4, 8, 16]},
+    {"n": 5, "matrix_rows": [1, 2, 4, 8, 16], "linearized": [1.0]},
 ])
 def test_map_from_json_rejects_malformed_shapes(obj):
     with pytest.raises(ValueError):

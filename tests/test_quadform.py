@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from kspectra.gf2n import mk_field
+from kspectra.gf2n import TABLE_DEGREE, mk_field
 from kspectra.linmap import subspace_from_vectors
 from kspectra.quadform import (
     ELLIPTIC,
@@ -95,6 +95,14 @@ def test_q_by_traces_matches_q_eval(n, data):
     ctx = mk_field(n)
     a = data.draw(st.integers(0, ctx.size - 1))
     assert _q_by_traces(ctx, a) == q_eval(ctx, a)
+
+
+@pytest.mark.parametrize("n", [2, 5, 10, TABLE_DEGREE])
+def test_q_table_builds_no_scalar_tables(n):
+    # about n^2/2 products do not pay for 2^n-entry sentinel-log tables
+    ctx = mk_field(n)
+    q_table(ctx)
+    assert "_mul_tables" not in ctx._cache and "_scalar_tables" not in ctx._cache
 
 
 @pytest.mark.parametrize("n", sorted(Q_TABLE_SHA256))

@@ -1,5 +1,7 @@
 """Bound formulas, membership sets, subspace searches, summation identity."""
 
+import gc
+import weakref
 from functools import lru_cache
 
 import numpy as np
@@ -266,3 +268,17 @@ def test_isotropic_search_on_random_forms(ucols):
     assert top == max((dim_of(V) for V in all_subspaces(m) if V <= zeros), default=0)
     with pytest.raises(ValueError):
         find_isotropic_subspace(qf, top + 1)
+
+
+def test_pruned_search_releases_its_field():
+    # the search's recursive closure holds ctx.dualenc, and through it the
+    # field and its tables: no reference cycle may keep them past the call
+    ctx = mk_field(10)
+    ref = weakref.ref(ctx)
+    gc.disable()
+    try:
+        max_zero_subspace(ctx)
+        del ctx
+        assert ref() is None
+    finally:
+        gc.enable()
