@@ -1,6 +1,7 @@
 """Bound formulas, membership sets, subspace searches, summation identity."""
 
 import gc
+import hashlib
 import weakref
 from functools import lru_cache
 
@@ -110,7 +111,7 @@ def test_node_budget_truncates():
     zeros = kloosterman_zeros(ctx)
     rep = max_subspace_in_set(ctx, zeros, node_budget=3)
     assert not rep.exhaustive
-    assert rep.nodes_visited <= 3 + 1
+    assert rep.nodes_visited == 3
 
 
 def test_nodes_deterministic():
@@ -197,6 +198,40 @@ def test_zero_search_pinned(n):
     assert rep.exhaustive
 
 
+
+def sweep_digest(ctx, S, prune: bool) -> str:
+    """sha256 over (nodes_visited, best basis, exhaustive) for every node
+    budget from 0 to the search's node total, then every bound from 1 to its
+    maximum dimension."""
+    full = max_subspace_in_set(ctx, S, prune_isotropic=prune)
+    runs = [max_subspace_in_set(ctx, S, prune_isotropic=prune, node_budget=k)
+            for k in range(full.nodes_visited + 1)]
+    runs += [max_subspace_in_set(ctx, S, prune_isotropic=prune, bound=b)
+             for b in range(1, full.best_dim + 1)]
+    text = "".join(f"{r.nodes_visited} {[hex(v) for v in r.best_basis.vectors]} {r.exhaustive}\n"
+                   for r in runs)
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+# sweep_digest captured from the per-node search loop that the group-wise
+# loop replaced: (set, n, prune_isotropic) -> digest
+SWEEP_DIGEST = {
+    ("mod16", 8, False): "1a1768cd4c46390bece4840edbf813b5531fc6c274793d63d9f3ffb149050f1e",
+    ("mod16", 9, False): "fa3f004d16887e1998385ed4800b2389cc8275d417a8329aff5292ccac1f58e6",
+    ("zeros", 10, False): "afdb505ea08f24bbe19283beb47aad2afb403796dd96803c8cbd44c5de0ca83a",
+    ("zeros", 10, True): "afdb505ea08f24bbe19283beb47aad2afb403796dd96803c8cbd44c5de0ca83a",
+    ("zeros", 12, False): "d04fd40d78144086f2ef08acf47c92ff781b5edacab9e5d371b63329629d9c0c",
+    ("zeros", 12, True): "d04fd40d78144086f2ef08acf47c92ff781b5edacab9e5d371b63329629d9c0c",
+}
+
+
+@pytest.mark.parametrize("key", sorted(SWEEP_DIGEST))
+def test_budget_and_bound_sweeps_pinned(key):
+    name, n, prune = key
+    ctx = mk_field(n)
+    S = mod16_members(ctx) if name == "mod16" else kloosterman_zeros(ctx)
+    assert sweep_digest(ctx, S, prune) == SWEEP_DIGEST[key]
+
 @lru_cache(maxsize=None)
 def all_subspaces(n: int) -> tuple[frozenset, ...]:
     """Every subspace of F_2^n of dimension >= 1, by closing under one more vector."""
@@ -282,3 +317,14 @@ def test_pruned_search_releases_its_field():
         assert ref() is None
     finally:
         gc.enable()
+
+
+@settings(max_examples=120, deadline=None)
+@given(field_and_set(), st.booleans(), st.data())
+def test_node_budget_counts_exactly(cs, prune, data):
+    ctx, S = cs
+    total = max_subspace_in_set(ctx, S, prune_isotropic=prune).nodes_visited
+    k = data.draw(st.integers(0, total + 2))
+    rep = max_subspace_in_set(ctx, S, prune_isotropic=prune, node_budget=k)
+    assert rep.nodes_visited == min(k, total)
+    assert rep.exhaustive == (k >= total)
