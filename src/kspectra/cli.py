@@ -66,6 +66,16 @@ def _positive_int(text: str) -> int:
     return int(text)
 
 
+def _span(args, start: int | None = None, end: int | None = None) -> range:
+    """n from --from to --to inclusive, else from a bundle's defaults; an
+    empty range is a usage error, not a vacuous pass."""
+    start = start if args.start is None else args.start
+    end = end if args.end is None else args.end
+    if start > end:
+        raise ValueError(f"empty range: --from {start} is above --to {end}")
+    return range(start, end + 1)
+
+
 def _ctx(args):
     poly = int(args.poly, 0) if getattr(args, "poly", None) else None
     return mk_field(args.n, poly)
@@ -161,13 +171,13 @@ def cmd_table1(args) -> int:
     lines = []
     if args.side == "right":
         lines.append("n,max_dim")
-        for n in range(args.start, args.end + 1):
+        for n in _span(args):
             rep = max_zero_subspace(mk_field(n), node_budget=args.budget)
             mark = "" if rep.exhaustive else "?"
             lines.append(f"{n},{rep.best_dim}{mark}")
     else:
         lines.append("n,count,ratio_trunc,ratio_round")
-        for n in range(args.start, args.end + 1):
+        for n in _span(args):
             count = len(kloosterman_zeros(mk_field(n)))
             ratio = count / 2 ** (n / 2)
             trunc = math.floor(ratio * 100) / 100
@@ -182,7 +192,7 @@ def cmd_table1(args) -> int:
 
 def _check_mod16_criterion(args) -> dict:
     violations = []
-    for n in range(args.start or 4, (args.end or 16) + 1):
+    for n in _span(args, 4, 16):
         ctx = mk_field(n)
         spec = kloosterman_spectrum(ctx)
         from_spec = np.flatnonzero(spec.data % 16 == 0).astype(np.uint32)
@@ -195,7 +205,7 @@ def _check_mod16_criterion(args) -> dict:
 
 def _check_radical(args) -> dict:
     violations = []
-    for n in range(args.start or 4, (args.end or 24) + 1):
+    for n in _span(args, 4, 24):
         rec = restrict_q_to_h(mk_field(n), validate=False)
         want = (1,) if n % 4 == 0 else ()
         if rec.radical_basis.vectors != want:
@@ -207,7 +217,7 @@ def _check_radical(args) -> dict:
 
 def _check_quadric_count(args) -> dict:
     violations = []
-    for n in range(args.start or 4, (args.end or 24) + 1):
+    for n in _span(args, 4, 24):
         rec = restrict_q_to_h(mk_field(n), validate=False)
         got = count_zeros(rec)
         want = expected_h_zero_count(n)
@@ -220,7 +230,7 @@ def _check_quadric_count(args) -> dict:
 
 def _check_mod16_sharpness(args) -> dict:
     violations, inconclusive = [], []
-    for n in range(args.start or 5, (args.end or 12) + 1):
+    for n in _span(args, 5, 12):
         rep = max_mod16_subspace(mk_field(n), node_budget=args.budget)
         bound = mod16_subspace_bound(n)
         if rep.best_dim != bound:
@@ -234,7 +244,7 @@ def _check_mod16_sharpness(args) -> dict:
 
 def _check_zero_subspace_bound(args) -> dict:
     violations, inconclusive = [], []
-    for n in range(args.start or 5, (args.end or 14) + 1):
+    for n in _span(args, 5, 14):
         ctx = mk_field(n)
         # stopping at the bound would make exceeding it unobservable
         rep = max_zero_subspace(ctx, node_budget=args.budget, stop_at_bound=False)
@@ -269,7 +279,7 @@ def _check_subspace_sum_identity(args) -> dict:
     rng = np.random.default_rng(args.seed)
     samples = args.samples or 100
     violations = []
-    for n in range(args.start or 5, (args.end or 12) + 1):
+    for n in _span(args, 5, 12):
         ctx = mk_field(n)
         spec = kloosterman_spectrum(ctx)
         for _ in range(samples):
@@ -285,7 +295,7 @@ def _check_subspace_sum_identity(args) -> dict:
 
 def _check_weil_bound(args) -> dict:
     violations = []
-    for n in range(args.start or 4, (args.end or 20) + 1):
+    for n in _span(args, 4, 20):
         spec = kloosterman_spectrum(mk_field(n))
         data = spec.data  # max |K - 1| from the extremes: no 2^n temporary
         if max(int(data.max()) - 1, 1 - int(data.min())) > spec.weil_bound():
@@ -302,7 +312,7 @@ def _check_weil_bound(args) -> dict:
 
 def _check_subfield_zeros(args) -> dict:
     violations = []
-    for n in range(args.start or 5, (args.end or 20) + 1):
+    for n in _span(args, 5, 20):
         ctx = mk_field(n)
         spec = kloosterman_spectrum(ctx)
         for d in range(1, n):
@@ -320,7 +330,7 @@ def _check_spectral_vs_direct(args) -> dict:
     rng = np.random.default_rng(args.seed)
     samples = args.samples or 1000
     violations = []
-    for n in range(args.start or 5, (args.end or 10) + 1):
+    for n in _span(args, 5, 10):
         ctx = mk_field(n)
         spec = kloosterman_spectrum(ctx)
         for _ in range(samples):
@@ -337,7 +347,7 @@ def _check_spectral_vs_direct(args) -> dict:
 def _check_perm_search(args) -> dict:
     budget = args.budget or 100000
     violations = []
-    for n in range(args.start or 5, (args.end or 10) + 1):
+    for n in _span(args, 5, 10):
         ctx = mk_field(n)
         for mode in ("random", "structured"):
             rep = search_counterexample(ctx, mode, budget=budget, seed=args.seed)

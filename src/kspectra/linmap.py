@@ -8,6 +8,7 @@ for zerospace's searches and quadform's isotropic subspaces.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -226,14 +227,18 @@ def canonical_search(n: int, members: np.ndarray, *, bound: int | None = None,
     bound or the node budget runs out.  Sets are Python-int bitsets (bit x
     set iff x is in the set).  G = {x : x + span in members} is kept with
     the candidate pool, a subset of G; both are the members minus 0 at the
-    root.  Adding v gives G' = G & (G xor v), a block swap per set bit of v
-    through LOW[i] (a leaf skips it), and the children's pool is the pool
-    above v with v's leading bit clear, meet G xor v and, given dualenc, the
-    hyperplane Tr(x v) = 0.  Memory: the n LOW masks plus a pool and a G per
-    level, each 2^n bits (8 KiB at n = 16).
+    root.  The pool is taken one leading-bit group at a time, whose members
+    share their candidates before translation, R = the pool above the group
+    with that bit clear.  If R is empty the group is all leaves, counted at
+    once.  Otherwise adding v gives G' = G & (G xor v), with G xor v made
+    from the previous member u's G xor u by a block swap per set bit of
+    u xor v through LOW[i]; v's children are R meet G xor v and, given
+    dualenc, the hyperplane Tr(x v) = 0.  Memory: the n LOW masks plus a
+    pool, G, G xor v and R per level, each 2^n bits (8 KiB at n = 16).
     """
     root = int.from_bytes(np.packbits(members, bitorder="little").tobytes(), "little") & ~1
     low = _low_masks(n)
+    budget = math.inf if node_budget is None else node_budget
 
     best: list[int] = []
     nodes = 0
@@ -242,33 +247,51 @@ def canonical_search(n: int, members: np.ndarray, *, bound: int | None = None,
     def dfs(basis: list[int], G: int, pool: int) -> bool:
         """Search below basis; True once the search must stop."""
         nonlocal best, nodes, truncated
-        if len(basis) > len(best):
-            best = basis
-        if bound is not None and len(best) >= bound:
-            return True
+        depth = len(basis) + 1
         while pool:
-            if node_budget is not None and nodes >= node_budget:
+            if nodes >= budget:
                 truncated = True
                 return True
-            nodes += 1
-            bit = pool & -pool
-            pool ^= bit  # now only elements above v: leading bit >= v's
-            v = bit.bit_length() - 1
-            rest = pool & low[v.bit_length() - 1]
-            if rest:
-                Gv = _translate(G, v, low)
-                rest &= Gv
-                if dualenc is not None and rest:
+            v = (pool & -pool).bit_length() - 1
+            lead = v.bit_length() - 1
+            group = pool & ((1 << (2 << lead)) - 1)  # the pool elements with v's leading bit
+            pool ^= group  # now only elements with a higher leading bit
+            if depth > len(best):  # only the first node at a new depth grows best
+                best = basis + [v]
+                if bound is not None and depth >= bound:
+                    nodes += 1
+                    return True
+            R = pool & low[lead]  # every member's candidates before translation
+            if not R:  # every member is a leaf
+                nodes += group.bit_count()
+                if nodes > budget:
+                    nodes, truncated = budget, True
+                    return True
+                continue
+            u, Gu = 0, G  # Gu = G xor u for the last member u
+            while group:
+                if nodes >= budget:
+                    truncated = True
+                    return True
+                nodes += 1
+                bit = group & -group
+                group ^= bit
+                v = bit.bit_length() - 1
+                Gu = _translate(Gu, u ^ v, low)
+                u = v
+                kids = R & Gu
+                if dualenc is not None and kids:
                     # XOR of LOW[i] over the set bits i of d: the x with
                     # parity(x & d) != parity(d), the hyperplane iff d is odd
                     d = dualenc(v)
                     h = xor_combine(low, d)
-                    rest &= h if d.bit_count() & 1 else ~h
-            if dfs(basis + [v], G & Gv if rest else 0, rest):  # a leaf needs no G
-                return True
+                    kids &= h if d.bit_count() & 1 else ~h
+                if kids and dfs(basis + [v], G & Gu, kids):  # no kids: a leaf, settled here
+                    return True
         return False
 
-    dfs([], root, root)
+    if bound is None or bound > 0:
+        dfs([], root, root)
     del dfs  # dfs refers to itself: break the cycle, or it keeps dualenc's field alive
     return best, nodes, truncated
 

@@ -4,8 +4,11 @@ The searches run linmap.canonical_search, the one subspace DFS, which
 quadform.find_isotropic_subspace also runs.  It enumerates subspaces by
 their unique reduced-echelon basis in increasing leading-bit order, so each
 subspace is visited exactly once and node counts are reproducible, on
-Python-int bitsets over F_2^n that take about (n + 2 * depth) * 2^n / 8
-bytes.  Candidates not trace-orthogonal to the basis can also be pruned.
+Python-int bitsets over F_2^n: the n LOW masks plus a few sets per level,
+2^n bits each.  Candidates sharing a leading bit are taken as one group: a
+group with no candidates above it is all leaves, counted at once, and in
+the others each translate comes from the previous member's.  Candidates
+not trace-orthogonal to the basis can also be pruned.
 """
 from __future__ import annotations
 
@@ -101,11 +104,18 @@ def max_subspace_in_set(
     Runs linmap.canonical_search.  Stops early once the supplied bound is
     attained (it cannot be beaten); a node budget yields a non-exhaustive
     report instead.  prune_isotropic keeps trace-orthogonal bases only.
+    ValueError for a member that is not an integer in [0, 2^n).
     """
-    if not isinstance(S, np.ndarray):
-        S = np.array([int(s) for s in S], dtype=np.intp)
+    if isinstance(S, np.ndarray):
+        ok = S.dtype.kind in "iu" and not (S.size and (S.min() < 0 or S.max() >= ctx.size))
+    else:
+        S = list(S)
+        ok = all(isinstance(s, (int, np.integer)) and not isinstance(s, bool)
+                 and 0 <= s < ctx.size for s in S)
+    if not ok:
+        raise ValueError(f"set members must be integers in [0, 2^{ctx.n})")
     mask = np.zeros(ctx.size, dtype=bool)
-    mask[S] = True
+    mask[np.asarray(S, dtype=np.intp)] = True
     best, nodes, truncated = canonical_search(
         ctx.n, mask, bound=bound, node_budget=node_budget,
         dualenc=ctx.dualenc if prune_isotropic else None,

@@ -133,6 +133,19 @@ def test_nonpositive_budget_or_samples_is_a_usage_error(capsys, argv):
     assert "positive integer" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv", [
+    ["verify", "--theorem", "mod16-sharpness", "--from", "12", "--to", "5"],
+    ["verify", "--theorem", "mod16-sharpness", "--from", "13"],  # default end is 12
+    ["table1", "--side", "right", "--from", "9", "--to", "5"],
+], ids=["verify-reversed", "verify-past-default-end", "table1-reversed"])
+def test_empty_range_is_a_usage_error(capsys, argv):
+    # a range that checks nothing must not print "ok": true or a bare header
+    code = main(argv)
+    out, err = capsys.readouterr()
+    assert code == 2 and out == ""
+    assert err.startswith("error: empty range")
+
+
 @pytest.mark.parametrize("l1", ['{"n": 5}', "[1, 2]",
                                 '{"n": 5, "matrix_rows": 5}',
                                 '{"n": 5, "matrix_rows": ["0x1", "0x2", "0x4", "0x8", "0x10"], '

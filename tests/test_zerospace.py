@@ -114,6 +114,16 @@ def test_node_budget_truncates():
     assert rep.nodes_visited == 3
 
 
+@pytest.mark.parametrize("S", [[-1], [64], [3.7], [True], np.array([-1]), np.array([64]),
+                               np.array([3.7]), np.array([True]), [2 ** 70]],
+                         ids=["minus-one", "size", "float", "bool", "array-minus-one",
+                              "array-size", "array-float", "array-bool", "huge"])
+def test_out_of_range_member_is_refused(S):
+    # -1 used to wrap round to 63, 64 raised IndexError and 3.7 was read as 3
+    with pytest.raises(ValueError, match="integers in"):
+        max_subspace_in_set(mk_field(6), S)
+
+
 def test_nodes_deterministic():
     ctx = mk_field(9)
     zeros = kloosterman_zeros(ctx)
