@@ -208,7 +208,6 @@ def test_zero_search_pinned(n):
     assert rep.exhaustive
 
 
-
 def sweep_digest(ctx, S, prune: bool) -> str:
     """sha256 over (nodes_visited, best basis, exhaustive) for every node
     budget from 0 to the search's node total, then every bound from 1 to its
@@ -241,6 +240,7 @@ def test_budget_and_bound_sweeps_pinned(key):
     ctx = mk_field(n)
     S = mod16_members(ctx) if name == "mod16" else kloosterman_zeros(ctx)
     assert sweep_digest(ctx, S, prune) == SWEEP_DIGEST[key]
+
 
 @lru_cache(maxsize=None)
 def all_subspaces(n: int) -> tuple[frozenset, ...]:
