@@ -126,8 +126,7 @@ def cmd_zeros(args) -> int:
 def cmd_zerospace(args) -> int:
     ctx = _ctx(args)
     if args.set == "zeros":
-        rep = max_zero_subspace(ctx, prune_isotropic=not args.no_prune,
-                                node_budget=args.budget)
+        rep = max_zero_subspace(ctx, node_budget=args.budget)
     else:
         rep = max_mod16_subspace(ctx, node_budget=args.budget)
     _emit(args, _json(rep.to_json()))
@@ -417,8 +416,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("zerospace", help="maximal subspace search inside a target set")
     common(sp)
     sp.add_argument("--set", default="zeros", choices=["zeros", "mod16"])
-    sp.add_argument("--no-prune", action="store_true",
-                    help="disable the trace-orthogonality pruning")
     sp.add_argument("--budget", type=_positive_int, help="node budget (non-exhaustive report)")
     sp.set_defaults(func=cmd_zerospace)
 

@@ -217,7 +217,7 @@ def _translate(B: int, v: int, low: list[int]) -> int:
 
 
 def canonical_search(n: int, members: np.ndarray, *, bound: int | None = None,
-                     node_budget: int | None = None, dualenc=None) -> tuple[list[int], int, bool]:
+                     node_budget: int | None = None) -> tuple[list[int], int, bool]:
     """(basis, nodes visited, truncated): a deepest basis whose nonzero span
     lies in members, a boolean array over F_2^n (entry 0 is ignored).
 
@@ -232,9 +232,9 @@ def canonical_search(n: int, members: np.ndarray, *, bound: int | None = None,
     with that bit clear.  If R is empty the group is all leaves, counted at
     once.  Otherwise adding v gives G' = G & (G xor v), with G xor v made
     from the previous member u's G xor u by a block swap per set bit of
-    u xor v through LOW[i]; v's children are R meet G xor v and, given
-    dualenc, the hyperplane Tr(x v) = 0.  Memory: the n LOW masks plus a
-    pool, G, G xor v and R per level, each 2^n bits (8 KiB at n = 16).
+    u xor v through LOW[i]; v's children are R meet G xor v.  Memory: the
+    n LOW masks plus a pool, G, G xor v and R per level, each 2^n bits
+    (8 KiB at n = 16).
     """
     root = int.from_bytes(np.packbits(members, bitorder="little").tobytes(), "little") & ~1
     low = _low_masks(n)
@@ -280,19 +280,13 @@ def canonical_search(n: int, members: np.ndarray, *, bound: int | None = None,
                 Gu = _translate(Gu, u ^ v, low)
                 u = v
                 kids = R & Gu
-                if dualenc is not None and kids:
-                    # XOR of LOW[i] over the set bits i of d: the x with
-                    # parity(x & d) != parity(d), the hyperplane iff d is odd
-                    d = dualenc(v)
-                    h = xor_combine(low, d)
-                    kids &= h if d.bit_count() & 1 else ~h
                 if kids and dfs(basis + [v], G & Gu, kids):  # no kids: a leaf, settled here
                     return True
         return False
 
     if bound is None or bound > 0:
         dfs([], root, root)
-    del dfs  # dfs refers to itself: break the cycle, or it keeps dualenc's field alive
+    del dfs  # dfs refers to itself: break the cycle, or it pins the LOW masks, n * 2^n bits
     return best, nodes, truncated
 
 

@@ -7,8 +7,7 @@ subspace is visited exactly once and node counts are reproducible, on
 Python-int bitsets over F_2^n: the n LOW masks plus a few sets per level,
 2^n bits each.  Candidates sharing a leading bit are taken as one group: a
 group with no candidates above it is all leaves, counted at once, and in
-the others each translate comes from the previous member's.  Candidates
-not trace-orthogonal to the basis can also be pruned.
+the others each translate comes from the previous member's.
 """
 from __future__ import annotations
 
@@ -94,7 +93,6 @@ def max_subspace_in_set(
     ctx: FieldCtx,
     S,
     *,
-    prune_isotropic: bool = False,
     bound: int | None = None,
     node_budget: int | None = None,
     label: str = "custom",
@@ -103,8 +101,7 @@ def max_subspace_in_set(
 
     Runs linmap.canonical_search.  Stops early once the supplied bound is
     attained (it cannot be beaten); a node budget yields a non-exhaustive
-    report instead.  prune_isotropic keeps trace-orthogonal bases only.
-    ValueError for a member that is not an integer in [0, 2^n).
+    report instead.  ValueError for a member that is not an integer in [0, 2^n).
     """
     if isinstance(S, np.ndarray):
         ok = S.dtype.kind in "iu" and not (S.size and (S.min() < 0 or S.max() >= ctx.size))
@@ -116,10 +113,7 @@ def max_subspace_in_set(
         raise ValueError(f"set members must be integers in [0, 2^{ctx.n})")
     mask = np.zeros(ctx.size, dtype=bool)
     mask[np.asarray(S, dtype=np.intp)] = True
-    best, nodes, truncated = canonical_search(
-        ctx.n, mask, bound=bound, node_budget=node_budget,
-        dualenc=ctx.dualenc if prune_isotropic else None,
-    )
+    best, nodes, truncated = canonical_search(ctx.n, mask, bound=bound, node_budget=node_budget)
     best_basis = subspace_from_vectors(ctx.n, best)
     return ZeroSpaceReport(
         n=ctx.n,
@@ -135,31 +129,19 @@ def max_subspace_in_set(
 def max_zero_subspace(
     ctx: FieldCtx,
     *,
-    prune_isotropic: bool = True,
     node_budget: int | None = None,
     stop_at_bound: bool = True,
 ) -> ZeroSpaceReport:
     """Search the Kloosterman-zero set; dimension is capped by the proven bound."""
     zeros = kloosterman_zeros(ctx)
     bound = zero_subspace_bound(ctx.n) if stop_at_bound else None
-    return max_subspace_in_set(
-        ctx, zeros, prune_isotropic=prune_isotropic, bound=bound,
-        node_budget=node_budget, label="zeros",
-    )
+    return max_subspace_in_set(ctx, zeros, bound=bound, node_budget=node_budget, label="zeros")
 
 
-def max_mod16_subspace(
-    ctx: FieldCtx,
-    *,
-    node_budget: int | None = None,
-    stop_at_bound: bool = True,
-) -> ZeroSpaceReport:
-    """Search {Tr = 0, q = 0}; the proven bound is attained (sharp)."""
-    members = mod16_members(ctx)
-    bound = mod16_subspace_bound(ctx.n) if stop_at_bound else None
-    return max_subspace_in_set(
-        ctx, members, bound=bound, node_budget=node_budget, label="mod16",
-    )
+def max_mod16_subspace(ctx: FieldCtx, *, node_budget: int | None = None) -> ZeroSpaceReport:
+    """Search {Tr = 0, q = 0}, stopping at the proven bound, which is attained (sharp)."""
+    return max_subspace_in_set(ctx, mod16_members(ctx), bound=mod16_subspace_bound(ctx.n),
+                               node_budget=node_budget, label="mod16")
 
 
 def subspace_sum_identity(ctx: FieldCtx, V: SubspaceBasis, spectrum: Spectrum | None = None) -> tuple[int, int]:

@@ -341,13 +341,6 @@ def test_criterion_13d_quadform_properties():
 
 def test_criterion_13e_search_and_perm_properties():
     rng = np.random.default_rng(4242)
-    # pruning soundness: same best dimension with and without it
-    for n in range(5, 13):
-        c = ctx(n)
-        zs = kloosterman_zeros(c)
-        on = max_subspace_in_set(c, zs, prune_isotropic=True)
-        off = max_subspace_in_set(c, zs, prune_isotropic=False)
-        assert on.best_dim == off.best_dim, f"n={n}"
     # swap symmetry and scalar normalization
     for n in (5, 6, 7):
         c = ctx(n)
@@ -363,4 +356,4 @@ def test_criterion_13e_search_and_perm_properties():
             if not other.is_zero():
                 assert not perm_direct(c, bij, other).is_perm
                 assert not perm_direct(c, other, bij).is_perm
-    _ok(13, "13e: prune soundness, swap symmetry, bijective-factor exclusion")
+    _ok(13, "13e: swap symmetry, bijective-factor exclusion")

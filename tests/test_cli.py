@@ -117,6 +117,14 @@ def test_usage_errors(capsys):
     assert exc.value.code == 2
 
 
+def test_no_prune_is_not_an_option(capsys):
+    # the subspace search has one mode, so zerospace takes no mode flag
+    with pytest.raises(SystemExit) as exc:
+        main(["zerospace", "--n", "12", "--no-prune"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --no-prune" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("argv", [
     ["verify", "--theorem", "perm-search", "--budget", "-1"],
     ["verify", "--theorem", "perm-search", "--budget", "0"],

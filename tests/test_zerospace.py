@@ -84,17 +84,28 @@ def test_zero_subspace_known_dims():
     assert max_zero_subspace(mk_field(7)).best_dim == 3
 
 
-def test_zero_search_replay_and_prune_equivalence():
+def test_zero_search_replay():
     for n in (6, 7, 8, 9, 10):
         ctx = mk_field(n)
         zeros = kloosterman_zeros(ctx)
-        on = max_subspace_in_set(ctx, zeros, prune_isotropic=True)
-        off = max_subspace_in_set(ctx, zeros, prune_isotropic=False)
-        assert on.best_dim == off.best_dim
-        span = on.best_basis.span()
-        for x in span:
+        rep = max_subspace_in_set(ctx, zeros)
+        for x in rep.best_basis.span():
             if int(x):
                 assert int(x) in zeros
+
+
+def test_sums_inside_the_set_are_trace_orthogonal():
+    # Zeros have Tr = q = 0 (the mod-16 criterion), where q polarizes to
+    # B(x, y) = Tr(xy).  So x, y and x ^ y in the set give
+    # Tr(xy) = q(x ^ y) + q(x) + q(y) = 0: the search's children are already
+    # trace-orthogonal to every basis vector, and no isotropy test is needed.
+    for n in range(5, 17):
+        ctx = mk_field(n)
+        for S in [kloosterman_zeros(ctx)] + ([mod16_set(ctx)] if n <= 10 else []):
+            for x in S:
+                for y in S:
+                    if x ^ y in S:
+                        assert ctx.trace(ctx.mul(x, y)) == 0, (n, x, y)
 
 
 def test_mod16_sharpness_small():
@@ -127,8 +138,8 @@ def test_out_of_range_member_is_refused(S):
 def test_nodes_deterministic():
     ctx = mk_field(9)
     zeros = kloosterman_zeros(ctx)
-    a = max_subspace_in_set(ctx, zeros, prune_isotropic=True)
-    b = max_subspace_in_set(ctx, zeros, prune_isotropic=True)
+    a = max_subspace_in_set(ctx, zeros)
+    b = max_subspace_in_set(ctx, zeros)
     assert a.nodes_visited == b.nodes_visited
     assert a.best_basis.vectors == b.best_basis.vectors
 
@@ -166,8 +177,8 @@ def test_mod16_members_guard():
 
 
 # (nodes_visited, best_basis) captured from the array-filter search that the
-# bitset search replaced.  mod16: no bound, no prune (the paper_repro DFS);
-# zeros: max_zero_subspace defaults (bound and prune on).
+# bitset search replaced.  mod16: no bound (the paper_repro DFS); zeros:
+# max_zero_subspace defaults (bound on).
 MOD16_SEARCH = {
     5: (5, (0x2,)),
     6: (30, (0x2, 0x4)),
@@ -208,38 +219,34 @@ def test_zero_search_pinned(n):
     assert rep.exhaustive
 
 
-def sweep_digest(ctx, S, prune: bool) -> str:
+def sweep_digest(ctx, S) -> str:
     """sha256 over (nodes_visited, best basis, exhaustive) for every node
     budget from 0 to the search's node total, then every bound from 1 to its
     maximum dimension."""
-    full = max_subspace_in_set(ctx, S, prune_isotropic=prune)
-    runs = [max_subspace_in_set(ctx, S, prune_isotropic=prune, node_budget=k)
-            for k in range(full.nodes_visited + 1)]
-    runs += [max_subspace_in_set(ctx, S, prune_isotropic=prune, bound=b)
-             for b in range(1, full.best_dim + 1)]
+    full = max_subspace_in_set(ctx, S)
+    runs = [max_subspace_in_set(ctx, S, node_budget=k) for k in range(full.nodes_visited + 1)]
+    runs += [max_subspace_in_set(ctx, S, bound=b) for b in range(1, full.best_dim + 1)]
     text = "".join(f"{r.nodes_visited} {[hex(v) for v in r.best_basis.vectors]} {r.exhaustive}\n"
                    for r in runs)
     return hashlib.sha256(text.encode()).hexdigest()
 
 
 # sweep_digest captured from the per-node search loop that the group-wise
-# loop replaced: (set, n, prune_isotropic) -> digest
+# loop replaced: (set, n) -> digest
 SWEEP_DIGEST = {
-    ("mod16", 8, False): "1a1768cd4c46390bece4840edbf813b5531fc6c274793d63d9f3ffb149050f1e",
-    ("mod16", 9, False): "fa3f004d16887e1998385ed4800b2389cc8275d417a8329aff5292ccac1f58e6",
-    ("zeros", 10, False): "afdb505ea08f24bbe19283beb47aad2afb403796dd96803c8cbd44c5de0ca83a",
-    ("zeros", 10, True): "afdb505ea08f24bbe19283beb47aad2afb403796dd96803c8cbd44c5de0ca83a",
-    ("zeros", 12, False): "d04fd40d78144086f2ef08acf47c92ff781b5edacab9e5d371b63329629d9c0c",
-    ("zeros", 12, True): "d04fd40d78144086f2ef08acf47c92ff781b5edacab9e5d371b63329629d9c0c",
+    ("mod16", 8): "1a1768cd4c46390bece4840edbf813b5531fc6c274793d63d9f3ffb149050f1e",
+    ("mod16", 9): "fa3f004d16887e1998385ed4800b2389cc8275d417a8329aff5292ccac1f58e6",
+    ("zeros", 10): "afdb505ea08f24bbe19283beb47aad2afb403796dd96803c8cbd44c5de0ca83a",
+    ("zeros", 12): "d04fd40d78144086f2ef08acf47c92ff781b5edacab9e5d371b63329629d9c0c",
 }
 
 
 @pytest.mark.parametrize("key", sorted(SWEEP_DIGEST))
 def test_budget_and_bound_sweeps_pinned(key):
-    name, n, prune = key
+    name, n = key
     ctx = mk_field(n)
     S = mod16_members(ctx) if name == "mod16" else kloosterman_zeros(ctx)
-    assert sweep_digest(ctx, S, prune) == SWEEP_DIGEST[key]
+    assert sweep_digest(ctx, S) == SWEEP_DIGEST[key]
 
 
 @lru_cache(maxsize=None)
@@ -282,20 +289,6 @@ def test_search_matches_brute_force(cs, data):
     assert max_subspace_in_set(ctx, S, bound=b).best_dim == min(b, top)
 
 
-@settings(max_examples=60, deadline=None)
-@given(field_and_set())
-def test_pruned_search_counts_isotropic_subspaces(cs):
-    # On trace-zero elements Tr(x * x) = Tr(x) = 0, so a basis that is pairwise
-    # trace-orthogonal spans a totally isotropic subspace, and conversely.
-    ctx, S = cs
-    S = {x for x in S if ctx.trace(x) == 0}
-    iso = [V for V in all_subspaces(ctx.n) if V - {0} <= S
-           and all(ctx.trace(ctx.mul(x, y)) == 0 for x in V for y in V)]
-    rep = max_subspace_in_set(ctx, S, prune_isotropic=True)
-    assert rep.nodes_visited == len(iso)
-    assert rep.best_dim == max((dim_of(V) for V in iso), default=0)
-
-
 @settings(max_examples=80, deadline=None)
 @given(st.integers(2, 6).flatmap(
     lambda m: st.lists(st.integers(0, (1 << m) - 1), min_size=m, max_size=m)))
@@ -316,25 +309,28 @@ def test_isotropic_search_on_random_forms(ucols):
 
 
 def test_pruned_search_releases_its_field():
-    # the search's recursive closure holds ctx.dualenc, and through it the
-    # field and its tables: no reference cycle may keep them past the call
+    # the search's recursive closure refers to itself and holds the n LOW
+    # masks, n * 2^n bits: no reference cycle may keep them or the field
+    # past the call
     ctx = mk_field(10)
     ref = weakref.ref(ctx)
+    gc.collect()
     gc.disable()
     try:
         max_zero_subspace(ctx)
         del ctx
         assert ref() is None
+        assert gc.collect() == 0
     finally:
         gc.enable()
 
 
 @settings(max_examples=120, deadline=None)
-@given(field_and_set(), st.booleans(), st.data())
-def test_node_budget_counts_exactly(cs, prune, data):
+@given(field_and_set(), st.data())
+def test_node_budget_counts_exactly(cs, data):
     ctx, S = cs
-    total = max_subspace_in_set(ctx, S, prune_isotropic=prune).nodes_visited
+    total = max_subspace_in_set(ctx, S).nodes_visited
     k = data.draw(st.integers(0, total + 2))
-    rep = max_subspace_in_set(ctx, S, prune_isotropic=prune, node_budget=k)
+    rep = max_subspace_in_set(ctx, S, node_budget=k)
     assert rep.nodes_visited == min(k, total)
     assert rep.exhaustive == (k >= total)
