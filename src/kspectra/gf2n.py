@@ -341,23 +341,26 @@ def functional_table(nbits: int, mask: int) -> np.ndarray:
     return xor_table([(mask >> i) & 1 for i in range(nbits)], np.uint8)
 
 
-def _square_byte_tables(n: int, poly: int) -> list[list[int]]:
-    """ceil(n/8) lists of 256 entries: table k maps byte k of a to its share of a^2.
-
-    Squaring is F_2-linear: a^2 is the XOR of (x^i)^2 mod poly over the set
-    bits i of a, so these tables do the work of psquare + pmod in ceil(n/8)
-    lookups (0.8 us against 6.3 us at n = 24).
-    """
-    imgs = [pmod(psquare(1 << i), poly) for i in range(n)]
-    return [xor_table(imgs[k:k + 8]).tolist() for k in range(0, n, 8)]
+def _byte_tables(images) -> list[list[int]]:
+    """ceil(k/8) lists of 256 entries for the F_2-linear map with these k
+    basis images: table j holds xor_combine(images[8j:8j + 8], m) for every m."""
+    return [span_list(images[k:k + 8]) for k in range(0, len(images), 8)]
 
 
-def _square(tables: list[list[int]], a: int) -> int:
-    """a^2 for a field element a, through _square_byte_tables."""
-    sq = 0
+def _byte_apply(tables: list[list[int]], a: int) -> int:
+    """xor_combine(images, a) through _byte_tables(images): one lookup per byte of a."""
+    out = 0
     for k, t in enumerate(tables):
-        sq ^= t[(a >> (8 * k)) & 255]
-    return sq
+        out ^= t[(a >> (8 * k)) & 255]
+    return out
+
+
+def _square_byte_tables(n: int, poly: int) -> list[list[int]]:
+    """The _byte_tables of squaring, which is F_2-linear: a^2 is the XOR of
+    (x^i)^2 mod poly over the set bits i of a, so _byte_apply does the work
+    of psquare + pmod in ceil(n/8) lookups (0.8 us against 6.3 us at n = 24).
+    """
+    return _byte_tables([pmod(psquare(1 << i), poly) for i in range(n)])
 
 
 def _traces(tables: list[list[int]], n: int, elems) -> np.ndarray:
@@ -431,7 +434,7 @@ class FieldCtx:
         return self._mul_raw(a, b)
 
     def sqr(self, a: int) -> int:
-        return _square(self._square_tables(), a)
+        return _byte_apply(self._square_tables(), a)
 
     def pow(self, a: int, e: int) -> int:
         """a^e by square-and-multiply; table-free, so the table builders can use it."""
@@ -484,7 +487,7 @@ class FieldCtx:
         for i in range(self.n):
             v = 1 << i
             for _ in range(d):
-                v = _square(tabs, v)
+                v = _byte_apply(tabs, v)
             cols.append(v ^ (1 << i))
         basis = nullspace_rows(list(transpose_bits(cols, self.n)), self.n)
         span = set(xor_table(basis, elem_dtype(self.n)).tolist())
@@ -543,19 +546,16 @@ class FieldCtx:
         """Column images of y -> C*c*C^-1*y, with C = G (dual coordinates) or C = I.
 
         The images depend F_2-linearly on c, so, packed n bits apiece into
-        one int, they are the XOR of one entry of _mul_image_tables per byte
-        of c: 5 us against 110-180 us for n products at n = 24.
+        one int, they are _byte_apply of c through _mul_image_tables: 5 us
+        against 110-180 us for n products at n = 24.
         """
-        packed = 0
-        for k, t in enumerate(self._mul_image_tables(dual)):
-            packed ^= t[(c >> (8 * k)) & 255]
+        packed = _byte_apply(self._mul_image_tables(dual), c)
         mask = (1 << self.n) - 1
         return [(packed >> (self.n * i)) & mask for i in range(self.n)]
 
     @memo
     def _mul_image_tables(self, dual: bool) -> list[list[int]]:
-        """ceil(n/8) lists of 256 packed _mul_images: table k holds those of
-        the constants whose set bits lie in byte k.
+        """The _byte_tables of c -> packed _mul_images(c), from its images at c = x^j.
 
         For c = x^j the polynomial images are x^(i+j).  Column i of C^-1 is
         row i of gram_inv (G is symmetric), so the dual images are
@@ -568,7 +568,7 @@ class FieldCtx:
             if dual:
                 imgs = [self.dualenc(xor_combine(imgs, col)) for col in self.gram_inv]
             packed.append(sum(v << (n * i) for i, v in enumerate(imgs)))
-        return [xor_table(packed[k:k + 8], object).tolist() for k in range(0, n, 8)]
+        return _byte_tables(packed)
 
     def power_blocks(self, dual: bool = False):
         """Yield (a, fwd, mir) with fwd[k] = C*g^(a+k) and mir[k] = C*g^-(a+k).

@@ -10,8 +10,9 @@ two maps of a pair share one packed xor_table pass, the adjoints are read
 through the cached G and G^-1 tables, and products go through the
 sentinel-log tables of gf2n.  Both ways give the same witness.
 linmap.adjoint and kernel_intersection stay as the matrix-level oracles.
-Exhaustive and randomized searches below lean on cheap spectral probes and
-confirm survivors by direct evaluation, so the two routes stay independent.
+The exhaustive sweep over x^-1 + L(x) applies the spectral criterion at every
+b, the randomized search at a few probes; both confirm every survivor by
+direct evaluation, so the two routes stay independent.
 """
 from __future__ import annotations
 
@@ -21,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from kspectra.gf2n import FieldCtx, pdeg, span_list, spans, xor_combine, xor_table
+from kspectra.gf2n import TABLE_DEGREE, FieldCtx, elem_dtype, span_list, spans, xor_combine, xor_table
 from kspectra.linmap import LinMap, adjoint, identity_map, kernel_dim
 from kspectra.spectra import Spectrum, TruthTable, checked_kloosterman, kloosterman_spectrum
 from kspectra.zerospace import zero_subspace_bound
@@ -219,64 +220,56 @@ class SweepReport:
 
 
 def _sweep(ctx: FieldCtx) -> tuple[int, list[tuple[int, ...]]]:
-    """Scan all matrices of L* column by column.
+    """Scan all matrices A = L* column by column, each b at the column that decides it.
 
-    Enumerating in adjoint space makes every probe K(b * A(b)) one scalar
-    product and one lookup; a probe failing at a column prefix rejects the
-    whole subtree at once (every completion fails that same probe), so the
-    count advances by the subtree size.  Survivors are confirmed by
-    perm_direct on x^-1 + L(x), i.e. L1 = identity.
+    x^-1 + L(x) is a permutation iff K(b * A(b)) = 0 for all b != 0 (the
+    spectral criterion with L1 = I; K(0) = 0).  Column l = c fixes A(b) =
+    c xor A(b xor 2^l) for every b with leading bit l, so each level keeps
+    the c passing all those b and the surviving leaves are exactly the
+    permutations.  A rejected c fails that b for every completion, so the
+    count advances by its subtree's size.  perm_direct confirms each survivor.
     """
     n = ctx.n
     N = ctx.size
-    spec = kloosterman_spectrum(ctx)
-    kz = [bool(spec.data[a] == 0) for a in range(N)]
-    probes_at: list[list[int]] = [[] for _ in range(n)]  # probes decided by column pdeg(b)
-    for b in PROBE_BS:
-        if b < N:
-            probes_at[pdeg(b)].append(b)
+    kz = kloosterman_spectrum(ctx).data == 0
+    elems = np.arange(N, dtype=elem_dtype(n))
     checked = 0
     found: list[tuple[int, ...]] = []
-    acols = [0] * n
-    ident = identity_map(n)
 
-    def confirm() -> None:
+    def rec(prefix: list[int]) -> None:
         nonlocal checked
-        checked += 1
-        L = adjoint(ctx, LinMap(n, tuple(acols)))  # involution: acols are exactly L*
-        if perm_direct(ctx, ident, L).is_perm:
-            found.append(L.cols)
+        level = len(prefix)
+        top = 1 << level
+        P = xor_table(prefix, elems.dtype)  # A(b) for b < 2^level
+        alive = elems
+        for b in range(top, 2 * top):
+            alive = alive[kz.take(ctx.mul_scalar_vec(b, alive ^ P[b ^ top]))]
+        checked += (N - alive.size) * N ** (n - 1 - level)  # every completion fails
+        for c in alive.tolist():
+            acols = prefix + [c]
+            if level < n - 1:
+                rec(acols)
+            elif any(acols):
+                checked += 1
+                L = adjoint(ctx, LinMap(n, tuple(acols)))  # involution: acols are exactly L*
+                if not perm_direct(ctx, identity_map(n), L).is_perm:
+                    raise AssertionError(f"sweep survivor {L.cols} is not a permutation")
+                found.append(L.cols)
 
-    def rec(level: int) -> None:
-        nonlocal checked
-        tail = N ** (n - 1 - level)
-        for c in range(N):
-            acols[level] = c
-            if not all(kz[ctx.mul(b, xor_combine(acols, b))] for b in probes_at[level]):  # A(b)
-                checked += tail  # every completion fails this probe
-                continue
-            if level == n - 1:
-                if any(acols):
-                    confirm()
-            else:
-                rec(level + 1)
-
-    rec(0)
+    rec([])
     return checked, found
 
 
-def sweep_inverse_plus_linear(ctx: FieldCtx, allow_small: bool = False) -> SweepReport:
+def sweep_inverse_plus_linear(ctx: FieldCtx) -> SweepReport:
     """Check every nonzero linear L: is x^-1 + L(x) ever a permutation?
 
-    Sized for n = 5 (2^25 - 1 candidates); smaller degrees are allowed only
-    as explicit out-of-range fixtures.
+    Exhaustive over all 2^(n^2) - 1 candidates up to TABLE_DEGREE, where the
+    products leave the exp/log tables: the cost, not the method, stops it.
     """
     n = ctx.n
-    if n != 5 and not (allow_small and n < 5):
-        raise ValueError(
-            "exhaustive sweep covers n = 5; use allow_small for fixture runs below, "
-            "randomized search above"
-        )
+    if n > TABLE_DEGREE:
+        raise ValueError(f"exhaustive sweep covers n <= {TABLE_DEGREE}; "
+                         "use the randomized search above")
     start = time.perf_counter()
     checked, found = _sweep(ctx)
     if checked != (1 << (n * n)) - 1:

@@ -105,7 +105,7 @@ def test_true_permutations_pinned():
                 perm_spectral(ctx5, zero_map(5), identity_map(5))):
         assert rep.is_perm and rep.witness is None
     ctx4 = mk_field(4)
-    maps = sweep_inverse_plus_linear(ctx4, allow_small=True).permutations_found
+    maps = sweep_inverse_plus_linear(ctx4).permutations_found
     assert [L.cols for L in maps] == MAPS_N4
     for L in maps:
         assert _fields(perm_direct(ctx4, identity_map(4), L)) == (True, None, "direct")

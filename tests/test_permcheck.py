@@ -1,7 +1,12 @@
 """Permutation criteria: direct scan, spectral route, sweeps, searches."""
 
+import itertools
+from functools import lru_cache
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from kspectra.gf2n import mk_field
 from kspectra.linmap import (
@@ -26,7 +31,7 @@ from kspectra.permcheck import (
     search_counterexample,
     sweep_inverse_plus_linear,
 )
-from kspectra.spectra import TruthTable, kloosterman_spectrum
+from kspectra.spectra import Spectrum, TruthTable, kloosterman_spectrum
 from kspectra.zerospace import zero_subspace_bound
 
 
@@ -153,23 +158,65 @@ def test_sweep_n5_exhaustive():
 def test_sweep_small_fixtures():
     # out of the theorem's range; counts are regression fixtures, and every
     # find must replay as a permutation under both methods
-    rep4 = sweep_inverse_plus_linear(mk_field(4), allow_small=True)
+    rep4 = sweep_inverse_plus_linear(mk_field(4))
     assert rep4.candidates_checked == (1 << 16) - 1
     assert len(rep4.permutations_found) == 5
     ctx4 = mk_field(4)
     for L in rep4.permutations_found:
         assert perm_direct(ctx4, identity_map(4), L).is_perm
         assert perm_spectral(ctx4, identity_map(4), L).is_perm
-    rep3 = sweep_inverse_plus_linear(mk_field(3), allow_small=True)
+    rep3 = sweep_inverse_plus_linear(mk_field(3))
     assert rep3.candidates_checked == (1 << 9) - 1
     assert len(rep3.permutations_found) == 7
 
 
+@pytest.mark.parametrize("n", [6, 7, 8, 9, 10])
+def test_sweep_exhaustive_above_n5(n):
+    rep = sweep_inverse_plus_linear(mk_field(n))
+    assert rep.candidates_checked == (1 << (n * n)) - 1
+    assert rep.permutations_found == ()
+
+
 def test_sweep_guards():
-    with pytest.raises(ValueError):
-        sweep_inverse_plus_linear(mk_field(6))
-    with pytest.raises(ValueError):
-        sweep_inverse_plus_linear(mk_field(4))
+    with pytest.raises(ValueError, match="randomized search"):
+        sweep_inverse_plus_linear(mk_field(17))
+
+
+@lru_cache(maxsize=None)
+def _sweep_maps(n):
+    return frozenset(L.cols for L in sweep_inverse_plus_linear(mk_field(n)).permutations_found)
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_sweep_equals_direct_oracle_on_every_map(n):
+    ctx = mk_field(n)
+    ident = identity_map(n)
+    perms = {cols for cols in itertools.product(range(1 << n), repeat=n)
+             if any(cols) and perm_direct(ctx, ident, LinMap(n, cols)).is_perm}
+    assert perms == _sweep_maps(n)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(4, 8).flatmap(
+    lambda n: st.tuples(st.just(n), st.lists(st.integers(0, (1 << n) - 1), min_size=n,
+                                             max_size=n).filter(any))))
+def test_sweep_rejects_exactly_the_direct_rejects(nc):
+    n, cols = nc
+    L = LinMap(n, tuple(cols))
+    assert perm_direct(mk_field(n), identity_map(n), L).is_perm == (L.cols in _sweep_maps(n))
+
+
+def test_sweep_survivor_rejected_by_direct_is_internal_error(monkeypatch):
+    # an all-zero spectrum passes every candidate, so survivors that are not
+    # permutations reach perm_direct, which must stop the sweep
+    from kspectra import permcheck
+
+    def all_zero(ctx):
+        return Spectrum(ctx.n, "kloosterman", np.zeros(ctx.size, dtype=np.int32))
+
+    monkeypatch.setattr(permcheck, "kloosterman_spectrum", all_zero)
+    with pytest.raises(AssertionError, match="not a permutation"):
+        sweep_inverse_plus_linear(mk_field(3))
 
 
 def test_scalar_maps_never_permute_n5():
