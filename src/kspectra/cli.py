@@ -280,10 +280,9 @@ def _check_subspace_sum_identity(args) -> dict:
     violations = []
     for n in _span(args, 5, 12):
         ctx = mk_field(n)
-        spec = kloosterman_spectrum(ctx)
         for _ in range(samples):
             V = random_subspace(rng, n, int(rng.integers(0, n)))
-            lhs, rhs = subspace_sum_identity(ctx, V, spec)
+            lhs, rhs = subspace_sum_identity(ctx, V)
             if lhs != rhs:
                 violations.append({"n": n, "basis": [hex(v) for v in V.vectors],
                                    "lhs": lhs, "rhs": rhs})
@@ -331,10 +330,9 @@ def _check_spectral_vs_direct(args) -> dict:
     violations = []
     for n in _span(args, 5, 10):
         ctx = mk_field(n)
-        spec = kloosterman_spectrum(ctx)
         for _ in range(samples):
             L1, L2 = random_map(rng, n), random_map(rng, n)
-            if perm_spectral(ctx, L1, L2, spec).is_perm != perm_direct(ctx, L1, L2).is_perm:
+            if perm_spectral(ctx, L1, L2).is_perm != perm_direct(ctx, L1, L2).is_perm:
                 violations.append({"n": n,
                                    "l1": [hex(c) for c in L1.cols],
                                    "l2": [hex(c) for c in L2.cols]})

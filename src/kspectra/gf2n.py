@@ -23,7 +23,8 @@ MIN_DEGREE = 2
 MAX_DEGREE = 32
 
 #: exp/log multiplication tables are built only up to this degree; above it
-#: scalar products fall back to carry-less shift-and-reduce.
+#: scalar products fall back to carry-less shift-and-reduce.  Up to it, too,
+#: mk_field shares one context per polynomial for the life of the process.
 TABLE_DEGREE = 16
 
 #: FieldCtx.power_blocks walks the powers of the generator in blocks of this
@@ -383,8 +384,8 @@ def memo(build):
     """Cache build(ctx, *args) in ctx._cache, keyed by its name (and args).
 
     Cached ndarrays, alone or in a tuple, are made read-only, since every
-    caller shares them.  Without args a hit is one dict lookup under a
-    string key: ctx.mul pays it on every call.
+    caller shares them.  A build that raises stores nothing.  Without args
+    a hit is one dict lookup under a string key: ctx.mul pays it on every call.
     """
     name = build.__name__
 
@@ -407,7 +408,11 @@ def memo(build):
 
 @dataclass(frozen=True, eq=False)
 class FieldCtx:
-    """Immutable description of F_2^n; safe to share across workers."""
+    """Immutable description of F_2^n; safe to share across workers.
+
+    _cache holds its read-only memo tables, which live as long as the context:
+    for the contexts mk_field shares (n <= TABLE_DEGREE), the process.
+    """
 
     n: int
     poly: int
@@ -687,17 +692,28 @@ class FieldCtx:
 
 
 def mk_field(n: int, poly: int | None = None) -> FieldCtx:
-    """Build a FieldCtx for F_2^n, verifying the reduction polynomial and, through
-    _traces, all 2n - 1 Gram and n^2 dual-basis traces Tr(d_i * x^j) = delta_ij."""
+    """The FieldCtx of F_2^n modulo poly, default_poly(n) when None.
+
+    For n <= TABLE_DEGREE all calls with the same resolved polynomial share
+    one context, built and verified once per process; above it each call
+    builds a fresh one.  A reducible polynomial raises on every call.
+    """
     if not MIN_DEGREE <= n <= MAX_DEGREE:
         raise ValueError(f"degree {n} outside supported range {MIN_DEGREE}..{MAX_DEGREE}")
     if poly is None:
         poly = default_poly(n)
     if pdeg(poly) != n:
         raise ValueError(f"polynomial {poly:#x} does not have degree {n}")
+    if n <= TABLE_DEGREE:
+        return _shared_field(n, poly)
+    return _build_field(n, poly)
+
+
+def _build_field(n: int, poly: int) -> FieldCtx:
+    """A fresh FieldCtx, verifying the reduction polynomial and, through
+    _traces, all 2n - 1 Gram and n^2 dual-basis traces Tr(d_i * x^j) = delta_ij."""
     if not is_irreducible(poly):
-        factor = find_factor(poly)
-        raise ReduciblePolynomialError(poly, factor)
+        raise ReduciblePolynomialError(poly, find_factor(poly))
 
     sq_tabs = _square_byte_tables(n, poly)
     # Tr(x^i * x^j) depends on i + j only: the Gram matrix is a Hankel matrix,
@@ -715,3 +731,7 @@ def mk_field(n: int, poly: int | None = None) -> FieldCtx:
     if not np.array_equal(_traces(sq_tabs, n, prods), np.eye(n)):
         raise AssertionError("dual basis construction failed")
     return ctx
+
+
+#: the shared contexts of mk_field, one per (n, poly); a build that raises is not kept
+_shared_field = lru_cache(maxsize=None)(_build_field)

@@ -24,7 +24,7 @@ import numpy as np
 
 from kspectra.gf2n import TABLE_DEGREE, FieldCtx, elem_dtype, span_list, spans, xor_combine, xor_table
 from kspectra.linmap import LinMap, adjoint, identity_map, kernel_dim
-from kspectra.spectra import Spectrum, TruthTable, checked_kloosterman, kloosterman_spectrum
+from kspectra.spectra import TruthTable, kloosterman_spectrum
 from kspectra.zerospace import zero_subspace_bound
 
 #: fast-reject probe points: the first 8 nonzero field elements
@@ -152,8 +152,7 @@ def _adjoint_at(ctx: FieldCtx, cols, d: int) -> int:
     return xor_combine(ctx.gram_inv, w)
 
 
-def perm_spectral(ctx: FieldCtx, L1: LinMap, L2: LinMap,
-                  spectrum: Spectrum | None = None) -> PermReport:
+def perm_spectral(ctx: FieldCtx, L1: LinMap, L2: LinMap) -> PermReport:
     """Decide bijectivity from adjoint kernels and Kloosterman values only.
 
     Kernel witness takes priority; then b scans in increasing encoded value.
@@ -167,9 +166,8 @@ def perm_spectral(ctx: FieldCtx, L1: LinMap, L2: LinMap,
     F_2^n.  Then the PROBE_BS points, evaluated one adjoint bit at a time,
     settle most pairs before any 2^n table is built.
     """
-    spec = checked_kloosterman(ctx, spectrum)
+    K = kloosterman_spectrum(ctx).data
     if spans(L1.cols + L2.cols, ctx.n):
-        K = spec.data
         for b in PROBE_BS[:ctx.size - 1]:
             d = ctx.dualenc(b)
             if K[ctx.mul(_adjoint_at(ctx, L1.cols, d), _adjoint_at(ctx, L2.cols, d))]:
@@ -178,7 +176,7 @@ def perm_spectral(ctx: FieldCtx, L1: LinMap, L2: LinMap,
     b = int(A[1:].argmin()) + 1  # the first zero, if there is one
     if A[b] == 0:
         return PermReport(False, ("kernel_overlap", b), "spectral")
-    bad = spec.data.take(ctx.mul_vec(*_halves(A))).nonzero()[0]
+    bad = K.take(ctx.mul_vec(*_halves(A))).nonzero()[0]
     if bad.size:
         return PermReport(False, ("spectral_b", int(bad[0])), "spectral")
     return PermReport(True, None, "spectral")
@@ -305,8 +303,7 @@ class SearchReport:
 
 
 def search_counterexample(ctx: FieldCtx, mode: str = "random", budget: int = 10**6,
-                          seed: int = 0, batch: int = 1 << 14,
-                          spectrum: Spectrum | None = None) -> SearchReport:
+                          seed: int = 0, batch: int = 1 << 14) -> SearchReport:
     """Sample (L1, L2) pairs hunting a permutation L1(x^-1) + L2(x).
 
     Pairs are drawn as adjoint matrices (a bijective reparametrization, so
@@ -321,8 +318,7 @@ def search_counterexample(ctx: FieldCtx, mode: str = "random", budget: int = 10*
         raise ValueError(f"unknown mode {mode!r}")
     n = ctx.n
     N = ctx.size
-    spec = checked_kloosterman(ctx, spectrum)
-    kz_mask = spec.data == 0
+    kz_mask = kloosterman_spectrum(ctx).data == 0
     zeros = np.flatnonzero(kz_mask).astype(np.uint32)
     zeros = zeros[zeros > 0]
     inv = ctx.inverse_table()

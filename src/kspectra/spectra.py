@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from kspectra.gf2n import MAX_DEGREE, POWER_BLOCK, FieldCtx, elem_dtype
+from kspectra.gf2n import MAX_DEGREE, POWER_BLOCK, FieldCtx, elem_dtype, memo
 
 
 def sign_dtype(n: int):
@@ -49,11 +49,6 @@ def _memory_cap() -> int:
 #: full spectra above this degree would not fit in this machine's RAM
 SPECTRUM_CAP = _memory_cap()
 
-#: spectra up to this degree stay in a process-wide cache, which holds at
-#: most sum_{n <= 20} 4 * 2^n bytes, about 8 MiB per reduction polynomial
-_CACHE_DEGREE = 20
-_spectrum_cache: dict[tuple[int, int], "Spectrum"] = {}
-
 #: CSV export converts and writes this many rows at a time
 CSV_CHUNK = 1 << 16
 
@@ -68,7 +63,9 @@ class TruthTable:
     def __post_init__(self):
         if self.values.shape != (1 << self.n,):
             raise ValueError("truth table must have exactly 2^n entries")
-        if self.values.size and int(self.values.max()) >= (1 << self.n):
+        if self.values.dtype.kind not in "iu":
+            raise ValueError("truth table entries must be integers")
+        if self.values.size and (int(self.values.min()) < 0 or int(self.values.max()) >= (1 << self.n)):
             raise ValueError("truth table entry out of field range")
 
     @classmethod
@@ -258,39 +255,22 @@ def kloosterman(ctx: FieldCtx, a: int) -> int:
     return total
 
 
-def kloosterman_spectrum(ctx: FieldCtx, cap: int = SPECTRUM_CAP) -> Spectrum:
-    """All Kloosterman sums, O(n*2^n) time and O(2^n) space."""
-    if ctx.n > cap:
+@memo
+def kloosterman_spectrum(ctx: FieldCtx) -> Spectrum:
+    """All Kloosterman sums, O(n*2^n) time and O(2^n) space, one memo table of ctx.
+
+    Like every memo table it lives as long as ctx: for the contexts that
+    mk_field shares (n <= TABLE_DEGREE) that is the process.  Above
+    SPECTRUM_CAP the build raises ValueError and nothing is cached.
+    """
+    if ctx.n > SPECTRUM_CAP:
         raise ValueError(
-            f"full spectrum for n={ctx.n} is over the memory cap (n <= {cap}; it needs "
+            f"full spectrum for n={ctx.n} is over the memory cap (n <= {SPECTRUM_CAP}; it needs "
             f"about {spectrum_bytes(ctx.n):,} bytes); evaluate kloosterman() pointwise instead"
         )
-    key = (ctx.n, ctx.poly)
-    hit = _spectrum_cache.get(key)
-    if hit is not None:
-        return hit
     spec = Spectrum(ctx.n, "kloosterman", _kloosterman_transform(ctx))
     _validate_kloosterman(spec)
-    if ctx.n <= _CACHE_DEGREE:
-        _spectrum_cache[key] = spec
     return spec
-
-
-def checked_kloosterman(ctx: FieldCtx, spectrum: Spectrum | None = None) -> Spectrum:
-    """The Kloosterman spectrum of ctx: spectrum itself once checked, or
-    kloosterman_spectrum(ctx) when None.
-
-    Raises ValueError on a spectrum of another degree or kind, whose entries
-    would otherwise be read as K(a) for the wrong field.
-    """
-    if spectrum is None:
-        return kloosterman_spectrum(ctx)
-    if spectrum.kind != "kloosterman" or spectrum.n != ctx.n:
-        raise ValueError(
-            f"expected the Kloosterman spectrum of F_2^{ctx.n}, "
-            f"got a {spectrum.kind} spectrum at n={spectrum.n}"
-        )
-    return spectrum
 
 
 def _kloosterman_transform(ctx: FieldCtx) -> np.ndarray:

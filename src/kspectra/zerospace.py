@@ -18,7 +18,7 @@ import numpy as np
 from kspectra.gf2n import FieldCtx
 from kspectra.linmap import SubspaceBasis, canonical_search, orthogonal_complement, subspace_from_vectors
 from kspectra.quadform import q_table
-from kspectra.spectra import Spectrum, checked_kloosterman, kloosterman_spectrum, kloosterman_zeros
+from kspectra.spectra import kloosterman_spectrum, kloosterman_zeros
 
 
 def zero_subspace_bound(n: int) -> int:
@@ -144,7 +144,7 @@ def max_mod16_subspace(ctx: FieldCtx, *, node_budget: int | None = None) -> Zero
                                node_budget=node_budget, label="mod16")
 
 
-def subspace_sum_identity(ctx: FieldCtx, V: SubspaceBasis, spectrum: Spectrum | None = None) -> tuple[int, int]:
+def subspace_sum_identity(ctx: FieldCtx, V: SubspaceBasis) -> tuple[int, int]:
     """Both sides of the subspace summation identity, exactly.
 
     lhs = sum_{a in V} ((K(a) - 1)^2 - 1) = sum (K(a)^2 - 2K(a));
@@ -154,8 +154,7 @@ def subspace_sum_identity(ctx: FieldCtx, V: SubspaceBasis, spectrum: Spectrum | 
     0-extended sums; on subspaces of Kloosterman zeros both sides are 0.
     Verified exhaustively over every subspace of F_2^5.
     """
-    spec = checked_kloosterman(ctx, spectrum)
-    K = spec.data
+    K = kloosterman_spectrum(ctx).data
     k = V.dim
     span = V.span()
     # Spectra are int32 and |K| <= 2^(n/2+1) + 1, so K^2 - 2K stays below

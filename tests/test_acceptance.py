@@ -177,12 +177,11 @@ def test_criterion_09_spectral_equals_direct_10k_per_n():
     rng = np.random.default_rng(0xC0FFEE)
     for n in range(5, 11):
         c = ctx(n)
-        s = spec(n)
         disagreements = 0
         for _ in range(10_000):
             L1 = random_map(rng, n)
             L2 = random_map(rng, n)
-            if perm_spectral(c, L1, L2, s).is_perm != perm_direct(c, L1, L2).is_perm:
+            if perm_spectral(c, L1, L2).is_perm != perm_direct(c, L1, L2).is_perm:
                 disagreements += 1
         assert disagreements == 0, f"n={n}: {disagreements} disagreements"
     _ok(9, "spectral and direct verdicts agree on 10^4 random pairs per n=5..10")
@@ -194,11 +193,10 @@ def test_criterion_10_subspace_sum_identity():
     rng = np.random.default_rng(0xABCD)
     for n in range(5, 13):
         c = ctx(n)
-        s = spec(n)
         dims = list(range(n)) * (100 // n + 2)  # >= 100, covers every dim 0..n-1
         for dim in dims:
             V = random_subspace(rng, n, dim)
-            lhs, rhs = subspace_sum_identity(c, V, s)
+            lhs, rhs = subspace_sum_identity(c, V)
             assert lhs == rhs, f"n={n} dim={dim}: {lhs} != {rhs}"
     _ok(10, "subspace summation identity exact on 100+ subspaces per n=5..12")
 

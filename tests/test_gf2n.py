@@ -407,7 +407,7 @@ def test_gram_is_definitional_trace(n):
             assert (ctx.gram[i] >> j) & 1 == h[i + j]
 
 
-def test_mk_field_checks_dual_basis(monkeypatch):
+def test_mk_field_checks_dual_basis(monkeypatch, fresh_fields):
     from kspectra import gf2n
 
     monkeypatch.setattr(gf2n, "mat_inverse_rows", lambda rows, n: tuple(1 << i for i in range(n)))
@@ -435,7 +435,7 @@ def test_batched_traces_match_scalar_definition(n, data):
     assert got.tolist() == [ctx.trace(a) for a in elems]
 
 
-def test_mk_field_checks_square_tables(monkeypatch):
+def test_mk_field_checks_square_tables(monkeypatch, fresh_fields):
     # a wrong squaring table must trip the trace checks, not yield a wrong field
     from kspectra import gf2n
 

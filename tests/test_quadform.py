@@ -98,7 +98,7 @@ def test_q_by_traces_matches_q_eval(n, data):
 
 
 @pytest.mark.parametrize("n", [2, 5, 10, TABLE_DEGREE])
-def test_q_table_builds_no_scalar_tables(n):
+def test_q_table_builds_no_scalar_tables(n, fresh_fields):
     # about n^2/2 products do not pay for 2^n-entry sentinel-log tables
     ctx = mk_field(n)
     q_table(ctx)

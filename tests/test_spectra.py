@@ -13,11 +13,18 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import kspectra
-from kspectra import spectra
+from kspectra import gf2n, spectra
 from kspectra.cli import main
-from kspectra.gf2n import FieldCtx, is_irreducible, mk_field, smallest_irreducible
-from kspectra.linmap import identity_map, random_map, random_subspace
-from kspectra.permcheck import perm_spectral, search_counterexample
+from kspectra.gf2n import (
+    POLY_TABLE_ENV,
+    FieldCtx,
+    ReduciblePolynomialError,
+    is_irreducible,
+    mk_field,
+    smallest_irreducible,
+)
+from kspectra.linmap import random_map, random_subspace
+from kspectra.permcheck import perm_spectral
 from kspectra.spectra import (
     SPECTRUM_CAP,
     Spectrum,
@@ -176,10 +183,13 @@ def test_kloosterman_zeros_n10_count():
     assert len(kloosterman_zeros(ctx)) == 60
 
 
-def test_spectrum_cap_error():
-    ctx = mk_field(8)
+def test_spectrum_cap_error(monkeypatch):
+    # n = 17: mk_field shares no field above TABLE_DEGREE, so no spectrum is cached yet
+    ctx = mk_field(17)
+    monkeypatch.setattr(spectra, "SPECTRUM_CAP", 16)
     with pytest.raises(ValueError, match="pointwise"):
-        kloosterman_spectrum(ctx, cap=6)
+        kloosterman_spectrum(ctx)
+    assert "kloosterman_spectrum" not in ctx._cache  # a refused build caches nothing
 
 
 def test_spectrum_above_memory_cap_is_refused_before_any_table():
@@ -227,16 +237,15 @@ def test_spectrum_matches_pointwise_on_other_polynomials(n, start, data):
         assert int(spec.data[a]) == kloosterman(ctx, a)
 
 
-def test_non_primitive_generator_fails_the_coverage_check(monkeypatch):
+def test_non_primitive_generator_fails_the_coverage_check(monkeypatch, fresh_fields):
     ctx = mk_field(12)
     cube = ctx.pow(ctx._generator(), 3)  # order (2^12 - 1) / 3
     monkeypatch.setattr(FieldCtx, "_generator", lambda self: cube)
-    monkeypatch.setattr(spectra, "_spectrum_cache", {})
     with pytest.raises(AssertionError, match="missed a nonzero element"):
         kloosterman_spectrum(mk_field(12))
 
 
-def test_coverage_check_holds_on_dirty_allocations(monkeypatch):
+def test_coverage_check_holds_on_dirty_allocations(monkeypatch, fresh_fields):
     # the check reads the sign slots the powers left untouched, so the buffer
     # they live in must be zero-filled, not taken from np.empty's leftovers
     empty = np.empty
@@ -251,7 +260,6 @@ def test_coverage_check_holds_on_dirty_allocations(monkeypatch):
     cube = ctx.pow(ctx._generator(), 3)
     monkeypatch.setattr(np, "empty", dirty_empty)
     monkeypatch.setattr(FieldCtx, "_generator", lambda self: cube)
-    monkeypatch.setattr(spectra, "_spectrum_cache", {})
     with pytest.raises(AssertionError, match="missed a nonzero element"):
         kloosterman_spectrum(mk_field(12))
 
@@ -282,7 +290,7 @@ def test_spectrum_peak_memory_follows_spectrum_bytes():
     assert growth <= 1.25 * estimate + (16 << 20)
 
 
-def test_int32_spectrum_consumers_match_int64(capsys):
+def test_int32_spectrum_consumers_match_int64(capsys, monkeypatch):
     n = 12
     ctx = mk_field(n)
     spec = kloosterman_spectrum(ctx)
@@ -290,12 +298,19 @@ def test_int32_spectrum_consumers_match_int64(capsys):
     wide = Spectrum(n, spec.kind, spec.data.astype(np.int64))
     _validate_kloosterman(wide)
     rng = np.random.default_rng(12)
-    for dim in (0, 1, 3, 6, 11):
-        V = random_subspace(rng, n, dim)
-        assert subspace_sum_identity(ctx, V, spec) == subspace_sum_identity(ctx, V, wide)
-    for _ in range(20):
-        L1, L2 = random_map(rng, n), random_map(rng, n)
-        assert perm_spectral(ctx, L1, L2, spec) == perm_spectral(ctx, L1, L2, wide)
+    subspaces = [random_subspace(rng, n, dim) for dim in (0, 1, 3, 6, 11)]
+    pairs = [(random_map(rng, n), random_map(rng, n)) for _ in range(20)]
+
+    def consumers():
+        return ([subspace_sum_identity(ctx, V) for V in subspaces],
+                [perm_spectral(ctx, L1, L2) for L1, L2 in pairs])
+
+    narrow = consumers()
+    with monkeypatch.context() as m:
+        m.setitem(ctx._cache, "kloosterman_spectrum", wide)
+        assert kloosterman_spectrum(ctx) is wide
+        assert consumers() == narrow
+    assert kloosterman_spectrum(ctx) is spec
     assert list(spec.to_csv_rows()) == list(wide.to_csv_rows())
     assert main(["spectrum", "--n", str(n), "--format", "json"]) == 0
     assert json.loads(capsys.readouterr().out)["data"] == wide.data.tolist()
@@ -327,6 +342,10 @@ def test_truth_table_validation():
         TruthTable(4, np.zeros(15, dtype=np.uint32))
     with pytest.raises(ValueError):
         TruthTable(3, np.full(8, 9, dtype=np.uint32))
+    with pytest.raises(ValueError, match="out of field range"):
+        TruthTable(4, np.array([-1] + list(range(1, 16))))
+    with pytest.raises(ValueError, match="integers"):
+        TruthTable(4, np.arange(16, dtype=np.float64))
 
 
 def test_spectrum_csv_rows():
@@ -337,32 +356,28 @@ def test_spectrum_csv_rows():
     assert len(rows) == 32
 
 
-# -- a spectrum passed in must be the Kloosterman spectrum of the field ------
+# -- mk_field shares small fields, and each field memoizes its spectrum ------
 
-def _foreign_spectra():
-    """(label, spectrum) pairs that do not belong to F_2^6."""
-    c6 = mk_field(6)
-    return [
-        ("n=8", kloosterman_spectrum(mk_field(8))),
-        ("n=4", kloosterman_spectrum(mk_field(4))),
-        ("walsh_row", walsh_row(c6, spectra.TruthTable.inverse(c6), 1)),
-    ]
-
-
-@pytest.mark.parametrize("label,spec", _foreign_spectra())
-def test_foreign_spectrum_is_refused(label, spec):
-    ctx = mk_field(6)
-    L = identity_map(6)
-    with pytest.raises(ValueError, match="Kloosterman spectrum of F_2\\^6"):
-        perm_spectral(ctx, L, L, spec)
-    with pytest.raises(ValueError, match="Kloosterman spectrum of F_2\\^6"):
-        search_counterexample(ctx, "random", budget=100, spectrum=spec)
-    with pytest.raises(ValueError, match="Kloosterman spectrum of F_2\\^6"):
-        subspace_sum_identity(ctx, random_subspace(np.random.default_rng(1), 6, 2), spec)
-
-
-def test_own_spectrum_is_accepted():
-    ctx = mk_field(6)
-    spec = kloosterman_spectrum(ctx)
-    assert spectra.checked_kloosterman(ctx, spec) is spec
-    assert spectra.checked_kloosterman(ctx) is spec  # the cached one
+def test_small_fields_and_their_spectra_are_shared(tmp_path, monkeypatch):
+    for n in (2, 6, 16):
+        assert mk_field(n) is mk_field(n)
+        assert mk_field(n, smallest_irreducible(n)) is mk_field(n)  # keyed by the resolved poly
+        assert kloosterman_spectrum(mk_field(n)) is kloosterman_spectrum(mk_field(n))
+    big = mk_field(17)
+    assert big is not mk_field(17)
+    assert big.poly == mk_field(17).poly
+    # the key is the resolved polynomial, not None: a new table takes effect at once
+    other = _other_irreducible(6, 1)
+    table = tmp_path / "polys.txt"
+    table.write_text(f"6 {other:#x}\n")
+    monkeypatch.setenv(POLY_TABLE_ENV, str(table))
+    assert mk_field(6).poly == other
+    assert mk_field(6) is mk_field(6, other)
+    monkeypatch.delenv(POLY_TABLE_ENV)
+    assert mk_field(6).poly == smallest_irreducible(6)
+    # a reducible polynomial raises on every call: nothing is cached
+    shared = gf2n._shared_field.cache_info().currsize
+    for _ in range(2):
+        with pytest.raises(ReduciblePolynomialError):
+            mk_field(6, 0b1000001)  # x^6 + 1 = (x^3 + 1)^2
+    assert gf2n._shared_field.cache_info().currsize == shared

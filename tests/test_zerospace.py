@@ -154,11 +154,10 @@ def test_subspace_sum_identity_random():
     rng = np.random.default_rng(99)
     for n in range(5, 10):
         ctx = mk_field(n)
-        spec = kloosterman_spectrum(ctx)
         for _ in range(40):
             dim = int(rng.integers(0, n))
             V = random_subspace(rng, n, dim)
-            lhs, rhs = subspace_sum_identity(ctx, V, spec)
+            lhs, rhs = subspace_sum_identity(ctx, V)
             assert lhs == rhs
 
 
@@ -311,8 +310,9 @@ def test_isotropic_search_on_random_forms(ucols):
 def test_pruned_search_releases_its_field():
     # the search's recursive closure refers to itself and holds the n LOW
     # masks, n * 2^n bits: no reference cycle may keep them or the field
-    # past the call
-    ctx = mk_field(10)
+    # past the call; n = 17 is the first degree whose fields mk_field does
+    # not share, so the caller's reference is the only one
+    ctx = mk_field(17)
     ref = weakref.ref(ctx)
     gc.collect()
     gc.disable()
