@@ -32,7 +32,6 @@ from kspectra.quadform import (
 from kspectra.spectra import CSV_CHUNK, kloosterman_spectrum, kloosterman_zeros
 from kspectra.zerospace import (
     max_mod16_subspace,
-    max_subspace_in_set,
     max_zero_subspace,
     mod16_members,
     mod16_subspace_bound,
@@ -86,10 +85,7 @@ def _ctx(args):
 # ---------------------------------------------------------------------------
 
 def cmd_spectrum(args) -> int:
-    ctx = _ctx(args)
-    if args.what != "kloosterman":
-        raise ValueError(f"unknown spectrum kind {args.what!r}")
-    spec = kloosterman_spectrum(ctx)
+    spec = kloosterman_spectrum(_ctx(args))
     _write(args, (_csv_chunks if args.format == "csv" else _json_chunks)(spec))
     return 0
 

@@ -408,10 +408,11 @@ def memo(build):
 
 @dataclass(frozen=True, eq=False)
 class FieldCtx:
-    """Immutable description of F_2^n; safe to share across workers.
+    """Immutable description of F_2^n.
 
-    _cache holds its read-only memo tables, which live as long as the context:
-    for the contexts mk_field shares (n <= TABLE_DEGREE), the process.
+    mk_field shares one context per (n, poly) for n <= TABLE_DEGREE and builds
+    a fresh one above.  _cache holds its read-only memo tables, which live as
+    long as the context: for a shared context, the process.
     """
 
     n: int

@@ -313,15 +313,12 @@ def random_subspace(rng: np.random.Generator, n: int, dim: int) -> SubspaceBasis
     return SubspaceBasis(n, tuple(vecs))
 
 
-def map_to_json(ctx: FieldCtx, L: LinMap, with_linearized: bool = True) -> dict:
-    out = {
+def map_to_json(ctx: FieldCtx, L: LinMap) -> dict:
+    return {
         "n": L.n,
         "matrix_rows": [hex(r) for r in L.rows],
-        "linearized": None,
+        "linearized": [hex(c) for c in linearized_coeffs(ctx, L)],
     }
-    if with_linearized:
-        out["linearized"] = [hex(c) for c in linearized_coeffs(ctx, L)]
-    return out
 
 
 def map_from_json(ctx: FieldCtx, obj: dict) -> LinMap:

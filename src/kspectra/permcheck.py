@@ -5,18 +5,17 @@ composite is a permutation iff ker(L1*) and ker(L2*) meet trivially and every
 product L1*(b)*L2*(b) is a Kloosterman zero.  Both routes first try to
 settle a pair with Python ints: the spectral route by a rank test on the
 columns and the PROBE_BS points, the direct route by the first
-COLLISION_PREFIX values.  Otherwise they work on whole truth tables: the
-two maps of a pair share one packed xor_table pass, the adjoints are read
-through the cached G and G^-1 tables, and products go through the
-sentinel-log tables of gf2n.  Both ways give the same witness.
-linmap.adjoint and kernel_intersection stay as the matrix-level oracles.
+COLLISION_PREFIX values.  Otherwise they work on whole truth tables, one
+xor_table per map: the adjoints are read through the cached G and G^-1
+tables, and products go through the sentinel-log tables of gf2n.  Both ways
+give the same witness.  linmap.adjoint and kernel_intersection stay as the
+matrix-level oracles.
 The exhaustive sweep over x^-1 + L(x) applies the spectral criterion at every
 b, the randomized search at a few probes; both confirm every survivor by
 direct evaluation, so the two routes stay independent.
 """
 from __future__ import annotations
 
-import sys
 import time
 from dataclasses import dataclass
 
@@ -33,9 +32,6 @@ PROBE_BS = (1, 2, 3, 4, 5, 6, 7, 8)
 #: perm_direct scans this many values in Python; the table scan sorts prefixes
 #: of this length (8x it after perm_direct's scan), then 8x longer ones
 COLLISION_PREFIX = 64
-
-#: column of the low 32-bit half of a uint64 viewed as two uint32
-_LOW = 0 if sys.byteorder == "little" else 1
 
 
 @dataclass(frozen=True)
@@ -85,36 +81,20 @@ def is_permutation(ctx: FieldCtx, F: TruthTable) -> PermReport:
     return _report_from_values(F.values)
 
 
-def _pair_table(images1, images2) -> np.ndarray:
-    """Truth tables of the two maps with these column images, from one xor_table pass.
-
-    Entry m packs the image of m under the first map in the low 32 bits and
-    under the second in the high 32 bits (any n <= 32 fits); _halves splits it.
-    """
-    return xor_table([a | b << 32 for a, b in zip(images1, images2)], np.uint64)
-
-
-def _halves(t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The low and high uint32 halves of a uint64 table, as views."""
-    h = t.view(np.uint32).reshape(-1, 2)
-    return h[:, _LOW], h[:, 1 - _LOW]
-
-
 def compose_truth_table(ctx: FieldCtx, L1: LinMap, L2: LinMap) -> np.ndarray:
     """Values of x -> L1(x^-1) + L2(x) over the whole field."""
-    T1, T2 = _halves(_pair_table(L1.cols, L2.cols))
-    return T1.take(ctx.inverse_table()) ^ T2
+    return L1.truth_table().take(ctx.inverse_table()) ^ L2.truth_table()
 
 
-def _adjoint_pair_table(ctx: FieldCtx, L1: LinMap, L2: LinMap) -> np.ndarray:
-    """_pair_table of L1* and L2*: entry enc(b) packs L1*(b) and L2*(b).
+def _adjoint_table(ctx: FieldCtx, L: LinMap) -> np.ndarray:
+    """Truth table of L*, indexed by the encoding of b.
 
     L* = G^-1 * M^T * G, so L*(b) = T[G*b] with T the table of G^-1 * M^T,
     whose columns are G^-1 applied to the rows of M; linmap.adjoint is the
     matrix-level oracle.
     """
-    cols1, cols2 = ctx.ginv_table()[[L1.rows, L2.rows]].tolist()
-    return _pair_table(cols1, cols2).take(ctx.dualenc_table())
+    cols = ctx.ginv_table()[list(L.rows)].tolist()
+    return xor_table(cols, elem_dtype(ctx.n)).take(ctx.dualenc_table())
 
 
 def perm_direct(ctx: FieldCtx, L1: LinMap, L2: LinMap) -> PermReport:
@@ -172,11 +152,12 @@ def perm_spectral(ctx: FieldCtx, L1: LinMap, L2: LinMap) -> PermReport:
             d = ctx.dualenc(b)
             if K[ctx.mul(_adjoint_at(ctx, L1.cols, d), _adjoint_at(ctx, L2.cols, d))]:
                 return PermReport(False, ("spectral_b", b), "spectral")
-    A = _adjoint_pair_table(ctx, L1, L2)
-    b = int(A[1:].argmin()) + 1  # the first zero, if there is one
-    if A[b] == 0:
+    A1, A2 = _adjoint_table(ctx, L1), _adjoint_table(ctx, L2)
+    either = A1 | A2
+    b = int(either[1:].argmin()) + 1  # the first common zero, if there is one
+    if either[b] == 0:
         return PermReport(False, ("kernel_overlap", b), "spectral")
-    bad = K.take(ctx.mul_vec(*_halves(A))).nonzero()[0]
+    bad = K.take(ctx.mul_vec(A1, A2)).nonzero()[0]
     if bad.size:
         return PermReport(False, ("spectral_b", int(bad[0])), "spectral")
     return PermReport(True, None, "spectral")

@@ -32,8 +32,7 @@ from kspectra.linmap import (
 )
 from kspectra.permcheck import (
     PermReport,
-    _adjoint_pair_table,
-    _halves,
+    _adjoint_table,
     _report_from_values,
     _sorted_scan,
     compose_truth_table,
@@ -234,9 +233,8 @@ def map_pairs(draw, min_n=2, max_n=12):
 def test_adjoint_tables_match_linmap_adjoint(nm):
     n, L1, L2 = nm
     ctx = _field(n)
-    A1, A2 = _halves(_adjoint_pair_table(ctx, L1, L2))
-    assert np.array_equal(A1, adjoint(ctx, L1).truth_table())
-    assert np.array_equal(A2, adjoint(ctx, L2).truth_table())
+    assert np.array_equal(_adjoint_table(ctx, L1), adjoint(ctx, L1).truth_table())
+    assert np.array_equal(_adjoint_table(ctx, L2), adjoint(ctx, L2).truth_table())
 
 
 @PROPS

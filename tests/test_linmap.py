@@ -5,7 +5,6 @@ import pytest
 
 from kspectra.gf2n import mk_field
 from kspectra.linmap import (
-    LinMap,
     add,
     adjoint,
     compose,

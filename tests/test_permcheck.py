@@ -14,7 +14,6 @@ from kspectra.linmap import (
     compose,
     from_linearized,
     identity_map,
-    invert_map,
     random_bijective_map,
     random_map,
     scalar_map,

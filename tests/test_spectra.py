@@ -36,7 +36,6 @@ from kspectra.spectra import (
     kloosterman_spectrum,
     kloosterman_zeros,
     nonlinearity,
-    spectrum_bytes,
     walsh,
     walsh_row,
 )
