@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import sys
 
 import numpy as np
@@ -50,8 +51,12 @@ def _write(args, pieces) -> None:
     if getattr(args, "out", None):
         with open(args.out, "w") as fh:
             fh.writelines(pieces)
-    else:
+        return
+    try:
         sys.stdout.writelines(pieces)
+        sys.stdout.flush()
+    except BrokenPipeError:  # the reader quit early (| head): drop the rest
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
 
 
 def _json(obj) -> str:
@@ -76,7 +81,7 @@ def _span(args, start: int | None = None, end: int | None = None) -> range:
 
 
 def _ctx(args):
-    poly = int(args.poly, 0) if getattr(args, "poly", None) else None
+    poly = None if args.poly is None else int(args.poly, 0)
     return mk_field(args.n, poly)
 
 

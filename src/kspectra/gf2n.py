@@ -4,7 +4,8 @@ Field elements are plain ints: bit i of an element is the coefficient of
 x^i in the polynomial basis modulo the reduction polynomial.  Zero and one
 are therefore represented by 0 and 1.  A FieldCtx carries the degree, the
 reduction polynomial and precomputed trace/Gram/dual-basis data; elements
-are passed around as bare ints alongside the context.
+are passed around as bare ints alongside the context.  mk_field(n) reduces
+modulo smallest_irreducible(n); only mk_field(n, poly) chooses another.
 
 Bulk helpers (xor_table, functional_table, exp/log, inverse tables) return
 numpy arrays indexed by element encoding; xor_apply maps whole element
@@ -13,7 +14,6 @@ generator block by block for the spectrum, which needs no 2^n-entry table.
 """
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass, field
 from functools import lru_cache, wraps
 
@@ -30,8 +30,6 @@ TABLE_DEGREE = 16
 #: FieldCtx.power_blocks walks the powers of the generator in blocks of this
 #: many exponents, so a full enumeration needs O(POWER_BLOCK) memory
 POWER_BLOCK = 1 << 16
-
-POLY_TABLE_ENV = "KSPECTRA_POLY_TABLE"
 
 
 class ReduciblePolynomialError(ValueError):
@@ -146,35 +144,6 @@ def smallest_irreducible(n: int) -> int:
         if is_irreducible(p):
             return p
     raise AssertionError(f"no irreducible of degree {n}")  # unreachable
-
-
-def default_poly(n: int) -> int:
-    """Default reduction polynomial for degree n, honouring the env override."""
-    path = os.environ.get(POLY_TABLE_ENV)
-    if path:
-        table = _load_poly_table(path)
-        if n in table:
-            return table[n]
-    return smallest_irreducible(n)
-
-
-@lru_cache(maxsize=None)
-def _load_poly_table(path: str) -> dict[int, int]:
-    """Parse a file of `degree mask` lines (# comments allowed), once per path."""
-    table: dict[int, int] = {}
-    with open(path) as fh:
-        for lineno, raw in enumerate(fh, 1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            try:
-                deg, mask = line.split()
-                table[int(deg)] = int(mask, 0)
-            except ValueError:
-                raise ValueError(
-                    f"{path}:{lineno}: expected 'degree mask', got {raw.strip()!r}"
-                ) from None
-    return table
 
 
 # ---------------------------------------------------------------------------
@@ -693,17 +662,18 @@ class FieldCtx:
 
 
 def mk_field(n: int, poly: int | None = None) -> FieldCtx:
-    """The FieldCtx of F_2^n modulo poly, default_poly(n) when None.
+    """The FieldCtx of F_2^n modulo poly, smallest_irreducible(n) when None.
 
     For n <= TABLE_DEGREE all calls with the same resolved polynomial share
     one context, built and verified once per process; above it each call
-    builds a fresh one.  A reducible polynomial raises on every call.
+    builds a fresh one.  A poly that is negative or not of degree n, or is
+    reducible, raises ValueError on every call.
     """
     if not MIN_DEGREE <= n <= MAX_DEGREE:
         raise ValueError(f"degree {n} outside supported range {MIN_DEGREE}..{MAX_DEGREE}")
     if poly is None:
-        poly = default_poly(n)
-    if pdeg(poly) != n:
+        poly = smallest_irreducible(n)
+    if poly >> n != 1:
         raise ValueError(f"polynomial {poly:#x} does not have degree {n}")
     if n <= TABLE_DEGREE:
         return _shared_field(n, poly)

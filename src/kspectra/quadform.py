@@ -202,18 +202,19 @@ def restrict(ctx: FieldCtx, f, S: SubspaceBasis, validate: bool = True) -> QuadF
     )
 
 
-def _validate_form(f, basis, ev, m: int, samples: int = 64, triples: int = 512):
+def _validate_form(f, basis, ev, m: int):
+    """Check ev against f on up to 512 coordinate triples and 64 random points."""
     rng = np.random.default_rng(0xF0F0)
     if m >= 3:
         idx = [(i, j, k) for i in range(m) for j in range(i + 1, m) for k in range(j + 1, m)]
-        if len(idx) > triples:
-            sel = rng.choice(len(idx), size=triples, replace=False)
+        if len(idx) > 512:
+            sel = rng.choice(len(idx), size=512, replace=False)
             idx = [idx[int(s)] for s in sel]
         for i, j, k in idx:
             c = (1 << i) | (1 << j) | (1 << k)
             if int(ev[c]) != int(f(xor_combine(basis, c))) & 1:
                 raise NotQuadraticFormError("polarization is not bilinear")
-    for c in rng.integers(0, 1 << m, size=min(samples, 1 << m)):
+    for c in rng.integers(0, 1 << m, size=min(64, 1 << m)):
         if int(ev[int(c)]) != int(f(xor_combine(basis, int(c)))) & 1:
             raise NotQuadraticFormError("evaluator disagrees with quadratic table")
 

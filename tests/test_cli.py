@@ -1,9 +1,13 @@
 """CLI contract tests: formats, exit codes, determinism."""
 
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
+import kspectra
 from kspectra.cli import main
 from kspectra.gf2n import mk_field
 from kspectra.linmap import identity_map, map_to_json, zero_map
@@ -112,9 +116,27 @@ def test_usage_errors(capsys):
     assert code == 2
     code, _ = run_cli(capsys, "qform", "--n", "8", "--poly", "0x11c")
     assert code == 2
+    for poly in ("", "-0x25"):  # an empty --poly is no request for the default
+        code, out = run_cli(capsys, "zeros", "--n", "5", f"--poly={poly}")
+        assert code == 2 and out == ""
     with pytest.raises(SystemExit) as exc:
         main(["bogus-command"])
     assert exc.value.code == 2
+
+
+def test_closed_stdout_ends_the_output_not_the_command():
+    # `kspectra spectrum --n 17 | head -c 16`: exit 1 would mean "a violation".
+    # n = 17 writes two CSV_CHUNK pieces, so a write surely meets the closed
+    # pipe; the one piece of n = 16 may end in a partial write that raises nothing
+    src = os.path.dirname(os.path.dirname(kspectra.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.Popen([sys.executable, "-m", "kspectra.cli", "spectrum", "--n", "17"],
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+    assert proc.stdout.read(16) == b"elem_hex,value\n0"
+    proc.stdout.close()
+    err = proc.stderr.read()
+    assert proc.wait(timeout=60) == 0
+    assert err == b""
 
 
 def test_no_prune_is_not_an_option(capsys):
@@ -214,12 +236,3 @@ def test_internal_error_exit_code(capsys, monkeypatch):
     err = capsys.readouterr().err
     assert code == 4
     assert err.startswith("internal error: count 9")
-
-
-def test_malformed_poly_table_is_a_usage_error(tmp_path, capsys, monkeypatch):
-    table = tmp_path / "polys.txt"
-    table.write_text("4 0x13\n5\n")
-    monkeypatch.setenv("KSPECTRA_POLY_TABLE", str(table))
-    code = main(["qform", "--n", "8"])
-    assert code == 2
-    assert f"{table}:2" in capsys.readouterr().err

@@ -10,7 +10,6 @@ import json
 
 import pytest
 
-from kspectra import gf2n
 from kspectra.cli import main
 from kspectra.gf2n import mk_field
 from kspectra.spectra import CSV_CHUNK, kloosterman_spectrum
@@ -51,11 +50,6 @@ OUT_17_SHA256 = "723948cac9e5ddfea8cb8940e9fa0ecc769eb4b9a90d25983bbc0789aaf4b5e
 
 def _sha(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
-
-
-@pytest.fixture(autouse=True)
-def _default_polys(monkeypatch):
-    monkeypatch.delenv(gf2n.POLY_TABLE_ENV, raising=False)
 
 
 @pytest.mark.parametrize("n", sorted(STDOUT_SHA256))

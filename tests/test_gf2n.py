@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from kspectra import gf2n
 from kspectra.gf2n import (
     FieldCtx,
     ReduciblePolynomialError,
@@ -77,9 +78,15 @@ def test_degree_out_of_range():
         mk_field(33)
 
 
-def test_poly_wrong_degree():
+def test_poly_wrong_degree(monkeypatch):
     with pytest.raises(ValueError):
         mk_field(4, 0x25)
+    # a negative mask whose magnitude has degree n is refused as well, and
+    # before is_irreducible, whose pmod never terminates on a negative operand
+    monkeypatch.setattr(gf2n, "is_irreducible", None)
+    for n, poly in [(2, -0x5), (3, -0x9), (4, -0x13), (5, -0x25)]:
+        with pytest.raises(ValueError, match="does not have degree"):
+            mk_field(n, poly)
 
 
 def test_mul_examples_f16():
@@ -311,36 +318,6 @@ def test_smallest_irreducible_known_values():
         got = smallest_irreducible(n)
         want = next(p for p in range((1 << n), (2 << n)) if ref_trial_division_irreducible(p))
         assert got == want
-
-
-def test_poly_table_env_override(tmp_path, monkeypatch):
-    table = tmp_path / "polys.txt"
-    table.write_text("# custom table\n4 0x13\n")
-    monkeypatch.setenv("KSPECTRA_POLY_TABLE", str(table))
-    assert mk_field(4).poly == 0x13
-    monkeypatch.delenv("KSPECTRA_POLY_TABLE")
-    assert mk_field(4).poly == smallest_irreducible(4)
-
-
-def test_poly_table_parsed_once_per_path(tmp_path, monkeypatch):
-    from kspectra.gf2n import _load_poly_table
-    table = tmp_path / "polys.txt"
-    table.write_text("4 0x13\n")
-    monkeypatch.setenv("KSPECTRA_POLY_TABLE", str(table))
-    before = _load_poly_table.cache_info().misses
-    assert mk_field(4).poly == 0x13
-    assert mk_field(4).poly == 0x13
-    assert _load_poly_table.cache_info().misses == before + 1
-
-
-@pytest.mark.parametrize("body, line", [("4 0x13\n5\n", 2), ("# c\n\nfour 0x13\n", 3),
-                                        ("4 0x13 junk\n", 1), ("4 zz\n", 1)])
-def test_poly_table_malformed_line_named(tmp_path, monkeypatch, body, line):
-    table = tmp_path / "polys.txt"
-    table.write_text(body)
-    monkeypatch.setenv("KSPECTRA_POLY_TABLE", str(table))
-    with pytest.raises(ValueError, match=f"{table}:{line}:"):
-        mk_field(4)
 
 
 # sha256 of repr((poly, trace_mask, gram, gram_inv, dual_basis)), captured from

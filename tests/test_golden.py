@@ -11,7 +11,6 @@ from pathlib import Path
 
 import pytest
 
-from kspectra import gf2n
 from kspectra.cli import main
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -35,16 +34,24 @@ def _stable(text: str) -> str:
 
 
 @pytest.mark.parametrize("name", sorted(CASES))
-def test_golden_output(name, capsys, monkeypatch):
-    monkeypatch.delenv(gf2n.POLY_TABLE_ENV, raising=False)
+def test_golden_output(name, capsys):
     assert main(CASES[name]) == 0
     got = capsys.readouterr().out
     want = (GOLDEN / f"{name}.txt").read_text()
     assert _stable(got) == _stable(want)
 
 
-def test_golden_csv_through_out_file(tmp_path, monkeypatch):
-    monkeypatch.delenv(gf2n.POLY_TABLE_ENV, raising=False)
+def test_golden_csv_through_out_file(tmp_path):
     out = tmp_path / "spectrum.csv"
     assert main(["spectrum", "--n", "12", "--out", str(out)]) == 0
     assert out.read_bytes() == (GOLDEN / "spectrum_12_csv.txt").read_bytes()
+
+
+def test_output_depends_only_on_the_command_line(tmp_path, monkeypatch, capsys):
+    # no environment variable chooses the polynomial, only --poly: a table
+    # naming another irreducible of degree 12 changes nothing
+    table = tmp_path / "polys.txt"
+    table.write_text("12 0x1053\n")
+    monkeypatch.setenv("KSPECTRA_POLY_TABLE", str(table))
+    assert main(["spectrum", "--n", "12"]) == 0
+    assert capsys.readouterr().out == (GOLDEN / "spectrum_12_csv.txt").read_text()

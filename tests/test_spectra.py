@@ -16,7 +16,6 @@ import kspectra
 from kspectra import gf2n, spectra
 from kspectra.cli import main
 from kspectra.gf2n import (
-    POLY_TABLE_ENV,
     FieldCtx,
     ReduciblePolynomialError,
     is_irreducible,
@@ -357,7 +356,7 @@ def test_spectrum_csv_rows():
 
 # -- mk_field shares small fields, and each field memoizes its spectrum ------
 
-def test_small_fields_and_their_spectra_are_shared(tmp_path, monkeypatch):
+def test_small_fields_and_their_spectra_are_shared():
     for n in (2, 6, 16):
         assert mk_field(n) is mk_field(n)
         assert mk_field(n, smallest_irreducible(n)) is mk_field(n)  # keyed by the resolved poly
@@ -365,15 +364,6 @@ def test_small_fields_and_their_spectra_are_shared(tmp_path, monkeypatch):
     big = mk_field(17)
     assert big is not mk_field(17)
     assert big.poly == mk_field(17).poly
-    # the key is the resolved polynomial, not None: a new table takes effect at once
-    other = _other_irreducible(6, 1)
-    table = tmp_path / "polys.txt"
-    table.write_text(f"6 {other:#x}\n")
-    monkeypatch.setenv(POLY_TABLE_ENV, str(table))
-    assert mk_field(6).poly == other
-    assert mk_field(6) is mk_field(6, other)
-    monkeypatch.delenv(POLY_TABLE_ENV)
-    assert mk_field(6).poly == smallest_irreducible(6)
     # a reducible polynomial raises on every call: nothing is cached
     shared = gf2n._shared_field.cache_info().currsize
     for _ in range(2):
