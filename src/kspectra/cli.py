@@ -1,7 +1,7 @@
 """Command-line front end: spectra, searches, form invariants, verification bundles.
 
 Exit codes: 0 success / all checks verified, 1 a verification found a
-violation, 2 usage error (bad arguments or input files), 3 nothing violated
+violation, 2 usage error (bad arguments, input files or --out), 3 nothing violated
 but some search was truncated (see the "inconclusive" entries), 4 internal
 error (an invariant of the computation failed).  Reports are deterministic
 for a fixed (range, seed) apart from wall-time fields.
@@ -49,7 +49,11 @@ def _emit(args, text: str) -> None:
 def _write(args, pieces) -> None:
     """Write string pieces to --out, or to stdout, as they are produced."""
     if getattr(args, "out", None):
-        with open(args.out, "w") as fh:
+        try:
+            fh = open(args.out, "w")
+        except OSError as exc:  # a bad --out is a usage error, not a violation
+            raise ValueError(f"cannot open --out: {exc}") from exc
+        with fh:
             fh.writelines(pieces)
         return
     try:

@@ -21,7 +21,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from kspectra.gf2n import TABLE_DEGREE, FieldCtx, elem_dtype, span_list, spans, xor_combine, xor_table
+from kspectra.gf2n import (TABLE_DEGREE, FieldCtx, elem_dtype, memo, span_list, spans,
+                           xor_combine, xor_table)
 from kspectra.linmap import LinMap, adjoint, identity_map, kernel_dim
 from kspectra.spectra import TruthTable, kloosterman_spectrum
 from kspectra.zerospace import zero_subspace_bound
@@ -123,13 +124,21 @@ def perm_direct(ctx: FieldCtx, L1: LinMap, L2: LinMap) -> PermReport:
     return _report_from_values(compose_truth_table(ctx, L1, L2), 8 * COLLISION_PREFIX)
 
 
+@memo
+def _probe_tables(ctx: FieldCtx) -> tuple[list[int], bytes]:
+    """G*b for each PROBE_BS point b, and K != 0 as one byte per element."""
+    return ([ctx.dualenc(b) for b in PROBE_BS[:ctx.size - 1]],
+            (kloosterman_spectrum(ctx).data != 0).tobytes())
+
+
 def _adjoint_at(ctx: FieldCtx, cols, d: int) -> int:
     """L*(b) = G^-1 * M^T * G*b for the map with columns cols, given d = G*b:
-    bit j of M^T*d is parity(d & cols[j])."""
-    w = 0
-    for c in reversed(cols):
-        w = w << 1 | (d & c).bit_count() & 1
-    return xor_combine(ctx.gram_inv, w)
+    bit j of M^T*d is parity(d & cols[j]), and it adds column j of G^-1."""
+    a = 0
+    for c, g in zip(cols, ctx.gram_inv):  # G^-1 is symmetric: rows are columns
+        if (d & c).bit_count() & 1:
+            a ^= g
+    return a
 
 
 def perm_spectral(ctx: FieldCtx, L1: LinMap, L2: LinMap) -> PermReport:
@@ -143,21 +152,20 @@ def perm_spectral(ctx: FieldCtx, L1: LinMap, L2: LinMap) -> PermReport:
 
     L*(b) = 0 means G*b is orthogonal to every column of L, so the kernels
     meet trivially exactly when the columns of L1 and L2 together span
-    F_2^n.  Then the PROBE_BS points, evaluated one adjoint bit at a time,
-    settle most pairs before any 2^n table is built.
+    F_2^n.  Then the PROBE_BS points, their G*b and K != 0 read from one
+    memo table per field, settle most pairs before any 2^n table is built.
     """
-    K = kloosterman_spectrum(ctx).data
     if spans(L1.cols + L2.cols, ctx.n):
-        for b in PROBE_BS[:ctx.size - 1]:
-            d = ctx.dualenc(b)
-            if K[ctx.mul(_adjoint_at(ctx, L1.cols, d), _adjoint_at(ctx, L2.cols, d))]:
+        ds, nonzero = _probe_tables(ctx)
+        for b, d in zip(PROBE_BS, ds):
+            if nonzero[ctx.mul(_adjoint_at(ctx, L1.cols, d), _adjoint_at(ctx, L2.cols, d))]:
                 return PermReport(False, ("spectral_b", b), "spectral")
     A1, A2 = _adjoint_table(ctx, L1), _adjoint_table(ctx, L2)
     either = A1 | A2
     b = int(either[1:].argmin()) + 1  # the first common zero, if there is one
     if either[b] == 0:
         return PermReport(False, ("kernel_overlap", b), "spectral")
-    bad = K.take(ctx.mul_vec(A1, A2)).nonzero()[0]
+    bad = kloosterman_spectrum(ctx).data.take(ctx.mul_vec(A1, A2)).nonzero()[0]
     if bad.size:
         return PermReport(False, ("spectral_b", int(bad[0])), "spectral")
     return PermReport(True, None, "spectral")
@@ -291,7 +299,9 @@ def search_counterexample(ctx: FieldCtx, mode: str = "random", budget: int = 10*
     random mode stays uniform).  structured mode divides fresh Kloosterman
     zeros by the first-map columns so all basis-point probes pass by
     construction, forcing the deeper probes and direct confirmation to do
-    the rejecting.  Any survivor is re-checked with perm_direct.
+    the rejecting.  Any survivor is re-checked with perm_direct.  The
+    probes b < 17 read columns 0..4 only: each is computed (in structured
+    mode, divided) when a probe first reads it, for the rows still alive.
     """
     if ctx.n < 5:
         raise ValueError("search mirrors statements that need n >= 5")
@@ -300,8 +310,7 @@ def search_counterexample(ctx: FieldCtx, mode: str = "random", budget: int = 10*
     n = ctx.n
     N = ctx.size
     kz_mask = kloosterman_spectrum(ctx).data == 0
-    zeros = np.flatnonzero(kz_mask).astype(np.uint32)
-    zeros = zeros[zeros > 0]
+    zeros = np.flatnonzero(kz_mask[1:]).astype(np.uint32) + 1  # the nonzero zeros
     inv = ctx.inverse_table()
     rng = np.random.default_rng(seed)
     # in structured mode the basis points b = x^i pass by construction:
@@ -315,18 +324,22 @@ def search_counterexample(ctx: FieldCtx, mode: str = "random", budget: int = 10*
         if mode == "random":
             c2 = rng.integers(0, N, size=(b_sz, n), dtype=np.uint32)
         else:
-            z = zeros.take(rng.integers(0, zeros.size, size=(b_sz, n)))
-            c2 = ctx.mul_vec(z, inv.take(c1))
-        alive = np.arange(b_sz)  # rows that passed every probe so far
-        s1, s2 = c1.T, c2.T       # their columns: s[i] holds column i of each row
+            zi = rng.integers(0, zeros.size, size=(b_sz, n))  # c2 = zeros[zi] / c1
+        rows = np.arange(b_sz)  # rows that passed every probe so far
+        s1, s2 = [], []         # s[i]: column i on those rows, once a probe has read it
         for b in probes:
-            if not alive.size:
+            if not rows.size:
                 break
-            keep = kz_mask.take(ctx.mul_vec(xor_combine(s1, b), xor_combine(s2, b)))
-            alive, s1, s2 = alive[keep], s1[:, keep], s2[:, keep]
-        for idx in alive:
-            A1 = LinMap(n, tuple(int(v) for v in c1[idx]))
-            A2 = LinMap(n, tuple(int(v) for v in c2[idx]))
+            for i in range(len(s1), b.bit_length()):  # the columns b reads first
+                s1.append(c1[:, i][rows])
+                s2.append(c2[:, i][rows] if mode == "random" else
+                          ctx.mul_vec(zeros.take(zi[:, i][rows]), inv.take(s1[i])))
+            keep = kz_mask.take(ctx.mul_vec(xor_combine(s1, b), xor_combine(s2, b))).nonzero()[0]
+            rows = rows[keep]
+            s1, s2 = [v[keep] for v in s1], [v[keep] for v in s2]
+        c2 = c2[rows] if mode == "random" else ctx.mul_vec(zeros.take(zi[rows]), inv.take(c1[rows]))
+        for r1, r2 in zip(c1[rows].tolist(), c2.tolist()):
+            A1, A2 = LinMap(n, tuple(r1)), LinMap(n, tuple(r2))
             if A1.is_zero() or A2.is_zero():
                 continue  # the statement under test requires nonzero maps
             L1 = adjoint(ctx, A1)

@@ -198,6 +198,13 @@ def test_out_file(tmp_path, capsys):
     assert path.read_text().startswith("elem_hex,value")
 
 
+def test_out_into_missing_directory_is_a_usage_error(tmp_path, capsys):
+    code = main(["spectrum", "--n", "4", "--out", str(tmp_path / "missing" / "spec.csv")])
+    out, err = capsys.readouterr()
+    assert code == 2 and out == ""
+    assert err.startswith("error: cannot open --out: ")
+
+
 def test_zero_subspace_bound_violation_is_observable(capsys, monkeypatch):
     # at n = 5..7 the bound is attained, so a bound lowered by one must be exceeded
     from kspectra import cli, zerospace

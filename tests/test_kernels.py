@@ -273,6 +273,19 @@ def _assert_fast_checks_match_tables(ctx, L1, L2):
     assert perm_spectral(ctx, L1, L2) == _spectral_oracle(ctx, L1, L2)
 
 
+@pytest.mark.parametrize("n", range(2, 13))
+def test_probe_stage_matches_linmap_adjoint(n):
+    # every n, including n = 2 and 3 where the probes stop at b = size - 1;
+    # masking every other pair's columns makes the adjoint kernels overlap
+    ctx = _field(n)
+    rng = np.random.default_rng(2000 + n)
+    for i in range(200):
+        keep = int(rng.integers(0, ctx.size)) if i % 2 else ctx.size - 1
+        L1, L2 = (LinMap(n, tuple(c & keep for c in rng.integers(0, ctx.size, n).tolist()))
+                  for _ in range(2))
+        assert perm_spectral(ctx, L1, L2) == _spectral_oracle(ctx, L1, L2)
+
+
 @lru_cache(maxsize=None)
 def _sweep4_pairs():
     """The n = 4 permutations x^-1 + L(x): every probe passes on them."""

@@ -1,16 +1,19 @@
 """Permutation criteria: direct scan, spectral route, sweeps, searches."""
 
 import itertools
+from contextlib import contextmanager
 from functools import lru_cache
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from kspectra.gf2n import mk_field
+from kspectra import permcheck
+from kspectra.gf2n import mk_field, xor_combine
 from kspectra.linmap import (
     LinMap,
+    adjoint,
     compose,
     from_linearized,
     identity_map,
@@ -21,6 +24,7 @@ from kspectra.linmap import (
 )
 from kspectra.permcheck import (
     PermReport,
+    SearchReport,
     compose_truth_table,
     is_permutation,
     kernel_bound_applies,
@@ -30,7 +34,7 @@ from kspectra.permcheck import (
     search_counterexample,
     sweep_inverse_plus_linear,
 )
-from kspectra.spectra import Spectrum, TruthTable
+from kspectra.spectra import Spectrum, TruthTable, kloosterman_spectrum
 from kspectra.zerospace import zero_subspace_bound
 
 
@@ -235,6 +239,100 @@ def test_search_counterexample_modes():
         search_counterexample(ctx, "exotic", budget=10)
     with pytest.raises(ValueError):
         search_counterexample(mk_field(4), "random", budget=10)
+
+
+def _eager_search(ctx, mode, budget, seed, batch):
+    """The eager probe cascade, the reference for search_counterexample:
+    every column of every row is drawn, multiplied (structured mode) and
+    compacted after each probe."""
+    n = ctx.n
+    N = ctx.size
+    kz_mask = kloosterman_spectrum(ctx).data == 0
+    zeros = np.flatnonzero(kz_mask).astype(np.uint32)
+    zeros = zeros[zeros > 0]
+    inv = ctx.inverse_table()
+    rng = np.random.default_rng(seed)
+    probes = [b for b in range(1, min(N, 17)) if mode == "random" or b & (b - 1)]
+    examined = 0
+    found = None
+    while examined < budget and found is None:
+        b_sz = min(batch, budget - examined)
+        c1 = rng.integers(0, N, size=(b_sz, n), dtype=np.uint32)
+        if mode == "random":
+            c2 = rng.integers(0, N, size=(b_sz, n), dtype=np.uint32)
+        else:
+            z = zeros.take(rng.integers(0, zeros.size, size=(b_sz, n)))
+            c2 = ctx.mul_vec(z, inv.take(c1))
+        alive = np.arange(b_sz)
+        s1, s2 = c1.T, c2.T
+        for b in probes:
+            if not alive.size:
+                break
+            keep = kz_mask.take(ctx.mul_vec(xor_combine(s1, b), xor_combine(s2, b)))
+            alive, s1, s2 = alive[keep], s1[:, keep], s2[:, keep]
+        for idx in alive:
+            A1 = LinMap(n, tuple(int(v) for v in c1[idx]))
+            A2 = LinMap(n, tuple(int(v) for v in c2[idx]))
+            if A1.is_zero() or A2.is_zero():
+                continue
+            L1 = adjoint(ctx, A1)
+            L2 = adjoint(ctx, A2)
+            if permcheck.perm_direct(ctx, L1, L2).is_perm:
+                found = (L1, L2)
+                break
+        examined += b_sz
+    return SearchReport(n=n, mode=mode, budget=budget, seed=seed,
+                        pairs_examined=examined, found=found)
+
+
+@contextmanager
+def _recording_perm_direct():
+    """Record the (L1, L2) columns of every perm_direct call, in call order."""
+    seen = []
+    real = permcheck.perm_direct
+
+    def recording(ctx, L1, L2):
+        seen.append((L1.cols, L2.cols))
+        return real(ctx, L1, L2)
+
+    permcheck.perm_direct = recording
+    try:
+        yield seen
+    finally:
+        permcheck.perm_direct = real
+
+
+def _assert_search_matches_eager(n, mode, seed, batch, budget):
+    ctx = mk_field(n)
+    with _recording_perm_direct() as lazy_seen:
+        lazy = search_counterexample(ctx, mode, budget=budget, seed=seed, batch=batch)
+    with _recording_perm_direct() as eager_seen:
+        eager = _eager_search(ctx, mode, budget, seed, batch)
+    assert lazy == eager
+    assert lazy_seen == eager_seen
+
+
+@st.composite
+def search_args(draw):
+    """(n, mode, seed, batch, budget), budget mostly not a multiple of batch."""
+    batch = draw(st.sampled_from([1, 7, 5000]))
+    budget = draw(st.integers(1, {1: 300, 7: 2000, 5000: 12000}[batch]))
+    return (draw(st.integers(5, 12)), draw(st.sampled_from(["random", "structured"])),
+            draw(st.integers(0, 2**32)), batch, budget)
+
+
+@settings(max_examples=40, deadline=None)
+@given(search_args())
+@example((5, "structured", 1, 5000, 12000))  # 16 survivors reach perm_direct
+@example((6, "structured", 3, 7, 2000))     # one survivor, in a batch of 7
+def test_lazy_search_matches_eager_cascade(args):
+    _assert_search_matches_eager(*args)
+
+
+@pytest.mark.parametrize("mode", ["random", "structured"])
+def test_lazy_search_matches_eager_cascade_n17(mode):
+    # above gf2n.TABLE_DEGREE every product is shift-and-reduce
+    _assert_search_matches_eager(17, mode, 11, 5000, 12_345)
 
 
 def test_kernel_bound():
