@@ -406,7 +406,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("spectrum", help="export a full spectrum")
     common(sp)
-    sp.add_argument("--what", default="kloosterman", choices=["kloosterman"])
     sp.add_argument("--format", default="csv", choices=["csv", "json"])
     sp.set_defaults(func=cmd_spectrum)
 

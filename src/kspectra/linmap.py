@@ -4,7 +4,7 @@ Maps are stored as tuples of column masks (column i = image of basis
 element x^i); subspaces as reduced-echelon bases with strictly increasing
 leading-bit positions, which makes the representation unique per subspace.
 canonical_search is the one subspace DFS: the largest subspace inside a set,
-for zerospace's searches and quadform's isotropic subspaces.
+for zerospace's searches.
 """
 from __future__ import annotations
 
@@ -16,9 +16,7 @@ import numpy as np
 from kspectra.gf2n import (
     FieldCtx,
     elem_dtype,
-    mat_inverse_rows,
     nullspace_rows,
-    pdeg,
     rref,
     transpose_bits,
     xor_combine,
@@ -68,17 +66,6 @@ class SubspaceBasis:
     def contains(self, x: int) -> bool:
         return len(rref(self.vectors + (x,))) == self.dim
 
-    def coords(self, x: int) -> int:
-        """Coordinate mask of x w.r.t. the basis; raises if x is outside the span."""
-        c = 0
-        for i in reversed(range(self.dim)):
-            if pdeg(x) == pdeg(self.vectors[i]):
-                x ^= self.vectors[i]
-                c |= 1 << i
-        if x:
-            raise ValueError("element outside the subspace")
-        return c
-
 
 def subspace_from_vectors(n: int, vectors) -> SubspaceBasis:
     return SubspaceBasis(n, rref(vectors))
@@ -124,12 +111,6 @@ def compose(L1: LinMap, L2: LinMap) -> LinMap:
     return LinMap(L1.n, tuple(L1(c) for c in L2.cols))
 
 
-def add(L1: LinMap, L2: LinMap) -> LinMap:
-    if L1.n != L2.n:
-        raise ValueError("degree mismatch")
-    return LinMap(L1.n, tuple(a ^ b for a, b in zip(L1.cols, L2.cols)))
-
-
 def adjoint(ctx: FieldCtx, L: LinMap) -> LinMap:
     """The unique L* with Tr(L(x)*y) = Tr(x*L*(y)), i.e. G^-1 * M^T * G."""
     mt = transpose_bits(L.cols, ctx.n)  # columns of M^T
@@ -168,12 +149,6 @@ def orthogonal_complement(ctx: FieldCtx, V: SubspaceBasis) -> SubspaceBasis:
 
 def kernel_intersection(L1: LinMap, L2: LinMap) -> SubspaceBasis:
     return _annihilator(L1.n, L1.rows + L2.rows)
-
-
-def invert_map(L: LinMap) -> LinMap:
-    """Inverse of a bijective map; raises on singular input."""
-    rows = mat_inverse_rows(L.rows, L.n)
-    return from_matrix_rows(L.n, rows)
 
 
 def linearized_coeffs(ctx: FieldCtx, L: LinMap) -> tuple[int, ...]:

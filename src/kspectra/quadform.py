@@ -3,9 +3,8 @@
 The form q(x) = sum_{0<=i<j<n} x^(2^i+2^j) takes values in F_2 (it is the
 x^(n-2) coefficient of the characteristic polynomial) and polarizes to
 B(x,y) = Tr(xy) + Tr(x)Tr(y).  Restrictions to subspaces are tabulated with
-an xor-doubling pass driven by basis values and the polarization, classified
-by zero counting, and searched for totally isotropic subspaces with
-linmap.canonical_search, the subspace DFS the zero-set searches also run.
+an xor-doubling pass driven by basis values and the polarization and
+classified by zero counting.
 """
 from __future__ import annotations
 
@@ -14,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from kspectra.gf2n import FieldCtx, functional_table, memo, nullspace_rows, pmod, pmul, rref, xor_combine
-from kspectra.linmap import SubspaceBasis, canonical_search, orthogonal_complement, subspace_from_vectors
+from kspectra.linmap import SubspaceBasis, orthogonal_complement, subspace_from_vectors
 
 HYPERBOLIC = "hyperbolic"
 PARABOLIC = "parabolic"
@@ -72,11 +71,6 @@ def _q_by_traces(ctx: FieldCtx, a: int) -> int:
     if acc not in (0, 1):
         raise AssertionError("quadratic form left F_2")
     return acc
-
-
-def bilinear_eval(ctx: FieldCtx, x: int, y: int) -> int:
-    """Polarization of q in closed form: Tr(xy) + Tr(x)Tr(y)."""
-    return ctx.trace(ctx.mul(x, y)) ^ (ctx.trace(x) & ctx.trace(y))
 
 
 @memo
@@ -261,28 +255,3 @@ def expected_h_zero_count(n: int) -> int:
     else:  # r == 4
         e = 1 << ((n - 2) // 2)
     return (1 << (n - 2)) + e
-
-
-def find_isotropic_subspace(qf: QuadFormRec, target_dim: int) -> SubspaceBasis:
-    """A totally isotropic subspace of the requested dimension.
-
-    linmap.canonical_search over the zeros of f, by coordinate mask, stopped
-    at the first basis of target_dim vectors.  For isotropic span and
-    f(c) = 0, f(c + s) = f(s) + B(c, s), so c + span stays among the zeros
-    exactly when c is B-orthogonal to the span: every span found is totally
-    isotropic.  Deterministic.
-    """
-    if target_dim < 0 or target_dim > max_isotropic_dim(qf):
-        raise ValueError(
-            f"target {target_dim} exceeds the maximal isotropic dimension "
-            f"{max_isotropic_dim(qf)}"
-        )
-    got, _, _ = canonical_search(qf.m, qf.eval == 0, bound=target_dim)
-    if len(got) < target_dim:
-        raise AssertionError("isotropic search failed below the proven bound")
-    basis = subspace_from_vectors(qf.n, [qf.embed(c) for c in got])
-    domain = SubspaceBasis(qf.n, qf.basis)
-    for x in basis.span():  # postcondition replay
-        if int(qf.eval[domain.coords(int(x))]):
-            raise AssertionError("returned span is not isotropic")
-    return basis

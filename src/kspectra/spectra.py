@@ -1,4 +1,4 @@
-"""Walsh rows, Kloosterman sums and spectra, nonlinearity, differential uniformity.
+"""Walsh rows, Kloosterman sums and spectra.
 
 The fast paths place each sign (-1)^Tr(f(x)) at the dual-basis coordinates
 G*x of x and run a Walsh-Hadamard butterfly.  Since Tr(b*x) = parity(b & G*x),
@@ -319,23 +319,3 @@ def kloosterman_zeros(ctx: FieldCtx, include_trivial: bool = False) -> set[int]:
     if not include_trivial:
         zeros.discard(0)
     return zeros
-
-
-def diff_uniformity(ctx: FieldCtx, F: TruthTable) -> int:
-    """Max row count of the difference table over nonzero input differences."""
-    vals = F.values
-    idx = np.arange(ctx.size, dtype=vals.dtype)
-    best = 0
-    for a in range(1, ctx.size):
-        d = vals ^ vals[idx ^ vals.dtype.type(a)]
-        best = max(best, int(np.bincount(d, minlength=ctx.size).max()))
-    return best
-
-
-def nonlinearity(ctx: FieldCtx, F: TruthTable) -> int:
-    """2^(n-1) - max|W(a,b)|/2 over a != 0 and all b."""
-    worst = 0
-    for a in range(1, ctx.size):
-        row = walsh_row(ctx, F, a)
-        worst = max(worst, int(np.abs(row.data).max()))
-    return (1 << (ctx.n - 1)) - worst // 2

@@ -1,13 +1,13 @@
 """Subspaces inside the Kloosterman-zero and mod-16 sets: bounds and searches.
 
-The searches run linmap.canonical_search, the one subspace DFS, which
-quadform.find_isotropic_subspace also runs.  It enumerates subspaces by
-their unique reduced-echelon basis in increasing leading-bit order, so each
-subspace is visited exactly once and node counts are reproducible, on
-Python-int bitsets over F_2^n: the n LOW masks plus a few sets per level,
-2^n bits each.  Candidates sharing a leading bit are taken as one group: a
-group with no candidates above it is all leaves, counted at once, and in
-the others each translate comes from the previous member's.
+The searches run linmap.canonical_search, the one subspace DFS.  It
+enumerates subspaces by their unique reduced-echelon basis in increasing
+leading-bit order, so each subspace is visited exactly once and node counts
+are reproducible, on Python-int bitsets over F_2^n: the n LOW masks plus a
+few sets per level, 2^n bits each.  Candidates sharing a leading bit are
+taken as one group: a group with no candidates above it is all leaves,
+counted at once, and in the others each translate comes from the previous
+member's.
 """
 from __future__ import annotations
 
@@ -52,11 +52,6 @@ def weil_subspace_bound(n: int) -> int:
     if n < 3:
         raise ValueError("comparison bound needs n >= 3")
     return n // 2 + 1
-
-
-def mod16_set(ctx: FieldCtx) -> set[int]:
-    """{a : Tr(a) = 0 and q(a) = 0}, computed without any Kloosterman sums."""
-    return set(int(v) for v in mod16_members(ctx))
 
 
 def mod16_members(ctx: FieldCtx) -> np.ndarray:

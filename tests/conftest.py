@@ -1,6 +1,7 @@
 import pytest
 
 from kspectra import gf2n
+from kspectra.linmap import canonical_search, subspace_from_vectors
 
 
 @pytest.fixture
@@ -10,3 +11,13 @@ def fresh_fields():
     gf2n._shared_field.cache_clear()
     yield
     gf2n._shared_field.cache_clear()
+
+
+@pytest.fixture(scope="session")
+def isotropic_subspace():
+    """search(rec, d): the canonical basis of the first totally isotropic subspace of
+    dimension d that canonical_search meets among the zeros of rec; d = None: the largest."""
+    def search(rec, d=None):
+        got, _, _ = canonical_search(rec.m, rec.eval == 0, bound=d)
+        return subspace_from_vectors(rec.n, [rec.embed(c) for c in got])
+    return search

@@ -20,7 +20,7 @@ def run_cli(capsys, *argv):
 
 
 def test_spectrum_csv(capsys):
-    code, out = run_cli(capsys, "spectrum", "--n", "5", "--what", "kloosterman")
+    code, out = run_cli(capsys, "spectrum", "--n", "5")
     assert code == 0
     lines = out.strip().splitlines()
     assert lines[0] == "elem_hex,value"

@@ -28,7 +28,6 @@ from kspectra.linmap import (
     adjoint,
     identity_map,
     kernel_intersection,
-    subspace_from_vectors,
 )
 from kspectra.permcheck import (
     PermReport,
@@ -105,19 +104,6 @@ def test_nullspace_annihilates_rows_with_complementary_dimension(nr):
 def test_spans_is_full_rank(nr):
     n, vecs = nr
     assert spans(vecs, n) == (len(rref(vecs)) == n)
-
-
-@PROPS
-@given(bit_rows(max_rows=8), st.data())
-def test_coords_agree_with_contains(nr, data):
-    n, vecs = nr
-    V = subspace_from_vectors(n, vecs)
-    x = data.draw(st.integers(0, (1 << n) - 1))
-    if V.contains(x):
-        assert xor_combine(V.vectors, V.coords(x)) == x
-    else:
-        with pytest.raises(ValueError):
-            V.coords(x)
 
 
 _field = lru_cache(maxsize=None)(mk_field)

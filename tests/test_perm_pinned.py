@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from kspectra import permcheck
-from kspectra.gf2n import mk_field
+from kspectra.gf2n import FieldCtx, mk_field
 from kspectra.linmap import LinMap, adjoint, identity_map, random_map, zero_map
 from kspectra.permcheck import (
     perm_direct,
@@ -131,20 +131,54 @@ SEARCH_SHA256 = {
 }
 
 
-def search_digest(n: int, mode: str, monkeypatch) -> str:
-    seen = []
-    real = permcheck.perm_direct
+# sha256 of repr(sizes), sizes = the length of every FieldCtx.mul_vec result
+# in the same searches, in call order: the rows each probe stage still holds.
+# A stage that rejected every pair would change them, even in the searches
+# where no pair reaches perm_direct.  (10, random) starts 5000, 315, 21, 2 and
+# (17, structured) 5000, 5000, 5000, 12, 12, 0.
+MUL_VEC_SIZES_SHA256 = {
+    (6, "random"):
+        "a9310b751315c20add607dcafb2ed6b5518467365dcc2146e5641b69068ae81f",
+    (6, "structured"):
+        "3c7fb64a62ff9bfb69bbfa8bed163827cfd6fbc1fd8ddc287f6526c28443317f",
+    (10, "random"):
+        "8f8e0d0e0fee8a9c2ab5753b1851b3d79eb7ed2c170cdf86725460c529d6e483",
+    (10, "structured"):
+        "0d2631630b76822f9f2959a65ccd10c9aa7f086a62192a1fc356972ea4c08a72",
+    (17, "random"):
+        "d950c4ee40db1cbedeea4adf8b3de888e83575e58ed734b433a6e04886961fb5",
+    (17, "structured"):
+        "2faecd0e1011f01b82ef2b71febd71aa94de4924de9fe44b8437de8fa6794e44",
+}
+
+
+def search_digest(n: int, mode: str, monkeypatch) -> tuple[str, list[int]]:
+    """(sha256 as in SEARCH_SHA256, mul_vec result sizes) of one seeded search."""
+    seen, sizes = [], []
+    real, real_mul_vec = permcheck.perm_direct, FieldCtx.mul_vec
 
     def recording(ctx, L1, L2):
         seen.append((L1.cols, L2.cols))
         return real(ctx, L1, L2)
 
+    def recording_mul_vec(ctx, a, b):
+        out = real_mul_vec(ctx, a, b)
+        sizes.append(len(out))
+        return out
+
     monkeypatch.setattr(permcheck, "perm_direct", recording)
+    monkeypatch.setattr(FieldCtx, "mul_vec", recording_mul_vec)
     rep = search_counterexample(mk_field(n), mode, budget=40_000, seed=7, batch=5000)
     monkeypatch.undo()
-    return hashlib.sha256(repr((rep.to_json(), seen)).encode()).hexdigest()
+    return hashlib.sha256(repr((rep.to_json(), seen)).encode()).hexdigest(), sizes
 
 
 @pytest.mark.parametrize("n,mode", sorted(SEARCH_SHA256))
 def test_search_reports_pinned(n, mode, monkeypatch):
-    assert search_digest(n, mode, monkeypatch) == SEARCH_SHA256[(n, mode)]
+    assert search_digest(n, mode, monkeypatch)[0] == SEARCH_SHA256[(n, mode)]
+
+
+@pytest.mark.parametrize("n,mode", sorted(MUL_VEC_SIZES_SHA256))
+def test_search_probe_sizes_pinned(n, mode, monkeypatch):
+    sizes = search_digest(n, mode, monkeypatch)[1]
+    assert hashlib.sha256(repr(sizes).encode()).hexdigest() == MUL_VEC_SIZES_SHA256[(n, mode)]

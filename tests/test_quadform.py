@@ -15,11 +15,9 @@ from kspectra.quadform import (
     InconsistentFormError,
     NotQuadraticFormError,
     _q_by_traces,
-    bilinear_eval,
     classify,
     count_zeros,
     expected_h_zero_count,
-    find_isotropic_subspace,
     hyperplane_H,
     max_isotropic_dim,
     q_eval,
@@ -116,18 +114,17 @@ def test_polarization_identity(n):
     for x in range(ctx.size):
         for y in range(0, ctx.size, 3):
             lhs = int(qt[x]) ^ int(qt[y]) ^ int(qt[x ^ y])
-            assert lhs == bilinear_eval(ctx, x, y)
+            assert lhs == ctx.trace(ctx.mul(x, y)) ^ (ctx.trace(x) & ctx.trace(y))
             assert lhs == ctx.trace(ctx.mul(x, ctx.mul(y, 1) ^ (ctx.trace(y))))
 
 
 def test_bilinear_on_hyperplane_is_trace_form():
     ctx = mk_field(7)
-    H = hyperplane_H(ctx)
-    span = [int(v) for v in H.span()]
+    qt = q_table(ctx)
+    span = [int(v) for v in hyperplane_H(ctx).span()]
     for x in span[:40]:
         for y in span[:40]:
-            assert bilinear_eval(ctx, x, y) == ctx.trace(ctx.mul(x, y))
-    assert bilinear_eval(ctx, 5, 0) == 0
+            assert int(qt[x]) ^ int(qt[y]) ^ int(qt[x ^ y]) == ctx.trace(ctx.mul(x, y))
 
 
 def test_hyperplane_basics():
@@ -215,21 +212,21 @@ def test_max_isotropic_dim_examples():
     assert max_isotropic_dim(restrict_q_to_h(mk_field(11))) == 4
 
 
-def test_find_isotropic_subspace():
+def test_find_isotropic_subspace(isotropic_subspace):
     rec = restrict_q_to_h(mk_field(8))
     ctx = mk_field(8)
-    assert find_isotropic_subspace(rec, 0).dim == 0
-    W = find_isotropic_subspace(rec, 3)
+    assert isotropic_subspace(rec, 0).dim == 0
+    W = isotropic_subspace(rec, 3)
     assert W.dim == 3
     qt = q_table(ctx)
     for x in W.span():
         assert ctx.trace(int(x)) == 0
         assert int(qt[int(x)]) == 0
-    with pytest.raises(ValueError):
-        find_isotropic_subspace(rec, 4)
+    # the unbounded search is exhaustive: none larger than max_isotropic_dim
+    assert isotropic_subspace(rec).dim == max_isotropic_dim(rec) == 3
 
 
-#: find_isotropic_subspace(restrict_q_to_h(mk_field(n)), max_isotropic_dim).vectors,
+#: the max_isotropic_dim-dimensional isotropic basis of restrict_q_to_h(mk_field(n)),
 #: captured from the numpy DFS over coordinate masks; at capture every lower
 #: target d returned the first d of these vectors
 ISOTROPIC_BASES = {
@@ -251,19 +248,19 @@ ISOTROPIC_BASES = {
 
 
 @pytest.mark.parametrize("n", sorted(ISOTROPIC_BASES))
-def test_find_isotropic_subspace_pinned(n):
+def test_find_isotropic_subspace_pinned(n, isotropic_subspace):
     rec = restrict_q_to_h(mk_field(n))
     full = ISOTROPIC_BASES[n]
     assert max_isotropic_dim(rec) == len(full)
     for d in range(len(full) + 1):
-        assert find_isotropic_subspace(rec, d).vectors == full[:d]
+        assert isotropic_subspace(rec, d).vectors == full[:d]
 
 
 @pytest.mark.parametrize("n", [5, 6, 7, 9, 12])
-def test_find_isotropic_at_max_dim(n):
+def test_find_isotropic_at_max_dim(n, isotropic_subspace):
     rec = restrict_q_to_h(mk_field(n))
     d = max_isotropic_dim(rec)
-    W = find_isotropic_subspace(rec, d)
+    W = isotropic_subspace(rec, d)
     assert W.dim == d
     ctx = mk_field(n)
     qt = q_table(ctx)

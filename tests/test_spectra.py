@@ -29,12 +29,10 @@ from kspectra.spectra import (
     Spectrum,
     TruthTable,
     _validate_kloosterman,
-    diff_uniformity,
     fwht_inplace,
     kloosterman,
     kloosterman_spectrum,
     kloosterman_zeros,
-    nonlinearity,
     walsh,
     walsh_row,
 )
@@ -312,27 +310,6 @@ def test_int32_spectrum_consumers_match_int64(capsys, monkeypatch):
     assert list(spec.to_csv_rows()) == list(wide.to_csv_rows())
     assert main(["spectrum", "--n", str(n), "--format", "json"]) == 0
     assert json.loads(capsys.readouterr().out)["data"] == wide.data.tolist()
-
-
-def test_diff_uniformity():
-    ctx5 = mk_field(5)
-    assert diff_uniformity(ctx5, TruthTable.inverse(ctx5)) == 2  # APN
-    ctx6 = mk_field(6)
-    assert diff_uniformity(ctx6, TruthTable.inverse(ctx6)) == 4
-    assert diff_uniformity(ctx5, TruthTable.identity(5)) == 32
-
-
-def test_nonlinearity():
-    ctx = mk_field(5)
-    spec = kloosterman_spectrum(ctx)
-    max_k = int(np.abs(spec.data).max())
-    assert nonlinearity(ctx, TruthTable.inverse(ctx)) == 16 - max_k // 2
-    # linear map -> nonlinearity 0
-    L = random_map(np.random.default_rng(9), 5)
-    assert nonlinearity(ctx, TruthTable(5, L.truth_table())) == 0
-    F = TruthTable(5, np.random.default_rng(10).integers(0, 32, 32).astype(np.uint32))
-    nl = nonlinearity(ctx, F)
-    assert 0 <= nl <= (1 << 4) - (1 << 1)  # 2^(n-1) - 2^(n/2-1) rounded down
 
 
 def test_truth_table_validation():

@@ -12,14 +12,13 @@ from hypothesis import strategies as st
 
 from kspectra.gf2n import mk_field, xor_combine, xor_table
 from kspectra.linmap import random_subspace, subspace_from_vectors
-from kspectra.quadform import find_isotropic_subspace, max_isotropic_dim, restrict
+from kspectra.quadform import max_isotropic_dim, restrict
 from kspectra.spectra import kloosterman_spectrum, kloosterman_zeros
 from kspectra.zerospace import (
     max_mod16_subspace,
     max_subspace_in_set,
     max_zero_subspace,
     mod16_members,
-    mod16_set,
     mod16_subspace_bound,
     subspace_sum_identity,
     weil_subspace_bound,
@@ -52,7 +51,7 @@ def test_bound_range_errors():
 
 def test_mod16_set_n8():
     ctx = mk_field(8)
-    s = mod16_set(ctx)
+    s = set(mod16_members(ctx).tolist())
     assert len(s) == 56
     assert 0 in s
 
@@ -62,7 +61,7 @@ def test_mod16_set_matches_spectrum(n):
     ctx = mk_field(n)
     spec = kloosterman_spectrum(ctx)
     from_spec = set(int(v) for v in np.flatnonzero(spec.data % 16 == 0))
-    assert mod16_set(ctx) == from_spec
+    assert set(mod16_members(ctx).tolist()) == from_spec
 
 
 def test_search_trivial_sets():
@@ -101,7 +100,8 @@ def test_sums_inside_the_set_are_trace_orthogonal():
     # trace-orthogonal to every basis vector, and no isotropy test is needed.
     for n in range(5, 17):
         ctx = mk_field(n)
-        for S in [kloosterman_zeros(ctx)] + ([mod16_set(ctx)] if n <= 10 else []):
+        mod16 = [set(mod16_members(ctx).tolist())] if n <= 10 else []
+        for S in [kloosterman_zeros(ctx)] + mod16:
             for x in S:
                 for y in S:
                     if x ^ y in S:
@@ -112,7 +112,7 @@ def test_mod16_sharpness_small():
     for n in (5, 6, 7, 8, 9):
         rep = max_mod16_subspace(mk_field(n))
         assert rep.best_dim == mod16_subspace_bound(n)
-        members = mod16_set(mk_field(n))
+        members = set(mod16_members(mk_field(n)).tolist())
         for x in rep.best_basis.span():
             assert int(x) in members  # 0 is always a member
 
@@ -291,7 +291,7 @@ def test_search_matches_brute_force(cs, data):
 @settings(max_examples=80, deadline=None)
 @given(st.integers(2, 6).flatmap(
     lambda m: st.lists(st.integers(0, (1 << m) - 1), min_size=m, max_size=m)))
-def test_isotropic_search_on_random_forms(ucols):
+def test_isotropic_search_on_random_forms(isotropic_subspace, ucols):
     # f(x) = x^T U x on the whole of F_2^m, U given by its columns
     m = len(ucols)
     def f(x):
@@ -299,12 +299,11 @@ def test_isotropic_search_on_random_forms(ucols):
     qf = restrict(mk_field(m), f, subspace_from_vectors(m, [1 << i for i in range(m)]))
     top = max_isotropic_dim(qf)
     for d in range(top + 1):
-        W = find_isotropic_subspace(qf, d)
+        W = isotropic_subspace(qf, d)
         assert W.dim == d and not any(f(int(x)) for x in W.span())
     zeros = {x for x in range(1 << m) if not f(x)}
     assert top == max((dim_of(V) for V in all_subspaces(m) if V <= zeros), default=0)
-    with pytest.raises(ValueError):
-        find_isotropic_subspace(qf, top + 1)
+    assert isotropic_subspace(qf).dim == top
 
 
 def test_pruned_search_releases_its_field():
