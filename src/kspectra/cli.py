@@ -210,7 +210,7 @@ def _check_mod16_criterion(args) -> dict:
 def _check_radical(args) -> dict:
     violations = []
     for n in _span(args, 4, 24):
-        rec = restrict_q_to_h(mk_field(n), validate=False)
+        rec = restrict_q_to_h(mk_field(n))
         want = (1,) if n % 4 == 0 else ()
         if rec.radical_basis.vectors != want:
             violations.append({"n": n, "got": [hex(v) for v in rec.radical_basis.vectors]})
@@ -222,7 +222,7 @@ def _check_radical(args) -> dict:
 def _check_quadric_count(args) -> dict:
     violations = []
     for n in _span(args, 4, 24):
-        rec = restrict_q_to_h(mk_field(n), validate=False)
+        rec = restrict_q_to_h(mk_field(n))
         got = count_zeros(rec)
         want = expected_h_zero_count(n)
         if got != want:
@@ -398,9 +398,8 @@ def build_parser() -> argparse.ArgumentParser:
                                             "invariants and zero-subspace searches over F_2^n")
     sub = p.add_subparsers(dest="command", required=True)
 
-    def common(sp, n_required=True):
-        if n_required:
-            sp.add_argument("--n", type=int, required=True)
+    def common(sp):
+        sp.add_argument("--n", type=int, required=True)
         sp.add_argument("--poly", help="reduction polynomial bitmask, e.g. 0x25")
         sp.add_argument("--out", help="write output to a file instead of stdout")
 

@@ -270,16 +270,13 @@ def span_list(images) -> list[int]:
     return t
 
 
-def xor_table(images, dtype=None) -> np.ndarray:
+def xor_table(images, dtype) -> np.ndarray:
     """Table T of length 2^k with T[m] = XOR of images[i] over the set bits of m.
 
     With images = columns of a bit matrix this is the full truth table of the
     linear map; with images = a subspace basis it enumerates the span.
     """
-    k = len(images)
-    if dtype is None:
-        dtype = np.uint32 if all(v < (1 << 31) for v in images) else np.uint64
-    t = np.empty(1 << k, dtype=dtype)
+    t = np.empty(1 << len(images), dtype=dtype)
     head = span_list(images[:4])  # in Python: a numpy call costs more below 16 entries
     h = len(head)
     t[:h] = head
@@ -388,8 +385,7 @@ class FieldCtx:
     poly: int
     trace_mask: int
     gram: tuple[int, ...]        # row i: bit j = Tr(basis_i * basis_j)
-    gram_inv: tuple[int, ...]
-    dual_basis: tuple[int, ...]  # Tr(dual_basis[i] * basis_j) = delta_ij
+    gram_inv: tuple[int, ...]    # row i: dual basis element d_i, Tr(d_i * basis_j) = delta_ij
     _cache: dict = field(default_factory=dict, repr=False, compare=False)
 
     @property
@@ -478,28 +474,9 @@ class FieldCtx:
         return _square_byte_tables(self.n, self.poly)
 
     @memo
-    def _mul_tables(self) -> tuple[np.ndarray, np.ndarray]:
-        """Sentinel-log tables (ext, log) with a*b = ext[log[a] + log[b]], zeros included.
-
-        log is the discrete log with log[0] = 2(N - 1), N = 2^n; ext holds
-        exp twice and then zeros up to index 4(N - 1), so a sum of two logs
-        needs no modulo and any sum with a zero factor lands on a 0 entry.
-        The array products gather with take, which costs 11.5 against 19 us
-        for fancy indexing on 2^10 uint32 indices (1.0 against 1.9 ms on
-        163840).
-        """
-        exp, log = self.exp_log_tables()
-        N1 = self.size - 1
-        ext = np.zeros(4 * N1 + 1, dtype=exp.dtype)
-        ext[:N1] = ext[N1:2 * N1] = exp
-        log = log.copy()
-        log[0] = 2 * N1
-        return ext, log
-
-    @memo
     def _scalar_tables(self) -> tuple[list[int], list[int]]:
-        """_mul_tables as Python lists, for scalar products."""
-        ext, log = self._mul_tables()
+        """exp_log_tables as Python lists, for scalar products."""
+        ext, log = self.exp_log_tables()
         return ext.tolist(), log.tolist()
 
     @memo
@@ -578,27 +555,29 @@ class FieldCtx:
             c_fwd = self._mul_raw(c_fwd, step_fwd)
             c_mir = self._mul_raw(c_mir, step_mir)
 
-    def _exp_table(self) -> np.ndarray:
-        """exp[j] = g^j for the cached generator g, j < 2^n - 1, filled from
-        power_blocks in polynomial coordinates; exp_log_tables caches it."""
-        N1 = self.size - 1
-        exp = np.empty(self.size, dtype=elem_dtype(self.n))  # exp[N1] = g^N1 = 1
-        for a, fwd, mir in self.power_blocks():
-            exp[a:a + fwd.size] = fwd
-            exp[N1 - a - mir.size + 1:N1 - a + 1] = mir[::-1]
-        return exp[:N1]
-
     @memo
     def exp_log_tables(self) -> tuple[np.ndarray, np.ndarray]:
-        """Numpy exp table and uint32 log table (log[0] = 0 is a placeholder).
+        """Sentinel-log tables (ext, log) with a*b = ext[log[a] + log[b]], zeros included.
 
-        The log table costs 4 bytes per element and is built only here, on
-        first use; the spectrum and inverse_table walk power_blocks instead.
+        ext[j] = g^j for the cached generator g and j < 2(N - 1), N = 2^n,
+        filled from power_blocks in polynomial coordinates, then zeros up to
+        index 4(N - 1); log is the uint32 discrete log with log[0] = 2(N - 1).
+        So a sum of two logs needs no modulo and any sum with a zero factor
+        lands on a 0 entry.  The array products gather with take, which costs
+        11.5 against 19 us for fancy indexing on 2^10 uint32 indices (1.0
+        against 1.9 ms on 163840).  Built only on first use: the spectrum and
+        inverse_table walk power_blocks instead.
         """
-        exp = self._exp_table()
-        log = np.zeros(self.size, dtype=np.uint32)
-        log[exp] = np.arange(self.size - 1, dtype=np.uint32)
-        return exp, log
+        N1 = self.size - 1
+        ext = np.zeros(4 * N1 + 1, dtype=elem_dtype(self.n))
+        for a, fwd, mir in self.power_blocks():
+            ext[a:a + fwd.size] = fwd
+            ext[N1 - a - mir.size + 1:N1 - a + 1] = mir[::-1]  # ext[N1] = g^N1 = 1
+        ext[N1:2 * N1] = ext[:N1]
+        log = np.empty(self.size, dtype=np.uint32)
+        log[ext[:N1]] = np.arange(N1, dtype=np.uint32)
+        log[0] = 2 * N1
+        return ext, log
 
     @memo
     def inverse_table(self) -> np.ndarray:
@@ -637,7 +616,7 @@ class FieldCtx:
     def mul_vec(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         """Elementwise field product of two element arrays."""
         if self.n <= TABLE_DEGREE:
-            ext, log = self._mul_tables()
+            ext, log = self.exp_log_tables()
             return ext.take(log.take(a) + log.take(b))
         dt = elem_dtype(self.n)
         a = a.astype(dt, copy=False)  # one dtype for both, as the table branch allows
@@ -651,12 +630,8 @@ class FieldCtx:
 
     def mul_scalar_vec(self, c: int, arr: np.ndarray) -> np.ndarray:
         """Field product of a scalar with every entry of an element array."""
-        if c == 0:
-            return np.zeros_like(arr)
-        if c == 1:
-            return arr.copy()
         if self.n <= TABLE_DEGREE:
-            ext, log = self._mul_tables()
+            ext, log = self.exp_log_tables()
             return ext.take(log.take(arr) + log[c])
         return xor_apply(self._mul_images(c, False), arr)
 
@@ -693,10 +668,8 @@ def _build_field(n: int, poly: int) -> FieldCtx:
     trace_mask = sum(h[i] << i for i in range(n))
     gram = tuple(sum(h[i + j] << j for j in range(n)) for i in range(n))
     gram_inv = mat_inverse_rows(gram, n)  # trace form is non-degenerate
-    dual_basis = gram_inv  # row i of G^-1 holds the coordinates of d_i
-    ctx = FieldCtx(n=n, poly=poly, trace_mask=trace_mask, gram=gram,
-                   gram_inv=gram_inv, dual_basis=dual_basis)
-    prods = [np.array(dual_basis, dtype=elem_dtype(n))]  # prods[j][i] = d_i * x^j
+    ctx = FieldCtx(n=n, poly=poly, trace_mask=trace_mask, gram=gram, gram_inv=gram_inv)
+    prods = [np.array(gram_inv, dtype=elem_dtype(n))]  # prods[j][i] = d_i * x^j
     for _ in range(n - 1):
         prods.append(ctx.mulx_vec(prods[-1]))
     if not np.array_equal(_traces(sq_tabs, n, prods), np.eye(n)):

@@ -157,7 +157,7 @@ def linearized_coeffs(ctx: FieldCtx, L: LinMap) -> tuple[int, ...]:
     With d_j the dual basis, x = sum_j Tr(x d_j) x^j, so
     L(x) = sum_i x^(2^i) sum_j L(x^j) d_j^(2^i): c_i = sum_j L(x^j) d_j^(2^i).
     """
-    d = ctx.dual_basis
+    d = ctx.gram_inv  # row j is d_j
     coeffs = []
     for _ in range(ctx.n):
         c = 0

@@ -96,8 +96,6 @@ class QuadFormRec:
     n: int                       # ambient field degree
     basis: tuple[int, ...]       # subspace basis inside F_2^n
     eval: np.ndarray             # uint8 truth table over coordinate masks
-    bmat: tuple[int, ...]        # row i: bit j = B(basis_j, basis_i)
-    fvals: tuple[int, ...]       # form on the basis vectors
     radical_coords: tuple[int, ...]
     radical_basis: SubspaceBasis
     form_type: str
@@ -107,10 +105,6 @@ class QuadFormRec:
     @property
     def m(self) -> int:
         return len(self.basis)
-
-    def embed(self, coord_mask: int) -> int:
-        """Coordinate mask -> ambient element."""
-        return xor_combine(self.basis, coord_mask)
 
 
 def _form_table(m: int, fvals, bmat) -> np.ndarray:
@@ -162,12 +156,12 @@ def _classify_counts(m: int, w: int, nzeros: int) -> tuple[str, int, int]:
     return form_type, witt, lam
 
 
-def restrict(ctx: FieldCtx, f, S: SubspaceBasis, validate: bool = True) -> QuadFormRec:
+def restrict(ctx: FieldCtx, f, S: SubspaceBasis) -> QuadFormRec:
     """Tabulate the form f on the subspace S and classify it.
 
     f is any evaluator over ambient elements; it must be a quadratic form
     (f(0) = 0, bilinear polarization), which is spot-checked on coordinate
-    triples and random points unless validate is disabled.
+    triples and random points.
     """
     basis = S.vectors
     m = len(basis)
@@ -180,18 +174,15 @@ def restrict(ctx: FieldCtx, f, S: SubspaceBasis, validate: bool = True) -> QuadF
             b = (fvals[i] ^ fvals[j] ^ int(f(basis[i] ^ basis[j]))) & 1
             bmat[i] |= b << j
             bmat[j] |= b << i
-    bmat = tuple(bmat)
     ev = _form_table(m, fvals, bmat)
-    if validate:
-        _validate_form(f, basis, ev, m)
+    _validate_form(f, basis, ev, m)
     rad = _radical_coords(m, bmat, ev)
     nzeros = (1 << m) - int(np.count_nonzero(ev))
     form_type, witt, lam = _classify_counts(m, len(rad), nzeros)
     rad_ambient = subspace_from_vectors(ctx.n, [xor_combine(basis, c) for c in rad])
     ev.flags.writeable = False
     return QuadFormRec(
-        n=ctx.n, basis=basis, eval=ev, bmat=bmat, fvals=fvals,
-        radical_coords=rad, radical_basis=rad_ambient,
+        n=ctx.n, basis=basis, eval=ev, radical_coords=rad, radical_basis=rad_ambient,
         form_type=form_type, witt_index=witt, lam=lam,
     )
 
@@ -213,16 +204,10 @@ def _validate_form(f, basis, ev, m: int):
             raise NotQuadraticFormError("evaluator disagrees with quadratic table")
 
 
-def restrict_q_to_h(ctx: FieldCtx, validate: bool = True) -> QuadFormRec:
+def restrict_q_to_h(ctx: FieldCtx) -> QuadFormRec:
     """The canonical object of study: q restricted to the trace-zero hyperplane."""
     qt = q_table(ctx)
-    return restrict(ctx, lambda x: int(qt[x]), hyperplane_H(ctx), validate=validate)
-
-
-def radical(qf: QuadFormRec) -> SubspaceBasis:
-    """Recompute {y in rad(B_f) : f(y) = 0} as an ambient canonical basis."""
-    rad = _radical_coords(qf.m, qf.bmat, qf.eval)
-    return subspace_from_vectors(qf.n, [qf.embed(c) for c in rad])
+    return restrict(ctx, lambda x: int(qt[x]), hyperplane_H(ctx))
 
 
 def classify(qf: QuadFormRec) -> tuple[str, int, int]:

@@ -1,6 +1,7 @@
 import pytest
 
 from kspectra import gf2n
+from kspectra.gf2n import xor_combine
 from kspectra.linmap import canonical_search, subspace_from_vectors
 
 
@@ -19,5 +20,5 @@ def isotropic_subspace():
     dimension d that canonical_search meets among the zeros of rec; d = None: the largest."""
     def search(rec, d=None):
         got, _, _ = canonical_search(rec.m, rec.eval == 0, bound=d)
-        return subspace_from_vectors(rec.n, [rec.embed(c) for c in got])
+        return subspace_from_vectors(rec.n, [xor_combine(rec.basis, c) for c in got])
     return search

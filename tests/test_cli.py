@@ -235,7 +235,7 @@ def test_internal_error_exit_code(capsys, monkeypatch):
     from kspectra import cli
     from kspectra.quadform import InconsistentFormError
 
-    def broken(ctx, validate=True):
+    def broken(ctx):
         raise InconsistentFormError("count 9 matches no type")
 
     monkeypatch.setattr(cli, "restrict_q_to_h", broken)

@@ -193,7 +193,7 @@ def test_subfield_elements():
 def test_dual_basis_pairing():
     for n in (2, 5, 8):
         ctx = mk_field(n)
-        for i, d in enumerate(ctx.dual_basis):
+        for i, d in enumerate(ctx.gram_inv):  # row i of G^-1 is d_i
             for j in range(n):
                 assert ctx.trace(ctx.mul(d, 1 << j)) == (1 if i == j else 0)
 
@@ -242,8 +242,13 @@ def test_mul_vec_mixed_dtypes_above_table_degree(n):
 
 def test_exp_table_is_group_enumeration():
     ctx = mk_field(10)
-    exp, log = ctx.exp_log_tables()
-    assert len(set(exp.tolist())) == ctx.size - 1
+    N1 = ctx.size - 1
+    ext, log = ctx.exp_log_tables()
+    exp = ext[:N1]
+    assert len(set(exp.tolist())) == N1
+    # sentinel layout: exp twice, then zeros, which log[0] = 2(N - 1) reaches from any log
+    assert ext.shape == (4 * N1 + 1,) and log[0] == 2 * N1
+    assert np.array_equal(ext[N1:2 * N1], exp) and not ext[2 * N1:].any()
     assert exp[0] == 1
     g = int(exp[1])
     assert ctx.mul(int(exp[500]), g) == int(exp[501])
@@ -256,8 +261,9 @@ def test_exp_table_is_group_enumeration_sampled(n):
     # ctx.mul is shift-and-reduce above TABLE_DEGREE: it shares no code with the
     # byte-table doubling that builds exp
     ctx = mk_field(n)
-    exp, log = ctx.exp_log_tables()
-    assert exp.shape == (ctx.size - 1,) and exp[0] == 1
+    ext, log = ctx.exp_log_tables()
+    exp = ext[:ctx.size - 1]
+    assert exp[0] == 1
     g = int(exp[1])
     rng = np.random.default_rng(n)
     js = np.concatenate([np.arange(8), rng.integers(0, ctx.size - 2, 500), [ctx.size - 3]])
@@ -269,7 +275,7 @@ def test_exp_table_is_group_enumeration_sampled(n):
 
 def test_xor_and_functional_tables():
     cols = [0b001, 0b010, 0b111]
-    t = xor_table(cols)
+    t = xor_table(cols, np.uint32)
     assert t[0] == 0
     assert t[0b101] == (0b001 ^ 0b111)
     f = functional_table(4, 0b1010)
@@ -289,7 +295,7 @@ def test_cached_tables_are_read_only():
     from kspectra.quadform import q_table
 
     ctx = mk_field(6)
-    calls = [ctx._square_tables, ctx._mul_tables, ctx._scalar_tables, ctx._generator,
+    calls = [ctx._square_tables, ctx._scalar_tables, ctx._generator,
              lambda: ctx._mul_image_tables(False), lambda: ctx._mul_image_tables(True),
              ctx.exp_log_tables, ctx.inverse_table, ctx.trace_table, ctx.dualenc_table,
              ctx.ginv_table, ctx.frobenius_table, lambda: q_table(ctx)]
@@ -299,8 +305,8 @@ def test_cached_tables_are_read_only():
         assert call() is out  # built once, then served from the cache
         arrays += [a for a in (out if isinstance(out, tuple) else (out,))
                    if isinstance(a, np.ndarray)]
-    assert len(arrays) == 10
-    assert [a.flags.writeable for a in arrays] == [False] * 10
+    assert len(arrays) == 8
+    assert [a.flags.writeable for a in arrays] == [False] * 8
 
 
 def test_mk_field_large_n_smoke():
@@ -320,8 +326,9 @@ def test_smallest_irreducible_known_values():
         assert got == want
 
 
-# sha256 of repr((poly, trace_mask, gram, gram_inv, dual_basis)), captured from
-# the per-entry definitional construction (n + n^2 traces by psquare/pmod).
+# sha256 of repr((poly, trace_mask, gram, gram_inv, gram_inv)), captured from
+# the per-entry definitional construction (n + n^2 traces by psquare/pmod);
+# the second gram_inv stands where the dual basis, the same tuple, was hashed.
 FIELD_SHA256 = {
     2: "57f172571c3c5d3eb931bfc0595f6277312a6415b2d1febd2f4e19101ebe6721",
     3: "acc790e1c1b4c0786f954224ee411a02a47bbb566a14484feec09c6d052d32c2",
@@ -360,7 +367,7 @@ FIELD_SHA256 = {
 @pytest.mark.parametrize("n", range(2, 33))
 def test_mk_field_pinned(n):
     ctx = mk_field(n)
-    key = repr((ctx.poly, ctx.trace_mask, ctx.gram, ctx.gram_inv, ctx.dual_basis))
+    key = repr((ctx.poly, ctx.trace_mask, ctx.gram, ctx.gram_inv, ctx.gram_inv))
     assert hashlib.sha256(key.encode()).hexdigest() == FIELD_SHA256[n]
 
 
@@ -441,5 +448,5 @@ def test_sqr_matches_psquare_pmod(n):
         frob = ctx.frobenius_table()
         assert all(int(frob[a]) == pmod(psquare(a), ctx.poly) for a in range(ctx.size))
     bare = FieldCtx(n=n, poly=ctx.poly, trace_mask=ctx.trace_mask, gram=ctx.gram,
-                    gram_inv=ctx.gram_inv, dual_basis=ctx.dual_basis)
+                    gram_inv=ctx.gram_inv)
     assert bare.sqr(ctx.size - 1) == ctx.sqr(ctx.size - 1)

@@ -57,7 +57,7 @@ def bit_rows(draw, min_n=1, max_n=12, min_rows=0, max_rows=14):
 def test_xor_combine_matches_xor_table(nr, data):
     _, imgs = nr
     m = data.draw(st.integers(0, (1 << len(imgs)) - 1))
-    assert xor_combine(imgs, m) == int(xor_table(imgs)[m])
+    assert xor_combine(imgs, m) == int(xor_table(imgs, np.uint32)[m])
 
 
 @PROPS

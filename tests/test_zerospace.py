@@ -270,7 +270,7 @@ def field_and_set(draw):
     bits = draw(st.integers(0, (1 << (1 << n)) - 1))
     vecs = draw(st.lists(st.integers(1, (1 << n) - 1), max_size=n))
     S = {x for x in range(1, 1 << n) if (bits >> x) & 1}
-    S |= {int(x) for x in xor_table(vecs)} - {0}
+    S |= {int(x) for x in xor_table(vecs, np.uint32)} - {0}
     return mk_field(n), S
 
 
