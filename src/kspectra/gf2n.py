@@ -160,42 +160,11 @@ def transpose_bits(vecs: tuple[int, ...] | list[int], n: int) -> tuple[int, ...]
     return tuple(out)
 
 
-def _echelon(vectors) -> dict[int, int]:
-    """Reduced echelon form keyed by pivot: {leading bit p: the row leading at p}.
-
-    Every pivot bit appears in exactly one row.
-    """
-    piv: dict[int, int] = {}
-    for v in vectors:
-        v = int(v)
-        while v:
-            p = pdeg(v)
-            if p in piv:
-                v ^= piv[p]
-            else:
-                piv[p] = v
-                break
-    for p in sorted(piv, reverse=True):
-        for q in piv:
-            if q != p and (piv[q] >> p) & 1:
-                piv[q] ^= piv[p]
-    return piv
-
-
-def rref(vectors) -> tuple[int, ...]:
-    """Reduced echelon form with leading (highest) bits as pivots."""
-    piv = _echelon(vectors)
-    return tuple(piv[p] for p in sorted(piv))
-
-
-def spans(vectors, n: int) -> bool:
-    """True when the n-bit vectors span F_2^n, i.e. len(rref(vectors)) == n.
-
-    The forward half of _echelon, stopped at the n-th pivot: a rank test
-    needs no back-substitution, which is most of _echelon's cost.
-    """
-    piv = [0] * n
-    left = n
+def _forward(vectors, piv: list[int]) -> int:
+    """Forward elimination of int vectors into piv, a list of zeros indexed by
+    leading bit: piv[p] becomes the row leading at p.  Returns how many slots
+    are still empty, and stops reading vectors once none is."""
+    left = len(piv)
     for v in vectors:
         while v:
             p = v.bit_length() - 1
@@ -203,10 +172,36 @@ def spans(vectors, n: int) -> bool:
                 piv[p] = v
                 left -= 1
                 if not left:
-                    return True
+                    return 0
                 break
             v ^= piv[p]
-    return False
+    return left
+
+
+def _echelon(vectors, n: int) -> list[int]:
+    """Reduced echelon form of n-bit int vectors as _forward's pivot list,
+    back-substituted so that every pivot bit is set in exactly one row."""
+    piv = [0] * n
+    _forward(vectors, piv)
+    for p in range(n - 1, -1, -1):
+        if piv[p]:
+            for q in range(p + 1, n):
+                if (piv[q] >> p) & 1:
+                    piv[q] ^= piv[p]
+    return piv
+
+
+def rref(vectors) -> tuple[int, ...]:
+    """Reduced echelon form with leading (highest) bits as pivots, in ascending order."""
+    vectors = [int(v) for v in vectors]
+    piv = _echelon(vectors, max((v.bit_length() for v in vectors), default=0))
+    return tuple(v for v in piv if v)
+
+
+def spans(vectors, n: int) -> bool:
+    """True when the n-bit int vectors span F_2^n, i.e. len(rref(vectors)) == n:
+    _forward alone, as a rank test needs no back-substitution."""
+    return not _forward(vectors, [0] * n)
 
 
 def mat_inverse_rows(rows: tuple[int, ...] | list[int], n: int) -> tuple[int, ...]:
@@ -215,22 +210,22 @@ def mat_inverse_rows(rows: tuple[int, ...] | list[int], n: int) -> tuple[int, ..
     Each row is tagged with its index in the low n bits; once the high n
     bits are reduced to unit rows, the tags spell out the inverse.
     """
-    piv = _echelon((rows[i] << n) | (1 << i) for i in range(n))
-    if any(n + j not in piv for j in range(n)):
+    piv = _echelon(((rows[i] << n) | (1 << i) for i in range(n)), 2 * n)
+    if not all(piv[n:]):
         raise ValueError("matrix is singular over F_2")
     mask = (1 << n) - 1
-    return tuple(piv[n + j] & mask for j in range(n))
+    return tuple(v & mask for v in piv[n:])
 
 
 def nullspace_rows(rows: list[int], n: int) -> list[int]:
     """Basis of {x : parity(row & x) = 0 for all rows} inside F_2^n."""
-    piv = _echelon(rows)
+    piv = _echelon(rows, n)
     basis = []
     for f in range(n):
-        if f in piv:
+        if piv[f]:
             continue
         v = 1 << f
-        for p, row in piv.items():
+        for p, row in enumerate(piv):
             if (row >> f) & 1:
                 v |= 1 << p
         basis.append(v)
@@ -566,8 +561,11 @@ class FieldCtx:
         lands on a 0 entry.  The array products gather with take, which costs
         11.5 against 19 us for fancy indexing on 2^10 uint32 indices (1.0
         against 1.9 ms on 163840).  Built only on first use: the spectrum and
-        inverse_table walk power_blocks instead.
+        inverse_table walk power_blocks instead.  Refused above TABLE_DEGREE,
+        where the pair would take 5 * 2^n entries.
         """
+        if self.n > TABLE_DEGREE:
+            raise ValueError(f"exp/log tables cover n <= {TABLE_DEGREE}, not {self.n}")
         N1 = self.size - 1
         ext = np.zeros(4 * N1 + 1, dtype=elem_dtype(self.n))
         for a, fwd, mir in self.power_blocks():
@@ -600,12 +598,6 @@ class FieldCtx:
         return xor_table(self.gram, elem_dtype(self.n))  # G is symmetric
 
     @memo
-    def ginv_table(self) -> np.ndarray:
-        """Table of G^-1*x, the inverse of dualenc_table: the element whose
-        dual-basis coordinates are x."""
-        return xor_table(self.gram_inv, elem_dtype(self.n))  # G^-1 is symmetric
-
-    @memo
     def frobenius_table(self) -> np.ndarray:
         return xor_table([self.sqr(1 << i) for i in range(self.n)], elem_dtype(self.n))
 
@@ -613,27 +605,20 @@ class FieldCtx:
         """G*x as a scalar: Tr(x*y) = parity(dualenc(x) & y)."""
         return xor_combine(self.gram, x)  # G is symmetric: rows are columns
 
-    def mul_vec(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        """Elementwise field product of two element arrays."""
+    def mul_vec(self, a, b) -> np.ndarray:
+        """Elementwise field product of element arrays; either may be a Python int."""
         if self.n <= TABLE_DEGREE:
             ext, log = self.exp_log_tables()
             return ext.take(log.take(a) + log.take(b))
         dt = elem_dtype(self.n)
-        a = a.astype(dt, copy=False)  # one dtype for both, as the table branch allows
-        t = b.astype(dt)
-        res = np.zeros_like(t)
+        a = np.asarray(a).astype(dt, copy=False)  # one dtype for both, as the table branch allows
+        t = np.asarray(b).astype(dt)
+        res = np.zeros(np.broadcast_shapes(a.shape, t.shape), dtype=dt)
         for j in range(self.n):
             res ^= (((a >> dt(j)) & dt(1)) * t)
             if j + 1 < self.n:
                 t = self.mulx_vec(t)
         return res
-
-    def mul_scalar_vec(self, c: int, arr: np.ndarray) -> np.ndarray:
-        """Field product of a scalar with every entry of an element array."""
-        if self.n <= TABLE_DEGREE:
-            ext, log = self.exp_log_tables()
-            return ext.take(log.take(arr) + log[c])
-        return xor_apply(self._mul_images(c, False), arr)
 
 
 def mk_field(n: int, poly: int | None = None) -> FieldCtx:

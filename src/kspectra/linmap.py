@@ -281,11 +281,10 @@ def random_subspace(rng: np.random.Generator, n: int, dim: int) -> SubspaceBasis
     """Uniform-ish random subspace of the requested dimension."""
     if not 0 <= dim <= n:
         raise ValueError("dimension out of range")
-    vecs: list[int] = []
-    while len(rref(vecs)) < dim:
-        vecs.append(int(rng.integers(1, 1 << n)))
-        vecs = list(rref(vecs))
-    return SubspaceBasis(n, tuple(vecs))
+    vecs: tuple[int, ...] = ()
+    while len(vecs) < dim:
+        vecs = rref(vecs + (int(rng.integers(1, 1 << n)),))
+    return SubspaceBasis(n, vecs)
 
 
 def map_to_json(ctx: FieldCtx, L: LinMap) -> dict:

@@ -6,10 +6,10 @@ product L1*(b)*L2*(b) is a Kloosterman zero.  Both routes first try to
 settle a pair with Python ints: the spectral route by a rank test on the
 columns and the PROBE_BS points, the direct route by the first
 COLLISION_PREFIX values.  Otherwise they work on whole truth tables, one
-xor_table per map: the adjoints are read through the cached G and G^-1
-tables, and products go through the sentinel-log tables of gf2n.  Both ways
-give the same witness.  linmap.adjoint and kernel_intersection stay as the
-matrix-level oracles.
+xor_table per map: an adjoint's from its n columns L*(x^i), computed as at
+the probes, and products go through the sentinel-log tables of gf2n.  Both
+ways give the same witness.  linmap.adjoint and kernel_intersection stay as
+the matrix-level oracles.
 The exhaustive sweep over x^-1 + L(x) applies the spectral criterion at every
 b, the randomized search at a few probes; both confirm every survivor by
 direct evaluation, so the two routes stay independent.
@@ -88,14 +88,10 @@ def compose_truth_table(ctx: FieldCtx, L1: LinMap, L2: LinMap) -> np.ndarray:
 
 
 def _adjoint_table(ctx: FieldCtx, L: LinMap) -> np.ndarray:
-    """Truth table of L*, indexed by the encoding of b.
-
-    L* = G^-1 * M^T * G, so L*(b) = T[G*b] with T the table of G^-1 * M^T,
-    whose columns are G^-1 applied to the rows of M; linmap.adjoint is the
-    matrix-level oracle.
-    """
-    cols = ctx.ginv_table()[list(L.rows)].tolist()
-    return xor_table(cols, elem_dtype(ctx.n)).take(ctx.dualenc_table())
+    """Truth table of L*, indexed by the encoding of b: the xor_table of the
+    columns L*(x^i) = _adjoint_at(G*x^i), and G*x^i is row i of G (G is
+    symmetric).  linmap.adjoint is the matrix-level oracle."""
+    return xor_table([_adjoint_at(ctx, L.cols, g) for g in ctx.gram], elem_dtype(ctx.n))
 
 
 def perm_direct(ctx: FieldCtx, L1: LinMap, L2: LinMap) -> PermReport:
@@ -178,7 +174,7 @@ def perm_general_spectral(ctx: FieldCtx, F: TruthTable, L1: LinMap, L2: LinMap) 
     tr = ctx.trace_table()
     idx = np.arange(ctx.size, dtype=F.values.dtype)
     for b in range(1, ctx.size):
-        s = tr[ctx.mul_scalar_vec(A1(b), F.values)] ^ tr[ctx.mul_scalar_vec(A2(b), idx)]
+        s = tr[ctx.mul_vec(A1(b), F.values)] ^ tr[ctx.mul_vec(A2(b), idx)]
         if ctx.size - 2 * int(s.sum()) != 0:
             return False
     return True
@@ -230,7 +226,7 @@ def _sweep(ctx: FieldCtx) -> tuple[int, list[tuple[int, ...]]]:
         P = xor_table(prefix, elems.dtype)  # A(b) for b < 2^level
         alive = elems
         for b in range(top, 2 * top):
-            alive = alive[kz.take(ctx.mul_scalar_vec(b, alive ^ P[b ^ top]))]
+            alive = alive[kz.take(ctx.mul_vec(b, alive ^ P[b ^ top]))]
         checked += (N - alive.size) * N ** (n - 1 - level)  # every completion fails
         for c in alive.tolist():
             acols = prefix + [c]

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from kspectra.gf2n import FieldCtx, functional_table, memo, nullspace_rows, pmod, pmul, rref, xor_combine
+from kspectra.gf2n import FieldCtx, functional_table, memo, nullspace_rows, rref, xor_combine
 from kspectra.linmap import SubspaceBasis, orthogonal_complement, subspace_from_vectors
 
 HYPERBOLIC = "hyperbolic"
@@ -56,15 +56,15 @@ def _q_by_traces(ctx: FieldCtx, a: int) -> int:
     a^(1+2^(n/2)) from F_2^(n/2), the sum of its first n/2 conjugates.
     Products are shift-and-reduce: no 2^n table; q_eval keeps ctx.mul.
     """
-    n, poly = ctx.n, ctx.poly
+    n = ctx.n
     conj = [a]
     for _ in range(n // 2):
         conj.append(ctx.sqr(conj[-1]))
     acc = 0
     for d in range(1, (n + 1) // 2):
-        acc ^= ctx.trace(pmod(pmul(a, conj[d]), poly))
+        acc ^= ctx.trace(ctx._mul_raw(a, conj[d]))
     if n % 2 == 0:
-        b = pmod(pmul(a, conj[n // 2]), poly)
+        b = ctx._mul_raw(a, conj[n // 2])
         for _ in range(n // 2):
             acc ^= b
             b = ctx.sqr(b)
@@ -96,7 +96,6 @@ class QuadFormRec:
     n: int                       # ambient field degree
     basis: tuple[int, ...]       # subspace basis inside F_2^n
     eval: np.ndarray             # uint8 truth table over coordinate masks
-    radical_coords: tuple[int, ...]
     radical_basis: SubspaceBasis
     form_type: str
     witt_index: int
@@ -182,7 +181,7 @@ def restrict(ctx: FieldCtx, f, S: SubspaceBasis) -> QuadFormRec:
     rad_ambient = subspace_from_vectors(ctx.n, [xor_combine(basis, c) for c in rad])
     ev.flags.writeable = False
     return QuadFormRec(
-        n=ctx.n, basis=basis, eval=ev, radical_coords=rad, radical_basis=rad_ambient,
+        n=ctx.n, basis=basis, eval=ev, radical_basis=rad_ambient,
         form_type=form_type, witt_index=witt, lam=lam,
     )
 
@@ -212,7 +211,7 @@ def restrict_q_to_h(ctx: FieldCtx) -> QuadFormRec:
 
 def classify(qf: QuadFormRec) -> tuple[str, int, int]:
     """(type, Witt index, lambda) from the zero count; raises if inconsistent."""
-    return _classify_counts(qf.m, len(qf.radical_coords), count_zeros(qf))
+    return _classify_counts(qf.m, qf.radical_basis.dim, count_zeros(qf))
 
 
 def count_zeros(qf: QuadFormRec) -> int:
@@ -221,7 +220,7 @@ def count_zeros(qf: QuadFormRec) -> int:
 
 def max_isotropic_dim(qf: QuadFormRec) -> int:
     """Largest dimension of a totally isotropic subspace: Witt index + radical."""
-    return qf.witt_index + len(qf.radical_coords)
+    return qf.witt_index + qf.radical_basis.dim
 
 
 def expected_h_zero_count(n: int) -> int:

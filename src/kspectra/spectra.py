@@ -240,7 +240,7 @@ def walsh_row(ctx: FieldCtx, F: TruthTable, a: int) -> Spectrum:
     if F.n != ctx.n:
         raise ValueError("truth table degree mismatch")
     w = np.empty(ctx.size, dtype=sign_dtype(ctx.n))
-    w[ctx.dualenc_table()] = _signs(ctx.trace_table()[ctx.mul_scalar_vec(a, F.values)], w.dtype)
+    w[ctx.dualenc_table()] = _signs(ctx.trace_table()[ctx.mul_vec(a, F.values)], w.dtype)
     fwht_inplace(w)
     w.flags.writeable = False
     return Spectrum(ctx.n, "walsh_row", w)

@@ -320,7 +320,7 @@ def test_criterion_13d_quadform_properties():
         tr = c.trace_table()
         for y in range(c.size):
             t = y ^ c.trace(y)
-            closed = tr[c.mul_scalar_vec(t, idx)]
+            closed = tr[c.mul_vec(t, idx)]
             assert np.array_equal(qt ^ qt[y] ^ qt[idx ^ y], closed), f"n={n}, y={y}"
     # q agrees with the definitional sum on every element, n <= 10
     for n in range(4, 11):

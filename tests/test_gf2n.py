@@ -218,9 +218,8 @@ def test_bulk_tables_match_scalar_ops(n):
     for x, y, p in zip(xs, ys, prod):
         assert int(p) == ctx.mul(int(x), int(y))
     c = int(rng.integers(1, ctx.size))
-    sp = ctx.mul_scalar_vec(c, xs)
-    for x, p in zip(xs, sp):
-        assert int(p) == ctx.mul(c, int(x))
+    for sp in (ctx.mul_vec(c, xs), ctx.mul_vec(xs, c)):
+        assert [int(p) for p in sp] == [ctx.mul(c, int(x)) for x in xs]
     inv = ctx.inverse_table()
     for x in xs:
         assert int(inv[int(x)]) == ctx.inv0(int(x))
@@ -259,18 +258,27 @@ def test_exp_table_is_group_enumeration():
 @pytest.mark.parametrize("n", [17, 24])
 def test_exp_table_is_group_enumeration_sampled(n):
     # ctx.mul is shift-and-reduce above TABLE_DEGREE: it shares no code with the
-    # byte-table doubling that builds exp
+    # byte-table doubling that builds each block of power_blocks
     ctx = mk_field(n)
-    ext, log = ctx.exp_log_tables()
-    exp = ext[:ctx.size - 1]
-    assert exp[0] == 1
-    g = int(exp[1])
+    with pytest.raises(ValueError):
+        ctx.exp_log_tables()  # 5 * 2^n entries: refused above TABLE_DEGREE
+    assert "exp_log_tables" not in ctx._cache
     rng = np.random.default_rng(n)
-    js = np.concatenate([np.arange(8), rng.integers(0, ctx.size - 2, 500), [ctx.size - 3]])
-    for j in js.tolist():
-        assert ctx.mul(int(exp[j]), g) == int(exp[j + 1])
-        assert int(log[int(exp[j])]) == j
-    assert ctx.mul(int(exp[-1]), g) == 1
+    g = int(next(ctx.power_blocks())[1][1])
+    last_fwd = last_mir = None
+    for a, fwd, mir in ctx.power_blocks():
+        if a == 0:
+            assert fwd[0] == 1 == mir[0]
+        else:  # the walk runs on across block boundaries, both ways
+            assert ctx.mul(last_fwd, g) == int(fwd[0])
+            assert ctx.mul(int(mir[0]), g) == last_mir
+        ks = np.concatenate([np.arange(4), rng.integers(0, fwd.size - 1, 16), [fwd.size - 2]])
+        for k in ks.tolist():
+            assert ctx.mul(int(fwd[k]), g) == int(fwd[k + 1])
+            assert ctx.mul(int(mir[k + 1]), g) == int(mir[k])
+            assert ctx.mul(int(fwd[k]), int(mir[k])) == 1
+        last_fwd, last_mir = int(fwd[-1]), int(mir[-1])
+    assert ctx.mul(last_fwd, g) == last_mir  # g^(2^(n-1)): the two halves meet
 
 
 def test_xor_and_functional_tables():
@@ -298,15 +306,15 @@ def test_cached_tables_are_read_only():
     calls = [ctx._square_tables, ctx._scalar_tables, ctx._generator,
              lambda: ctx._mul_image_tables(False), lambda: ctx._mul_image_tables(True),
              ctx.exp_log_tables, ctx.inverse_table, ctx.trace_table, ctx.dualenc_table,
-             ctx.ginv_table, ctx.frobenius_table, lambda: q_table(ctx)]
+             ctx.frobenius_table, lambda: q_table(ctx)]
     arrays = []
     for call in calls:
         out = call()
         assert call() is out  # built once, then served from the cache
         arrays += [a for a in (out if isinstance(out, tuple) else (out,))
                    if isinstance(a, np.ndarray)]
-    assert len(arrays) == 8
-    assert [a.flags.writeable for a in arrays] == [False] * 8
+    assert len(arrays) == 7
+    assert [a.flags.writeable for a in arrays] == [False] * 7
 
 
 def test_mk_field_large_n_smoke():

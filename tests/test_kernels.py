@@ -20,6 +20,7 @@ from kspectra.gf2n import (
     pmul,
     rref,
     spans,
+    xor_apply,
     xor_combine,
     xor_table,
 )
@@ -68,6 +69,15 @@ def test_dualenc_matches_table(n, data):
     assert ctx.dualenc(x) == int(ctx.dualenc_table()[x])
 
 
+def _span_size(vecs):
+    """len(set(span_list(vecs))) by closing a set under xor: no 2^len(vecs) list,
+    and no code shared with the elimination behind rref and spans."""
+    span = {0}
+    for v in vecs:
+        span |= {s ^ v for s in span}
+    return len(span)
+
+
 def _matmul(a, b):
     """Row-mask matrix product: row i of A*B combines the rows of B."""
     return tuple(xor_combine(b, r) for r in a)
@@ -93,8 +103,9 @@ def test_mat_inverse_round_trip_or_singular(rows):
 def test_nullspace_annihilates_rows_with_complementary_dimension(nr):
     n, rows = nr
     basis = nullspace_rows(rows, n)
+    assert _span_size(rows) == 2 ** len(rref(rows))
     assert len(basis) == n - len(rref(rows))
-    assert len(rref(basis)) == len(basis)
+    assert _span_size(basis) == 2 ** len(basis) == 2 ** len(rref(basis))
     for v in basis:
         assert all((r & v).bit_count() % 2 == 0 for r in rows)
 
@@ -103,7 +114,8 @@ def test_nullspace_annihilates_rows_with_complementary_dimension(nr):
 @given(bit_rows(max_rows=24))
 def test_spans_is_full_rank(nr):
     n, vecs = nr
-    assert spans(vecs, n) == (len(rref(vecs)) == n)
+    assert spans(vecs, n) == (len(rref(vecs)) == n) == (_span_size(vecs) == 2 ** n)
+    assert _span_size(vecs) == 2 ** len(rref(vecs))
 
 
 _field = lru_cache(maxsize=None)(mk_field)
@@ -112,14 +124,16 @@ _field = lru_cache(maxsize=None)(mk_field)
 @PROPS
 @given(st.sampled_from([17, 24, 31, 32]), st.data())
 def test_byte_table_constant_multiply_matches_mul(n, data):
-    # above TABLE_DEGREE mul_scalar_vec is the byte-table kernel and ctx.mul is
-    # shift-and-reduce; n = 32 runs on uint64 elements
+    # the byte tables of _mul_images against shift-and-reduce ctx.mul, and mul_vec
+    # with the scalar on either side; n = 32 runs on uint64 elements
     ctx = _field(n)
     c = data.draw(st.integers(2, ctx.size - 1))
     xs = data.draw(st.lists(st.integers(0, ctx.size - 1), min_size=1, max_size=16))
-    got = ctx.mul_scalar_vec(c, np.array(xs, dtype=elem_dtype(n)))
-    assert got.dtype == elem_dtype(n)
-    assert got.tolist() == [ctx.mul(c, x) for x in xs]
+    arr = np.array(xs, dtype=elem_dtype(n))
+    want = [ctx.mul(c, x) for x in xs]
+    for got in (xor_apply(ctx._mul_images(c, False), arr), ctx.mul_vec(c, arr), ctx.mul_vec(arr, c)):
+        assert got.dtype == elem_dtype(n)
+        assert got.tolist() == want
     # in dual-basis coordinates the same map is G*c*G^-1
     dual = ctx._mul_images(c, True)
     assert [xor_combine(dual, ctx.dualenc(x)) for x in xs] == [ctx.dualenc(ctx.mul(c, x)) for x in xs]
@@ -346,7 +360,8 @@ def test_sentinel_log_products_match_mul(n, data):
     want = [pmod(pmul(x, y), ctx.poly) for x, y in zip(xs, ys)]
     a, b = np.array(xs, dtype=np.uint32), np.array(ys, dtype=np.uint32)
     assert ctx.mul_vec(a, b).tolist() == want == [ctx.mul(x, y) for x, y in zip(xs, ys)]
-    assert ctx.mul_scalar_vec(c, b).tolist() == [pmod(pmul(c, y), ctx.poly) for y in ys]
+    want = [pmod(pmul(c, y), ctx.poly) for y in ys]
+    assert ctx.mul_vec(c, b).tolist() == want == ctx.mul_vec(b, c).tolist()
 
 
 @st.composite
