@@ -7,7 +7,7 @@ reduction polynomial and precomputed trace/Gram/dual-basis data; elements
 are passed around as bare ints alongside the context.  mk_field(n) reduces
 modulo smallest_irreducible(n); only mk_field(n, poly) chooses another.
 
-Bulk helpers (xor_table, functional_table, exp/log, inverse tables) return
+Bulk helpers (xor_table; exp/log, inverse and trace tables) return
 numpy arrays indexed by element encoding; xor_apply maps whole element
 arrays through lookup tables, and FieldCtx.power_blocks walks the powers of a
 generator block by block for the spectrum, which needs no 2^n-entry table.
@@ -298,11 +298,6 @@ def xor_apply(images, arr: np.ndarray) -> np.ndarray:
     return out
 
 
-def functional_table(nbits: int, mask: int) -> np.ndarray:
-    """Table of parity(m & mask) for m in [0, 2^nbits) as uint8."""
-    return xor_table([(mask >> i) & 1 for i in range(nbits)], np.uint8)
-
-
 def _byte_tables(images) -> list[list[int]]:
     """ceil(k/8) lists of 256 entries for the F_2-linear map with these k
     basis images: table j holds xor_combine(images[8j:8j + 8], m) for every m."""
@@ -589,7 +584,7 @@ class FieldCtx:
 
     @memo
     def trace_table(self) -> np.ndarray:
-        return functional_table(self.n, self.trace_mask)
+        return xor_table([(self.trace_mask >> i) & 1 for i in range(self.n)], np.uint8)
 
     @memo
     def dualenc_table(self) -> np.ndarray:

@@ -7,7 +7,8 @@ settle a pair with Python ints: the spectral route by a rank test on the
 columns and the PROBE_BS points, the direct route by the first
 COLLISION_PREFIX values.  Otherwise they work on whole truth tables, one
 xor_table per map: an adjoint's from its n columns L*(x^i), computed as at
-the probes, and products go through the sentinel-log tables of gf2n.  Both
+the probes, and products go through the sentinel-log tables of gf2n; the
+direct route's table goes through _first_collision, one linear pass.  Both
 ways give the same witness.  linmap.adjoint and kernel_intersection stay as
 the matrix-level oracles.
 The exhaustive sweep over x^-1 + L(x) applies the spectral criterion at every
@@ -30,8 +31,7 @@ from kspectra.zerospace import zero_subspace_bound
 #: fast-reject probe points: the first 8 nonzero field elements
 PROBE_BS = (1, 2, 3, 4, 5, 6, 7, 8)
 
-#: perm_direct scans this many values in Python; the table scan sorts prefixes
-#: of this length (8x it after perm_direct's scan), then 8x longer ones
+#: perm_direct scans this many values in Python before it builds the whole table
 COLLISION_PREFIX = 64
 
 
@@ -49,37 +49,26 @@ class PermReport:
         return {"is_perm": self.is_perm, "witness": w, "method": self.method}
 
 
-def _report_from_values(values: np.ndarray, size: int = COLLISION_PREFIX) -> PermReport:
-    """Direct verdict with the first collision in scan order as the witness.
-
-    The earliest repeated index x2 lies in every prefix that holds any
-    repeat, so sorting prefixes of growing length, from size on, finds the
-    same witness as sorting everything, and a random non-permutation stops
-    at the first.  Start past a prefix known to hold no repeat.
-    """
-    while True:
-        rep = _sorted_scan(values[:size])
-        if not rep.is_perm or size >= values.size:
-            return rep
-        size *= 8
-
-
-def _sorted_scan(values: np.ndarray) -> PermReport:
-    order = values.argsort(kind="stable")
-    sv = values[order]
-    dup = (sv[1:] == sv[:-1]).nonzero()[0]
-    if dup.size == 0:
+def _first_collision(values: np.ndarray) -> PermReport:
+    """Direct verdict with the first collision in scan order as the witness, in
+    one O(2^n) pass: first[v] is the first x with values[x] = v (ufunc.at is
+    defined for repeated indices), x2 the first x whose value was seen before
+    and x1 = first[values[x2]], that value's only earlier x."""
+    idx = np.arange(values.size)
+    first = np.full(int(values.max()) + 1, values.size)
+    np.minimum.at(first, values, idx)
+    x2 = int((first.take(values) != idx).argmax())
+    x1 = int(first[values[x2]])
+    if x1 == x2:
         return PermReport(True, None, "direct")
-    seconds = order[dup + 1]
-    j = int(seconds.argmin())  # first collision in scan order
-    return PermReport(False, ("collision", int(order[dup[j]]), int(seconds[j])), "direct")
+    return PermReport(False, ("collision", x1, x2), "direct")
 
 
 def is_permutation(ctx: FieldCtx, F: TruthTable) -> PermReport:
     """Surjectivity check with a first-found collision witness."""
     if F.n != ctx.n:
         raise ValueError("truth table degree mismatch")
-    return _report_from_values(F.values)
+    return _first_collision(F.values)
 
 
 def compose_truth_table(ctx: FieldCtx, L1: LinMap, L2: LinMap) -> np.ndarray:
@@ -101,8 +90,8 @@ def perm_direct(ctx: FieldCtx, L1: LinMap, L2: LinMap) -> PermReport:
     from L2(x & (x - 1)) and the column of x's lowest bit, L1(x^-1) through
     the spans of L1's low and high column halves.  The first repeat, by
     first sighting, is the first collision of the whole scan; only when the
-    prefix holds none is the full truth table built, and its sorts start at
-    8 * COLLISION_PREFIX values.
+    prefix holds none is the full truth table built and scanned once by
+    _first_collision.
     """
     k = min(COLLISION_PREFIX, ctx.size)
     h = ctx.n // 2
@@ -117,7 +106,7 @@ def perm_direct(ctx: FieldCtx, L1: LinMap, L2: LinMap) -> PermReport:
         if v in seen:
             return PermReport(False, ("collision", seen[v], x), "direct")
         seen[v] = x
-    return _report_from_values(compose_truth_table(ctx, L1, L2), 8 * COLLISION_PREFIX)
+    return _first_collision(compose_truth_table(ctx, L1, L2))
 
 
 @memo

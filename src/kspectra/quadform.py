@@ -2,9 +2,9 @@
 
 The form q(x) = sum_{0<=i<j<n} x^(2^i+2^j) takes values in F_2 (it is the
 x^(n-2) coefficient of the characteristic polynomial) and polarizes to
-B(x,y) = Tr(xy) + Tr(x)Tr(y).  Restrictions to subspaces are tabulated with
-an xor-doubling pass driven by basis values and the polarization and
-classified by zero counting.
+B(x,y) = Tr(xy) + Tr(x)Tr(y).  q and its restrictions to subspaces are
+tabulated in place by one xor-doubling pass (_form_table) driven by basis
+values and the polarization; restrictions are classified by zero counting.
 """
 from __future__ import annotations
 
@@ -12,8 +12,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from kspectra.gf2n import FieldCtx, functional_table, memo, nullspace_rows, rref, xor_combine
+from kspectra.gf2n import FieldCtx, memo, nullspace_rows, rref, xor_combine
 from kspectra.linmap import SubspaceBasis, orthogonal_complement, subspace_from_vectors
+from kspectra.spectra import memory_cap
 
 HYPERBOLIC = "hyperbolic"
 PARABOLIC = "parabolic"
@@ -73,11 +74,23 @@ def _q_by_traces(ctx: FieldCtx, a: int) -> int:
     return acc
 
 
+def qform_bytes(n: int) -> int:
+    """Peak bytes of restrict_q_to_h beyond its field: q_table (2^n), the hyperplane's
+    table (2^(n-1)) and 6 MiB; VmHWM grew 1.5*2^n + 5.6-5.7 MiB at n = 20..28."""
+    return (3 << (n - 1)) + (6 << 20)
+
+
+#: q_table refuses degrees above this one, whose tables would not fit in this machine's RAM
+QFORM_CAP = memory_cap(qform_bytes)
+
+
 @memo
 def q_table(ctx: FieldCtx) -> np.ndarray:
     """q on the whole field as uint8, by the polarization doubling pass from
     the n basis values _q_by_traces(x^i), about n^2/2 table-free products."""
     n = ctx.n
+    if n > QFORM_CAP:
+        raise ValueError(f"q table for n={n} is over the memory cap (n <= {QFORM_CAP})")
     qb = [_q_by_traces(ctx, 1 << i) for i in range(n)]
     tr = ctx.trace_mask
     masks = [ctx.gram[i] ^ (tr if (tr >> i) & 1 else 0) for i in range(n)]
@@ -107,12 +120,15 @@ class QuadFormRec:
 
 
 def _form_table(m: int, fvals, bmat) -> np.ndarray:
-    """Truth table of a form over coordinate masks by polarization doubling:
-    f(c + e_i) = f(c) + f(e_i) + B(c, e_i) for c below bit i."""
+    """Truth table of a form over coordinate masks, in place, by polarization doubling:
+    f(c + e_i) = f(c) + f(e_i) + B(c, e_i) for c below bit i; bmat[i] is read below bit i."""
     ev = np.zeros(1 << m, dtype=np.uint8)
     for i in range(m):
-        low = bmat[i] & ((1 << i) - 1)
-        ev[1 << i: 2 << i] = ev[: 1 << i] ^ np.uint8(fvals[i]) ^ functional_table(i, low)
+        h = 1 << i
+        ev[h] = fvals[i]
+        for j in range(i):  # the linear part f(e_i) + B(., e_i), doubled over bits j < i
+            np.bitwise_xor(ev[h:h + (1 << j)], (bmat[i] >> j) & 1, out=ev[h + (1 << j):h + (2 << j)])
+        ev[h:2 * h] ^= ev[:h]
     return ev
 
 
@@ -123,8 +139,7 @@ def _radical_coords(m: int, bmat, ev) -> tuple[int, ...]:
     ones = [v for v in rad_b if ev[v]]
     zeros = [v for v in rad_b if not ev[v]]
     if ones:
-        w0 = ones[0]
-        zeros.extend(w0 ^ v for v in ones[1:])
+        zeros.extend(ones[0] ^ v for v in ones[1:])
     return rref(zeros)
 
 

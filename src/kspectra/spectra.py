@@ -37,17 +37,17 @@ def spectrum_bytes(n: int) -> int:
     return (np.dtype(sign_dtype(n)).itemsize << n) + 12 * 8 * POWER_BLOCK
 
 
-def _memory_cap() -> int:
-    """Largest degree whose spectrum_bytes fit in physical RAM."""
+def memory_cap(bytes_of) -> int:
+    """Largest degree n <= MAX_DEGREE whose estimated peak bytes_of(n) fit in physical RAM."""
     try:
         ram = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
     except (AttributeError, ValueError, OSError):
         ram = 4 << 30  # no sysconf: assume 4 GiB
-    return max(n for n in range(1, MAX_DEGREE + 1) if spectrum_bytes(n) <= ram)
+    return max(n for n in range(1, MAX_DEGREE + 1) if bytes_of(n) <= ram)
 
 
 #: full spectra above this degree would not fit in this machine's RAM
-SPECTRUM_CAP = _memory_cap()
+SPECTRUM_CAP = memory_cap(spectrum_bytes)
 
 #: CSV export converts and writes this many rows at a time
 CSV_CHUNK = 1 << 16

@@ -57,8 +57,8 @@ def weil_subspace_bound(n: int) -> int:
 def mod16_members(ctx: FieldCtx) -> np.ndarray:
     if ctx.n < 4:
         raise ValueError("mod16 characterization needs n >= 4")
+    qt = q_table(ctx)  # first: above its cap it refuses before any table is built
     tr = ctx.trace_table()
-    qt = q_table(ctx)
     return np.flatnonzero((tr == 0) & (qt == 0)).astype(np.uint32)
 
 

@@ -33,8 +33,7 @@ from kspectra.linmap import (
 from kspectra.permcheck import (
     PermReport,
     _adjoint_table,
-    _report_from_values,
-    _sorted_scan,
+    _first_collision,
     compose_truth_table,
     perm_direct,
     perm_spectral,
@@ -268,8 +267,18 @@ def _spectral_oracle(ctx, L1, L2) -> PermReport:
     return PermReport(True, None, "spectral")
 
 
+def _dict_scan(values) -> PermReport:
+    """The first collision in scan order, from a Python dict of first sightings."""
+    seen = {}
+    for x, v in enumerate(values.tolist()):
+        if v in seen:
+            return PermReport(False, ("collision", seen[v], x), "direct")
+        seen[v] = x
+    return PermReport(True, None, "direct")
+
+
 def _assert_fast_checks_match_tables(ctx, L1, L2):
-    assert perm_direct(ctx, L1, L2) == _report_from_values(compose_truth_table(ctx, L1, L2))
+    assert perm_direct(ctx, L1, L2) == _dict_scan(compose_truth_table(ctx, L1, L2))
     assert perm_spectral(ctx, L1, L2) == _spectral_oracle(ctx, L1, L2)
 
 
@@ -378,11 +387,9 @@ def planted_repeats(draw):
 
 
 @PROPS
-@given(planted_repeats(), st.sampled_from([1, 64, 512, 4096]))
-def test_prefix_first_collision_matches_full_scan(values, start):
-    # any first prefix length finds the same witness; perm_direct starts at 512
-    assert _report_from_values(values) == _sorted_scan(values)
-    assert _report_from_values(values, start) == _sorted_scan(values)
+@given(planted_repeats())
+def test_first_collision_matches_dict_scan(values):
+    assert _first_collision(values) == _dict_scan(values)
 
 
 @st.composite

@@ -1,11 +1,19 @@
 """Quadratic form tests: closed forms, restriction, classification, isotropy."""
 
 import hashlib
+import os
+import subprocess
+import sys
+import tracemalloc
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import kspectra
+from kspectra import quadform
+from kspectra.cli import main
 from kspectra.gf2n import TABLE_DEGREE, mk_field
 from kspectra.linmap import subspace_from_vectors
 from kspectra.quadform import (
@@ -14,6 +22,7 @@ from kspectra.quadform import (
     PARABOLIC,
     InconsistentFormError,
     NotQuadraticFormError,
+    _form_table,
     _q_by_traces,
     classify,
     count_zeros,
@@ -99,6 +108,71 @@ def test_q_table_builds_no_scalar_tables(n, fresh_fields):
     ctx = mk_field(n)
     q_table(ctx)
     assert "exp_log_tables" not in ctx._cache and "_scalar_tables" not in ctx._cache
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(0, 10).flatmap(lambda m: st.tuples(
+    st.lists(st.integers(0, 1), min_size=m, max_size=m),
+    st.lists(st.integers(0, 1 << 70), min_size=m, max_size=m))))
+def test_form_table_matches_pointwise_form(fb):
+    # f(c) = sum c_i f_i + sum_{j<i} c_i c_j B_ij: bits of bmat[i] at or above i are ignored
+    fvals, bmat = fb
+    m = len(fvals)
+    fmask = sum(f << i for i, f in enumerate(fvals))
+    want = [((c & fmask).bit_count()
+             + sum((c & bmat[i] & ((1 << i) - 1)).bit_count() for i in range(m) if c >> i & 1)) & 1
+            for c in range(1 << m)]
+    assert _form_table(m, fvals, bmat).tolist() == want
+
+
+def test_form_table_allocates_only_its_result():
+    rng = np.random.default_rng(20)
+    fvals, bmat = rng.integers(0, 2, 20).tolist(), rng.integers(0, 1 << 20, 20).tolist()
+    tracemalloc.start()
+    try:
+        _form_table(20, fvals, bmat)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= (1 << 20) + 4096
+
+
+def test_q_table_above_memory_cap_is_refused(monkeypatch, capsys, fresh_fields):
+    monkeypatch.setattr(quadform, "QFORM_CAP", 10)
+    assert main(["qform", "--n", "11"]) == 2
+    assert "memory cap" in capsys.readouterr().err
+    assert main(["zerospace", "--n", "11", "--set", "mod16"]) == 2
+    assert "memory cap" in capsys.readouterr().err
+    ctx = mk_field(11)
+    with pytest.raises(ValueError, match="memory cap"):
+        q_table(ctx)
+    assert "q_table" not in ctx._cache  # a refused build caches nothing
+
+
+_PEAK_SCRIPT = """
+from kspectra.gf2n import mk_field
+from kspectra.quadform import qform_bytes, restrict_q_to_h
+
+def hwm():
+    with open("/proc/self/status") as fh:
+        return next(int(line.split()[1]) << 10 for line in fh if line.startswith("VmHWM:"))
+
+ctx = mk_field(24)
+before = hwm()
+restrict_q_to_h(ctx)
+print(hwm() - before, qform_bytes(24))
+"""
+
+
+def test_qform_peak_memory_follows_qform_bytes():
+    if not os.path.exists("/proc/self/status"):
+        pytest.skip("VmHWM needs /proc/self/status")
+    src = os.path.dirname(os.path.dirname(kspectra.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    out = subprocess.run([sys.executable, "-c", _PEAK_SCRIPT], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    growth, estimate = map(int, out.split())
+    assert growth <= estimate + (4 << 20)
 
 
 @pytest.mark.parametrize("n", sorted(Q_TABLE_SHA256))
