@@ -280,18 +280,24 @@ def search_counterexample(ctx: FieldCtx, mode: str = "random", budget: int = 10*
                           seed: int = 0, batch: int = 1 << 14) -> SearchReport:
     """Sample (L1, L2) pairs hunting a permutation L1(x^-1) + L2(x).
 
-    Pairs are drawn as adjoint matrices (a bijective reparametrization, so
-    random mode stays uniform).  structured mode divides fresh Kloosterman
+    Pairs are drawn as adjoint matrices (a bijective reparametrization),
+    batch pairs at a time, one column at a time: column i of A1 is drawn
+    when a probe b first reads it (the probes b < 17 read columns 0..4),
+    for the rows still alive, by one rng.integers call; then column i of A2
+    (random mode) or of the zero indices (structured mode).  After the last
+    probe the columns no probe read are drawn the same way for the
+    survivors only.  Every entry is still independent and uniform, so
+    random mode stays uniform.  structured mode divides fresh Kloosterman
     zeros by the first-map columns so all basis-point probes pass by
     construction, forcing the deeper probes and direct confirmation to do
-    the rejecting.  Any survivor is re-checked with perm_direct.  The
-    probes b < 17 read columns 0..4 only: each is computed (in structured
-    mode, divided) when a probe first reads it, for the rows still alive.
+    the rejecting.  Any survivor is re-checked with perm_direct.
     """
     if ctx.n < 5:
         raise ValueError("search mirrors statements that need n >= 5")
     if mode not in ("random", "structured"):
         raise ValueError(f"unknown mode {mode!r}")
+    if batch < 1:
+        raise ValueError(f"batch must be positive, got {batch}")
     n = ctx.n
     N = ctx.size
     kz_mask = kloosterman_spectrum(ctx).data == 0
@@ -303,27 +309,30 @@ def search_counterexample(ctx: FieldCtx, mode: str = "random", budget: int = 10*
     probes = [b for b in range(1, min(N, 17)) if mode == "random" or b & (b - 1)]
     examined = 0
     found: tuple[LinMap, LinMap] | None = None
+
+    def draw(k: int, rows: int) -> None:  # columns len(s1)..k-1 of A1 and A2, `rows` each
+        for _ in range(len(s1), k):
+            s1.append(rng.integers(0, N, size=rows, dtype=np.uint32))
+            if mode == "random":
+                s2.append(rng.integers(0, N, size=rows, dtype=np.uint32))
+            else:  # A2 = zeros[zi] / A1
+                zi = rng.integers(0, zeros.size, size=rows, dtype=np.uint32)
+                s2.append(ctx.mul_vec(zeros.take(zi), inv.take(s1[-1])))
+
     while examined < budget and found is None:
         b_sz = min(batch, budget - examined)
-        c1 = rng.integers(0, N, size=(b_sz, n), dtype=np.uint32)
-        if mode == "random":
-            c2 = rng.integers(0, N, size=(b_sz, n), dtype=np.uint32)
-        else:
-            zi = rng.integers(0, zeros.size, size=(b_sz, n))  # c2 = zeros[zi] / c1
-        rows = np.arange(b_sz)  # rows that passed every probe so far
-        s1, s2 = [], []         # s[i]: column i on those rows, once a probe has read it
+        rows = b_sz             # rows that passed every probe so far
+        s1, s2 = [], []         # s[i]: column i on those rows, drawn when a probe first reads it
         for b in probes:
-            if not rows.size:
+            if not rows:
                 break
-            for i in range(len(s1), b.bit_length()):  # the columns b reads first
-                s1.append(c1[:, i][rows])
-                s2.append(c2[:, i][rows] if mode == "random" else
-                          ctx.mul_vec(zeros.take(zi[:, i][rows]), inv.take(s1[i])))
+            draw(b.bit_length(), rows)
             keep = kz_mask.take(ctx.mul_vec(xor_combine(s1, b), xor_combine(s2, b))).nonzero()[0]
-            rows = rows[keep]
+            rows = keep.size
             s1, s2 = [v[keep] for v in s1], [v[keep] for v in s2]
-        c2 = c2[rows] if mode == "random" else ctx.mul_vec(zeros.take(zi[rows]), inv.take(c1[rows]))
-        for r1, r2 in zip(c1[rows].tolist(), c2.tolist()):
+        if rows:
+            draw(n, rows)       # the columns no probe reads, for the survivors only
+        for r1, r2 in zip(np.array(s1).T.tolist(), np.array(s2).T.tolist()):
             A1, A2 = LinMap(n, tuple(r1)), LinMap(n, tuple(r2))
             if A1.is_zero() or A2.is_zero():
                 continue  # the statement under test requires nonzero maps

@@ -8,6 +8,8 @@ values and the polarization; restrictions are classified by zero counting.
 """
 from __future__ import annotations
 
+import itertools
+import random
 from dataclasses import dataclass
 
 import numpy as np
@@ -203,18 +205,14 @@ def restrict(ctx: FieldCtx, f, S: SubspaceBasis) -> QuadFormRec:
 
 def _validate_form(f, basis, ev, m: int):
     """Check ev against f on up to 512 coordinate triples and 64 random points."""
-    rng = np.random.default_rng(0xF0F0)
-    if m >= 3:
-        idx = [(i, j, k) for i in range(m) for j in range(i + 1, m) for k in range(j + 1, m)]
-        if len(idx) > 512:
-            sel = rng.choice(len(idx), size=512, replace=False)
-            idx = [idx[int(s)] for s in sel]
-        for i, j, k in idx:
-            c = (1 << i) | (1 << j) | (1 << k)
-            if int(ev[c]) != int(f(xor_combine(basis, c))) & 1:
-                raise NotQuadraticFormError("polarization is not bilinear")
-    for c in rng.integers(0, 1 << m, size=min(64, 1 << m)):
-        if int(ev[int(c)]) != int(f(xor_combine(basis, int(c)))) & 1:
+    rng = random.Random(0xF0F0)  # the stdlib one: numpy.random costs 10+ ms to import
+    idx = list(itertools.combinations(range(m), 3))
+    for i, j, k in rng.sample(idx, min(512, len(idx))):
+        c = (1 << i) | (1 << j) | (1 << k)
+        if int(ev[c]) != int(f(xor_combine(basis, c))) & 1:
+            raise NotQuadraticFormError("polarization is not bilinear")
+    for c in rng.choices(range(1 << m), k=min(64, 1 << m)):
+        if int(ev[c]) != int(f(xor_combine(basis, c))) & 1:
             raise NotQuadraticFormError("evaluator disagrees with quadratic table")
 
 

@@ -113,12 +113,13 @@ def test_true_permutations_pinned():
 
 
 # sha256 of repr((report.to_json(), survivors)), survivors = every (L1, L2)
-# the search confirmed by perm_direct, in call order
+# the search confirmed by perm_direct, in call order.  They follow the
+# search's draw order; test_permcheck._eager_search reproduces them.
 SEARCH_SHA256 = {
     (6, "random"):
         "d26544ad531126c55d48b4c121b8602788422c6887ebccd4ff32e7f1eaee1a55",
     (6, "structured"):
-        "df557fbc734f6154b22b3c4b39b8a6f4032a7fa3a47fa97d5424c0bd4e01ca10",
+        "8e4ac9eb3f058ac9875b65c5e3a5b44ab17652aaece4d1e12ea33e1d5b1d2235",
     (10, "random"):
         "265bee76f1608c139b4e7460ab53247cdf570b7c9085a069b6a800bff31b8865",
     (10, "structured"):
@@ -132,23 +133,26 @@ SEARCH_SHA256 = {
 
 
 # sha256 of repr(sizes), sizes = the length of every FieldCtx.mul_vec result
-# in the same searches, in call order: the rows each probe stage still holds.
-# A stage that rejected every pair would change them, even in the searches
-# where no pair reaches perm_direct.  (10, random) starts 5000, 315, 21, 2 and
-# (17, structured) 5000, 5000, 5000, 12, 12, 0.
+# in the same searches, in call order: the rows each probe stage still holds
+# (and, in structured mode, each column quotient drawn for them).  A stage
+# that rejected every pair would change them, even in the searches where no
+# pair reaches perm_direct.  (10, random) starts 5000, 270, 15, 2 (probes
+# b = 1..4; b = 4 rejects the last two rows) and (17, structured) 5000, 5000,
+# 5000, 3, 3 (the quotients in columns 0 and 1, probe b = 3, the quotient in
+# column 2 and probe b = 5, which rejects the last three rows).
 MUL_VEC_SIZES_SHA256 = {
     (6, "random"):
-        "a9310b751315c20add607dcafb2ed6b5518467365dcc2146e5641b69068ae81f",
+        "9f53ba934189b5cda8a4a7d15b395e60d1aa0c2246904472737b7a11f9456901",
     (6, "structured"):
-        "3c7fb64a62ff9bfb69bbfa8bed163827cfd6fbc1fd8ddc287f6526c28443317f",
+        "46a9602a4467e95e2631298bd9777bfb377bf57f670cbcbbb793b182e81ef758",
     (10, "random"):
-        "8f8e0d0e0fee8a9c2ab5753b1851b3d79eb7ed2c170cdf86725460c529d6e483",
+        "7c00e3bed9609410c7a06dfdcf4a5375d81ca8362e171335bdbd97dfc38fd3de",
     (10, "structured"):
-        "0d2631630b76822f9f2959a65ccd10c9aa7f086a62192a1fc356972ea4c08a72",
+        "11dc3c22d6522391bb7d979d77f44325e9adbf55b34cd3204b5e749d96108302",
     (17, "random"):
-        "d950c4ee40db1cbedeea4adf8b3de888e83575e58ed734b433a6e04886961fb5",
+        "ec236597ce40b5e6e4e5baec6c2689460845044d2b498663a326e188f490e057",
     (17, "structured"):
-        "2faecd0e1011f01b82ef2b71febd71aa94de4924de9fe44b8437de8fa6794e44",
+        "e2f879221fe309ded9b23b201dd8cfde6863ac11d52d2f76f4be0d6e0742f50c",
 }
 
 

@@ -237,42 +237,53 @@ def test_search_counterexample_modes():
     assert r2.found is None and r2.pairs_examined == 20000
     with pytest.raises(ValueError):
         search_counterexample(ctx, "exotic", budget=10)
+    for batch in (0, -1):  # an empty batch would never advance pairs_examined
+        with pytest.raises(ValueError, match="batch"):
+            search_counterexample(ctx, "random", budget=10, batch=batch)
     with pytest.raises(ValueError):
         search_counterexample(mk_field(4), "random", budget=10)
 
 
 def _eager_search(ctx, mode, budget, seed, batch):
-    """The eager probe cascade, the reference for search_counterexample:
-    every column of every row is drawn, multiplied (structured mode) and
-    compacted after each probe."""
+    """The reference for search_counterexample: the same draws, column by
+    column as the probes first read them and A1 before A2 (or the zero
+    index) within a column, but every probe decided pair by pair with
+    Python ints: xor_combine on the pair's columns, ctx.mul and a lookup
+    in the K table."""
     n = ctx.n
     N = ctx.size
-    kz_mask = kloosterman_spectrum(ctx).data == 0
-    zeros = np.flatnonzero(kz_mask).astype(np.uint32)
-    zeros = zeros[zeros > 0]
-    inv = ctx.inverse_table()
+    K = kloosterman_spectrum(ctx).data.tolist()
+    zeros = [a for a in range(1, N) if K[a] == 0]
+    inv = ctx.inverse_table().tolist()  # test_gf2n checks it against ctx.inv0
     rng = np.random.default_rng(seed)
     probes = [b for b in range(1, min(N, 17)) if mode == "random" or b & (b - 1)]
+
+    def draw(alive):
+        """Append the next column of A1 and A2 to every alive pair."""
+        c1 = rng.integers(0, N, size=len(alive), dtype=np.uint32).tolist()
+        if mode == "random":
+            c2 = rng.integers(0, N, size=len(alive), dtype=np.uint32).tolist()
+        else:
+            zi = rng.integers(0, len(zeros), size=len(alive), dtype=np.uint32).tolist()
+            c2 = [ctx.mul(zeros[z], inv[c]) for z, c in zip(zi, c1)]
+        for (r1, r2), v1, v2 in zip(alive, c1, c2):
+            r1.append(v1)
+            r2.append(v2)
+
     examined = 0
     found = None
     while examined < budget and found is None:
         b_sz = min(batch, budget - examined)
-        c1 = rng.integers(0, N, size=(b_sz, n), dtype=np.uint32)
-        if mode == "random":
-            c2 = rng.integers(0, N, size=(b_sz, n), dtype=np.uint32)
-        else:
-            z = zeros.take(rng.integers(0, zeros.size, size=(b_sz, n)))
-            c2 = ctx.mul_vec(z, inv.take(c1))
-        alive = np.arange(b_sz)
-        s1, s2 = c1.T, c2.T
+        alive = [([], []) for _ in range(b_sz)]
         for b in probes:
-            if not alive.size:
-                break
-            keep = kz_mask.take(ctx.mul_vec(xor_combine(s1, b), xor_combine(s2, b)))
-            alive, s1, s2 = alive[keep], s1[:, keep], s2[:, keep]
-        for idx in alive:
-            A1 = LinMap(n, tuple(int(v) for v in c1[idx]))
-            A2 = LinMap(n, tuple(int(v) for v in c2[idx]))
+            while alive and len(alive[0][0]) < b.bit_length():
+                draw(alive)
+            alive = [(r1, r2) for r1, r2 in alive
+                     if K[ctx.mul(xor_combine(r1, b), xor_combine(r2, b))] == 0]
+        while alive and len(alive[0][0]) < n:
+            draw(alive)
+        for r1, r2 in alive:
+            A1, A2 = LinMap(n, tuple(r1)), LinMap(n, tuple(r2))
             if A1.is_zero() or A2.is_zero():
                 continue
             L1 = adjoint(ctx, A1)
@@ -323,8 +334,8 @@ def search_args(draw):
 
 @settings(max_examples=40, deadline=None)
 @given(search_args())
-@example((5, "structured", 1, 5000, 12000))  # 16 survivors reach perm_direct
-@example((6, "structured", 3, 7, 2000))     # one survivor, in a batch of 7
+@example((5, "structured", 1, 5000, 12000))  # 15 survivors reach perm_direct
+@example((6, "structured", 4, 7, 2000))     # four survivors, in batches of 7
 def test_lazy_search_matches_eager_cascade(args):
     _assert_search_matches_eager(*args)
 

@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 import kspectra
 from kspectra import quadform
 from kspectra.cli import main
-from kspectra.gf2n import TABLE_DEGREE, mk_field
+from kspectra.gf2n import TABLE_DEGREE, mk_field, xor_combine
 from kspectra.linmap import subspace_from_vectors
 from kspectra.quadform import (
     ELLIPTIC,
@@ -164,14 +164,18 @@ print(hwm() - before, qform_bytes(24))
 """
 
 
+def _run_fresh(script: str) -> str:
+    """stdout of script in a fresh interpreter that imports this kspectra."""
+    src = os.path.dirname(os.path.dirname(kspectra.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    return subprocess.run([sys.executable, "-c", script], env=env, check=True,
+                          capture_output=True, text=True).stdout
+
+
 def test_qform_peak_memory_follows_qform_bytes():
     if not os.path.exists("/proc/self/status"):
         pytest.skip("VmHWM needs /proc/self/status")
-    src = os.path.dirname(os.path.dirname(kspectra.__file__))
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-    out = subprocess.run([sys.executable, "-c", _PEAK_SCRIPT], env=env, check=True,
-                         capture_output=True, text=True).stdout
-    growth, estimate = map(int, out.split())
+    growth, estimate = map(int, _run_fresh(_PEAK_SCRIPT).split())
     assert growth <= estimate + (4 << 20)
 
 
@@ -348,6 +352,36 @@ def test_not_quadratic_form_rejected():
         restrict(ctx, lambda x: int(inv_tab[x]) & 1, S)
     with pytest.raises(NotQuadraticFormError):
         restrict(ctx, lambda x: 1 if x == 0 else 0, S)
+
+
+@pytest.mark.parametrize("n", [6, 16])
+def test_every_coordinate_triple_is_checked_up_to_m15(n):
+    # H has dimension m = n - 1 <= 15, so its C(m, 3) <= 512 coordinate
+    # triples are all checked: flipping q at any one of them must be caught
+    ctx = mk_field(n)
+    S = hyperplane_H(ctx)
+    qt = q_table(ctx)
+    m = S.dim
+    for i, j, k in [(0, 1, 2), (1, m // 2, m - 1), (m - 3, m - 2, m - 1)]:
+        bad = xor_combine(S.vectors, (1 << i) | (1 << j) | (1 << k))
+        with pytest.raises(NotQuadraticFormError, match="polarization"):
+            restrict(ctx, lambda x: int(qt[x]) ^ (x == bad), S)
+
+
+_NO_NUMPY_RANDOM_SCRIPT = """
+import sys
+import kspectra.cli
+from kspectra.gf2n import mk_field
+from kspectra.quadform import restrict_q_to_h
+
+restrict_q_to_h(mk_field(12))
+print("numpy.random" in sys.modules)
+"""
+
+
+def test_restriction_does_not_load_numpy_random():
+    # numpy.random's first import costs 10+ ms and about 5 MiB of peak RSS
+    assert _run_fresh(_NO_NUMPY_RANDOM_SCRIPT).split() == ["False"]
 
 
 def test_inconsistent_count_raises():
