@@ -4,13 +4,13 @@ The spectral route decides bijectivity from the adjoint maps alone: the
 composite is a permutation iff ker(L1*) and ker(L2*) meet trivially and every
 product L1*(b)*L2*(b) is a Kloosterman zero.  Both routes first try to
 settle a pair with Python ints: the spectral route by a rank test on the
-columns and the PROBE_BS points, the direct route by the first
-COLLISION_PREFIX values.  Otherwise they work on whole truth tables, one
-xor_table per map: an adjoint's from its n columns L*(x^i), computed as at
-the probes, and products go through the sentinel-log tables of gf2n; the
-direct route's table goes through _first_collision, one linear pass.  Both
-ways give the same witness.  linmap.adjoint and kernel_intersection stay as
-the matrix-level oracles.
+columns and the PROBE_BS points, the direct route by the values at
+x < 2^(n/2 + 2), walked from a per-field plan.  Otherwise they work on
+whole truth tables, one xor_table per map: an adjoint's from its n columns
+L*(x^i), computed as at the probes, and products go through the
+sentinel-log tables of gf2n; the direct route's table goes through
+_first_collision, one linear pass.  Both ways give the same witness.
+linmap.adjoint and kernel_intersection stay as the matrix-level oracles.
 The exhaustive sweep over x^-1 + L(x) applies the spectral criterion at every
 b, the randomized search at a few probes; both confirm every survivor by
 direct evaluation, so the two routes stay independent.
@@ -21,18 +21,16 @@ import time
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
-from kspectra.gf2n import (TABLE_DEGREE, FieldCtx, elem_dtype, memo, span_list, spans,
-                           xor_combine, xor_table)
+from kspectra.gf2n import (TABLE_DEGREE, FieldCtx, elem_dtype, memo, spans, xor_combine,
+                           xor_table)
 from kspectra.linmap import LinMap, adjoint, identity_map, kernel_dim
 from kspectra.spectra import TruthTable, kloosterman_spectrum
 from kspectra.zerospace import zero_subspace_bound
 
 #: fast-reject probe points: the first 8 nonzero field elements
 PROBE_BS = (1, 2, 3, 4, 5, 6, 7, 8)
-
-#: perm_direct scans this many values in Python before it builds the whole table
-COLLISION_PREFIX = 64
 
 
 @dataclass(frozen=True)
@@ -54,8 +52,9 @@ def _first_collision(values: np.ndarray) -> PermReport:
     one O(2^n) pass: first[v] is the first x with values[x] = v (ufunc.at is
     defined for repeated indices), x2 the first x whose value was seen before
     and x1 = first[values[x2]], that value's only earlier x."""
-    idx = np.arange(values.size)
-    first = np.full(int(values.max()) + 1, values.size)
+    dt = elem_dtype(values.size.bit_length())  # holds the size; int64 made take 5x slower at 2^16
+    idx = np.arange(values.size, dtype=dt)
+    first = np.full(int(values.max()) + 1, values.size, dtype=dt)
     np.minimum.at(first, values, idx)
     x2 = int((first.take(values) != idx).argmax())
     x1 = int(first[values[x2]])
@@ -83,26 +82,55 @@ def _adjoint_table(ctx: FieldCtx, L: LinMap) -> np.ndarray:
     return xor_table([_adjoint_at(ctx, L.cols, g) for g in ctx.gram], elem_dtype(ctx.n))
 
 
+@memo
+def _prefix_plan(ctx: FieldCtx) -> list[tuple[int, int, tuple[int, ...], int, int]]:
+    """perm_direct's steps (x, p, bits, q, j) for 0 < x < k = 2^(n/2 + 2),
+    four times the birthday bound (at least 64, at most 2^n), where a random
+    map has repeated a value but with probability about e^-8.
+
+    L1(x^-1) = L1(p^-1) xor the columns of L1 at bits, the set bits of
+    x^-1 xor p^-1, and L2(x) = L2(q) xor column j of L2 (q = x & (x - 1), j
+    the lowest bit of x).  p is the one of the 64 points before x (0 stands
+    in below 0) whose inverse is nearest to x^-1 in Hamming distance: one
+    bitwise_count over a sliding window, O(64 k) rather than O(k^2).
+    """
+    n, w = ctx.n, 64
+    k = min(1 << n, max(64, 1 << (n // 2 + 2)))
+    inv = ctx.inverse_table()[:k]
+    x = np.arange(1, k)
+    near = sliding_window_view(np.concatenate([np.zeros(w, inv.dtype), inv]), w)[1:k]
+    p = np.maximum(x - w + np.bitwise_count(near ^ inv[1:, None]).argmin(axis=1), 0)
+    h = n // 2
+    lo, hi = [()], [()]  # lo[m], hi[m]: the set bits of m and of m << h, for m < 2^h
+    for i in range(n):
+        half = lo if i < h else hi
+        half += [b + (i,) for b in half]
+    steps = [lo[d & (1 << h) - 1] + hi[d >> h] for d in (inv[1:] ^ inv[p]).tolist()]
+    low = np.bitwise_count((x & -x) - 1)
+    return list(zip(x.tolist(), p.tolist(), steps, (x & (x - 1)).tolist(), low.tolist()))
+
+
 def perm_direct(ctx: FieldCtx, L1: LinMap, L2: LinMap) -> PermReport:
     """Test bijectivity of L1(x^-1) + L2(x), with the first collision as witness.
 
-    The first COLLISION_PREFIX values are scanned in Python first: L2(x)
-    from L2(x & (x - 1)) and the column of x's lowest bit, L1(x^-1) through
-    the spans of L1's low and high column halves.  The first repeat, by
-    first sighting, is the first collision of the whole scan; only when the
-    prefix holds none is the full truth table built and scanned once by
-    _first_collision.
+    The values at x < k are scanned in Python first, each from an earlier
+    one by the steps of _prefix_plan.  The first repeat, by first sighting,
+    is the first collision of the whole scan; only when the prefix holds
+    none (a permutation, or about e^-8 of random pairs) is the full truth
+    table built and scanned once by _first_collision.
     """
-    k = min(COLLISION_PREFIX, ctx.size)
-    h = ctx.n // 2
-    lo, hi = span_list(L1.cols[:h]), span_list(L1.cols[h:])
-    mask = (1 << h) - 1
-    cols2 = L2.cols
-    t2 = [0] * k
+    plan = _prefix_plan(ctx)
+    cols1, cols2 = L1.cols, L2.cols
+    t1 = [0] * (len(plan) + 1)
+    t2 = t1[:]
     seen = {0: 0}  # x = 0 maps to 0
-    for x, y in enumerate(ctx.inverse_table()[1:k].tolist(), 1):
-        t = t2[x] = t2[x & (x - 1)] ^ cols2[(x & -x).bit_length() - 1]
-        v = lo[y & mask] ^ hi[y >> h] ^ t
+    for x, p, bits, q, j in plan:
+        u = t1[p]
+        for i in bits:
+            u ^= cols1[i]
+        t1[x] = u
+        t = t2[x] = t2[q] ^ cols2[j]
+        v = u ^ t
         if v in seen:
             return PermReport(False, ("collision", seen[v], x), "direct")
         seen[v] = x

@@ -25,6 +25,23 @@ CASES = {
     "zerospace_12": ["zerospace", "--n", "12"],
     "zerospace_14": ["zerospace", "--n", "14"],
     "zerospace_12_mod16": ["zerospace", "--n", "12", "--set", "mod16"],
+    # direct witnesses (0x2d, 0x43) and (0x48, 0x1b4): past x = 64, inside the
+    # 2^(n/2 + 2)-point prefix; n = 18 is above TABLE_DEGREE, where the
+    # spectral probes multiply by shift-and-reduce
+    "permcheck_10_collision_past_64": [
+        "permcheck", "--n", "10", "--method", "both",
+        "--l1", '{"n": 10, "matrix_rows": ["0x25d", "0xb4", "0x13b", "0x1fb", "0xca", "0x3fe",'
+                ' "0x3db", "0x2e1", "0x3b9", "0x142"]}',
+        "--l2", '{"n": 10, "matrix_rows": ["0x38e", "0x12b", "0x308", "0x228", "0x46", "0x367",'
+                ' "0x18", "0x32", "0x274", "0x25e"]}'],
+    "permcheck_18": [
+        "permcheck", "--n", "18", "--method", "both",
+        "--l1", '{"n": 18, "matrix_rows": ["0x21e3d", "0x32273", "0x1fbdc", "0x1aa77", "0x2b872",'
+                ' "0x20bf2", "0x23ba9", "0xe140", "0x19ece", "0x167be", "0x3a03a", "0x32aad",'
+                ' "0x2b5f6", "0x1ca93", "0x156f1", "0x2f12a", "0x12eb1", "0x37d09"]}',
+        "--l2", '{"n": 18, "matrix_rows": ["0x374e8", "0x305e", "0x1eb77", "0x10738", "0x26403",'
+                ' "0x3a1be", "0x24673", "0x26f25", "0x1e8f6", "0x3cb88", "0x17829", "0x2edbc",'
+                ' "0x3540a", "0x577", "0x3a519", "0x1d0bc", "0x3a26a", "0x7bb8"]}'],
 }
 
 

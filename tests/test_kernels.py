@@ -1,8 +1,8 @@
 """Property tests for the shared kernels: xor-combine, echelon, rank,
 coordinates, constant multiplication, the Walsh-Hadamard butterfly, the
 permutation kernels (adjoint tables, sentinel-log products, first collision,
-the rank-and-probe and 64-point prefix fast checks) and the CSV block
-formatter."""
+the rank-and-probe fast check, the direct route's prefix plan and its table
+stage) and the CSV block formatter."""
 
 from functools import lru_cache
 
@@ -11,6 +11,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from kspectra import permcheck
 from kspectra.gf2n import (
     elem_dtype,
     mat_inverse_rows,
@@ -29,11 +30,14 @@ from kspectra.linmap import (
     adjoint,
     identity_map,
     kernel_intersection,
+    random_bijective_map,
+    zero_map,
 )
 from kspectra.permcheck import (
     PermReport,
     _adjoint_table,
     _first_collision,
+    _prefix_plan,
     compose_truth_table,
     perm_direct,
     perm_spectral,
@@ -339,12 +343,65 @@ def probe_passing_pairs(draw):
     return n, *(adjoint(ctx, LinMap(n, tuple(c))) for c in a)
 
 
+@st.composite
+def line_kernel_pairs(draw):
+    """(n, 0, L2) with ker L2 = {0, z}: x and x ^ z collide, so the first
+    collision is at 2^h for the top bit h of z, and often past the prefix."""
+    n = draw(st.integers(2, 12))
+    cols = list(random_bijective_map(np.random.default_rng(draw(st.integers(0, 2**32))), n).cols)
+    z = draw(st.integers(1, (1 << n) - 1))
+    h = z.bit_length() - 1
+    cols[h] = xor_combine(cols, z ^ (1 << h))  # L2(z) = 0; the other columns stay independent
+    return n, zero_map(n), LinMap(n, tuple(cols))
+
+
 @PROPS
 @given(st.one_of(map_pairs(), masked_pairs(), structured_pairs(), probe_passing_pairs(),
+                 line_kernel_pairs(),
                  st.sampled_from(range(5)).map(lambda i: (4, *_sweep4_pairs()[i]))))
 def test_fast_checks_match_whole_tables(nm):
     n, L1, L2 = nm
     _assert_fast_checks_match_tables(_field(n), L1, L2)
+
+
+@pytest.mark.parametrize("n", range(2, 21))
+def test_prefix_plan_walks_to_the_inverses(n):
+    # walked with L1 = L2 = identity, the plan's steps give x^-1 and x
+    ctx = _field(n)
+    k = min(1 << n, max(64, 1 << (n // 2 + 2)))
+    plan = _prefix_plan(ctx)
+    assert [x for x, *_ in plan] == list(range(1, k))
+    inv, lin = [0] * k, [0] * k
+    for x, p, bits, q, j in plan:
+        assert p < x and q < x and list(bits) == sorted(set(bits))
+        inv[x] = inv[p] ^ sum(1 << i for i in bits)
+        lin[x] = lin[q] ^ 1 << j
+    assert inv == ctx.inverse_table()[:k].tolist()
+    assert lin == list(range(k))
+
+
+@pytest.mark.parametrize("n", range(8, 15))
+def test_table_stage_finds_the_collision_past_the_prefix(n):
+    # L1 = 0 and L2 kills only x^(n-1), its other columns independent: the
+    # points below 2^(n-1) take distinct values and 2^(n-1) repeats L2(0) = 0
+    cols = list(random_bijective_map(np.random.default_rng(n), n).cols)
+    cols[-1] = 0
+    ctx, L1, L2 = _field(n), zero_map(n), LinMap(n, tuple(cols))
+    rep = perm_direct(ctx, L1, L2)
+    assert rep == PermReport(False, ("collision", 0, 1 << (n - 1)), "direct")
+    assert rep.witness[2] > len(_prefix_plan(ctx))  # past the prefix
+    assert rep == _dict_scan(compose_truth_table(ctx, L1, L2))
+
+
+@pytest.mark.parametrize("n", [3, 4])
+def test_sweep_permutations_pass_through_the_table_stage(n, monkeypatch):
+    ctx = _field(n)
+    found = sweep_inverse_plus_linear(ctx).permutations_found
+    tables = []
+    monkeypatch.setattr(permcheck, "_first_collision",
+                        lambda values: tables.append(values.size) or _first_collision(values))
+    assert [perm_direct(ctx, identity_map(n), L).is_perm for L in found] == [True] * len(found)
+    assert tables == [ctx.size] * len(found) and found
 
 
 @settings(max_examples=6, deadline=None)
