@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import math
 import os
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -21,20 +22,24 @@ def sign_dtype(n: int):
     return np.int32 if n <= 30 else np.int64
 
 
+def _workers() -> int:
+    """The CPUs this process may run on: the spectrum runs a thread on each."""
+    return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+
+
 def spectrum_bytes(n: int) -> int:
     """Peak bytes of kloosterman_spectrum beyond the interpreter, estimated.
 
     The result array is the only 2^n allocation: 4 bytes per entry for
     n <= 30 (see sign_dtype); the int8 signs live in its last bytes.  Next
-    to it live O(POWER_BLOCK) arrays, counted as twelve of 8-byte entries,
-    6 MiB.  While the powers are enumerated these are the base and power
-    blocks, table-lookup temporaries, signs and intp scatter indices; in the
-    butterfly, two int16 blocks of _FWHT_BLOCK entries, one panel of
-    _FWHT_PANEL result entries (1 MiB for int32) and the last block's
-    indices.  Beyond the result, the peak measured 3.3-3.5 MiB at n = 18..22
-    and 4.4 MiB at n = 24.
+    to it live O(POWER_BLOCK) arrays per worker (_workers()), counted as
+    eight of 8-byte entries, 4 MiB: in the walk of the powers the blocks of
+    power_blocks, intp scatter indices and int8 signs (1.8 MiB); in the
+    butterfly, two int16 blocks of _FWHT_BLOCK entries (1 MiB), then a share
+    of the _FWHT_PANEL panel entries.  Beyond the result, the peak measured
+    1.4-2.0 MiB at n = 18..24 on one worker and 3.5-3.7 MiB on two.
     """
-    return (np.dtype(sign_dtype(n)).itemsize << n) + 12 * 8 * POWER_BLOCK
+    return (np.dtype(sign_dtype(n)).itemsize << n) + 8 * 8 * POWER_BLOCK * _workers()
 
 
 def memory_cap(bytes_of) -> int:
@@ -154,8 +159,9 @@ def _butterfly_levels(w: np.ndarray, h: int, stop: int) -> None:
         h <<= 1
 
 
-#: the butterfly runs the levels below this block size block by block, in cache
-_FWHT_BLOCK = 1 << 16
+#: the butterfly runs the levels below this block size block by block, in cache,
+#: in numpy calls long enough (10 us and up) for the workers' calls to overlap
+_FWHT_BLOCK = 1 << 18
 #: inside a block, levels below this stride run on the transposed block, so
 #: that numpy's inner loops are long
 _FWHT_ROW = 128
@@ -163,9 +169,30 @@ _FWHT_ROW = 128
 #: the 14 levels of strides 1..2^13 every |v| <= 2^14, inside int16's 2^15 - 1
 _NARROW_STOP = 1 << 14
 #: the levels from stride _FWHT_BLOCK up run on contiguous copies of column
-#: panels of w.reshape(-1, _FWHT_BLOCK) with this many entries (2^14 rows at
-#: n = 30), so that each panel's levels run in cache
+#: panels of w.reshape(-1, _FWHT_BLOCK) with this many entries in all workers
+#: together (2^12 rows at n = 30), so that each panel's levels run in cache
 _FWHT_PANEL = 4 * POWER_BLOCK
+
+
+def _run_all(task, parts: int) -> None:
+    """task(p) for p < parts, p = 0 on this thread and the others on threads of
+    their own; joins them all, then re-raises the first exception raised."""
+    errors = []
+
+    def guarded(p):
+        try:
+            task(p)
+        except BaseException as exc:
+            errors.append(exc)
+
+    threads = [threading.Thread(target=guarded, args=(p,)) for p in range(1, parts)]
+    for t in threads:
+        t.start()
+    guarded(0)
+    for t in threads:
+        t.join()
+    if errors:
+        raise errors[0]
 
 
 def fwht_inplace(w: np.ndarray, src: np.ndarray | None = None) -> None:
@@ -175,8 +202,9 @@ def fwht_inplace(w: np.ndarray, src: np.ndarray | None = None) -> None:
     (see sign_dtype).  With src, an int8 array as long as w with entries
     in {-1, 0, 1}, w receives the transform of src instead of its own, and
     the levels below _NARROW_STOP run in int16.  src may be the last bytes of
-    w itself, w.view(np.int8)[(w.itemsize - 1) * w.size:].  Extra memory is
-    two int16 blocks of _FWHT_BLOCK entries and one panel of _FWHT_PANEL.
+    w itself, w.view(np.int8)[(w.itemsize - 1) * w.size:].  Both stages run
+    on _workers() threads, at most one per block or panel, each with two
+    blocks of _FWHT_BLOCK entries, then a panel of <= _FWHT_PANEL // _workers().
     """
     if w.ndim != 1 or not w.flags.c_contiguous:
         raise ValueError("fwht_inplace needs a contiguous 1-d array")  # reshape would copy
@@ -189,32 +217,48 @@ def fwht_inplace(w: np.ndarray, src: np.ndarray | None = None) -> None:
     blk = min(_FWHT_BLOCK, m)
     row = min(_FWHT_ROW, blk)
     stop = min(_NARROW_STOP, blk) if narrow else row
-    tr = np.empty(blk, dtype=np.int16 if narrow else w.dtype)
-    tr_rows = tr.reshape(row, -1)
-    low = np.empty_like(tr) if narrow else None
+    workers = _workers()
     # When src is the last bytes of w, input block b begins at byte
     # (itemsize - 1) * m + b * blk, and output block b ends at byte
     # itemsize * (b + 1) * blk <= (itemsize - 1) * m + (b + 1) * blk, where
     # input block b + 1 begins, as (b + 1) * blk <= m.  So writing output
-    # block b overwrites only input blocks <= b, which are already read.
-    for s in range(0, m, blk):
-        part = w[s:s + blk]
-        np.copyto(tr_rows, src[s:s + blk].reshape(-1, row).T)
-        _butterfly_levels(tr, blk // row, blk)
-        lo = low if narrow else part
-        np.copyto(lo.reshape(-1, row), tr_rows.T)
-        _butterfly_levels(lo, row, stop)
-        if narrow:
-            np.copyto(part, lo)  # widen
-        _butterfly_levels(part, stop, blk)
+    # block b overwrites only input blocks <= b, all read by then: workers
+    # claim blocks in ascending order and copy each before the next claim.
+    starts, claim = iter(range(0, m, blk)), threading.Lock()
+    parts = min(workers, m // blk)
+    block_tmp = np.empty((parts, 2, blk), dtype=np.int16 if narrow else w.dtype)
+
+    def blocks(p):
+        tr, low = block_tmp[p]
+        while True:
+            with claim:
+                s = next(starts, None)
+                if s is None:
+                    return
+                np.copyto(low, src[s:s + blk])
+            np.copyto(tr.reshape(row, -1), low.reshape(-1, row).T)
+            _butterfly_levels(tr, blk // row, blk)
+            np.copyto(low.reshape(-1, row), tr.reshape(row, -1).T)
+            _butterfly_levels(low, row, stop)
+            np.copyto(w[s:s + blk], low)  # widen
+            _butterfly_levels(w[s:s + blk], stop, blk)
+
+    _run_all(blocks, parts)
     if m > blk:
         grid = w.reshape(-1, blk)
-        cols = min(blk, max(1, _FWHT_PANEL // grid.shape[0]))
-        panel = np.empty((grid.shape[0], cols), dtype=w.dtype)
-        for c in range(0, blk, cols):
-            np.copyto(panel, grid[:, c:c + cols])
-            _butterfly_levels(panel.reshape(-1), cols, panel.size)
-            np.copyto(grid[:, c:c + cols], panel)
+        share = _FWHT_PANEL >> (workers - 1).bit_length()  # a power of two <= _FWHT_PANEL / workers
+        cols = min(blk, max(1, share // grid.shape[0]))
+        parts = min(workers, blk // cols)
+        panel_tmp = np.empty((parts, grid.shape[0], cols), dtype=w.dtype)
+
+        def panels(p):
+            panel = panel_tmp[p]
+            for c in range(p * cols, blk, parts * cols):
+                np.copyto(panel, grid[:, c:c + cols])
+                _butterfly_levels(panel.reshape(-1), cols, panel.size)
+                np.copyto(grid[:, c:c + cols], panel)
+
+        _run_all(panels, parts)
 
 
 def walsh(ctx: FieldCtx, F: TruthTable, a: int, b: int) -> int:
@@ -227,12 +271,8 @@ def walsh(ctx: FieldCtx, F: TruthTable, a: int, b: int) -> int:
     return total
 
 
-def _signs(bits: np.ndarray, dtype) -> np.ndarray:
-    """1 - 2 * (bits & 1) as dtype."""
-    s = (bits & 1).astype(dtype)
-    s *= -2
-    s += 1
-    return s
+#: (-1)^bit, looked up at bit = 0 and 1
+_PLUS_MINUS = np.array([1, -1], dtype=np.int8)
 
 
 def walsh_row(ctx: FieldCtx, F: TruthTable, a: int) -> Spectrum:
@@ -240,7 +280,7 @@ def walsh_row(ctx: FieldCtx, F: TruthTable, a: int) -> Spectrum:
     if F.n != ctx.n:
         raise ValueError("truth table degree mismatch")
     w = np.empty(ctx.size, dtype=sign_dtype(ctx.n))
-    w[ctx.dualenc_table()] = _signs(ctx.trace_table()[ctx.mul_vec(a, F.values)], w.dtype)
+    w[ctx.dualenc_table()] = _PLUS_MINUS.take(ctx.trace_table()[ctx.mul_vec(a, F.values)])
     fwht_inplace(w)
     w.flags.writeable = False
     return Spectrum(ctx.n, "walsh_row", w)
@@ -283,21 +323,39 @@ def _kloosterman_transform(ctx: FieldCtx) -> np.ndarray:
     cover every nonzero slot exactly when j -> g^j is onto, which the
     signs.all() check enforces before the transform.  The signs are int8 in
     the last bytes of the result w, which must start zero-filled: a slot no
-    write reached then reads 0 and fails that check.
+    write reached then reads 0 and fails that check.  Workers write disjoint
+    slots, so the result does not depend on how many ran.
     """
     w = np.zeros(ctx.size, dtype=sign_dtype(ctx.n))
     signs = w.view(np.int8)[(w.itemsize - 1) * ctx.size:]
-    for a, fwd, mir in ctx.power_blocks(dual=True):
-        fwd, mir = fwd.astype(np.intp), mir.astype(np.intp)  # numpy scatters faster by intp
-        signs[fwd] = _signs(mir, np.int8)
-        skip = 0 if a else 1  # mir[0] = fwd[0] = G*1 at a = 0, written once
-        signs[mir[skip:]] = _signs(fwd[skip:], np.int8)
+    _scatter_signs(ctx, signs)
     signs[0] = 1  # x = 0 contributes (-1)^Tr(0)
     if not signs.all():
         raise AssertionError("the powers of the generator missed a nonzero element")
     fwht_inplace(w, signs)
     w.flags.writeable = False
     return w
+
+
+def _scatter_signs(ctx: FieldCtx, signs: np.ndarray) -> None:
+    """signs[G*x] = (-1)^Tr(x^-1) for x != 0 on _workers() threads, at most one
+    per block of power_blocks.  Their buffers come from this thread (a worker
+    thread's allocations stay in its malloc arena) and go on return."""
+    ctx._generator(), ctx._mul_image_tables(True)  # memo tables: built here, read by the workers
+    m = min(POWER_BLOCK, ctx.size // 2)
+    parts = min(_workers(), ctx.size // 2 // m)
+    blocks = np.empty((parts, 5, m), dtype=elem_dtype(ctx.n))
+    slots = np.empty((parts, m), dtype=np.intp)  # numpy scatters faster by intp
+    vals = np.empty((parts, m), dtype=np.int8)
+
+    def scatter(p):
+        for _, fwd, mir in ctx.power_blocks(True, p, parts, blocks[p]):
+            for slot, sign in ((fwd, mir), (mir, fwd)):  # a = 0 writes G*1 twice, alike
+                _PLUS_MINUS.take(np.bitwise_and(sign, 1, out=slots[p]), out=vals[p], mode="clip")
+                np.copyto(slots[p], slot)
+                signs[slots[p]] = vals[p]
+
+    _run_all(scatter, parts)
 
 
 def _validate_kloosterman(spec: Spectrum) -> None:

@@ -1,9 +1,11 @@
 """Property tests for the shared kernels: xor-combine, echelon, rank,
-coordinates, constant multiplication, the Walsh-Hadamard butterfly, the
+coordinates, constant multiplication, the power walk shared between
+workers, the Walsh-Hadamard butterfly on any number of workers, the
 permutation kernels (adjoint tables, sentinel-log products, first collision,
 the rank-and-probe fast check, the direct route's prefix plan and its table
 stage) and the CSV block formatter."""
 
+import sys
 from functools import lru_cache
 
 import numpy as np
@@ -11,7 +13,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from kspectra import permcheck
+from kspectra import gf2n, permcheck, spectra
 from kspectra.gf2n import (
     elem_dtype,
     mat_inverse_rows,
@@ -153,9 +155,9 @@ def _textbook_fwht(v):
     return w
 
 
-# k reaches past the butterfly's 2^16 cache block, so the blocked, transposed
+# k reaches past the butterfly's 2^18 cache block, so the blocked, transposed
 # and whole-array levels all run
-_signed_vectors = st.tuples(st.integers(0, 18), st.integers(0, 2**32 - 1)).map(
+_signed_vectors = st.tuples(st.integers(0, 20), st.integers(0, 2**32 - 1)).map(
     lambda ks: np.random.default_rng(ks[1]).integers(-1000, 1001, 1 << ks[0]))
 
 
@@ -207,6 +209,79 @@ def test_fwht_of_int8_signs_equals_int64(v, dtype, aliased):
         src = v.copy()
     fwht_inplace(w, src)
     assert np.array_equal(w, ref)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(8, 12), st.integers(1, 3), st.sampled_from(["aliased", "separate", "none"]),
+       st.integers(0, 2**32 - 1), st.data())
+def test_fwht_on_workers_matches_textbook_butterfly(k, workers, source, seed, data):
+    # blocks of 2^3..2^6 and panels of 1..2^8 entries, so 2^8..2^12 entries span
+    # many of each; the transposed rows and the int16 stop shrink with the
+    # block, so every group of levels runs; an aliased source checks the claims
+    log_blk = data.draw(st.integers(3, 6))
+    log_row = data.draw(st.integers(1, log_blk - 1))
+    log_stop = data.draw(st.integers(log_row, log_blk))
+    log_panel = data.draw(st.integers(0, 8))
+    rng = np.random.default_rng(seed)
+    v = rng.integers(-1000, 1001, 1 << k) if source == "none" else rng.integers(-1, 2, 1 << k)
+    w = np.zeros(1 << k, dtype=np.int32)
+    src = None
+    if source == "aliased":
+        src = w.view(np.int8)[3 << k:]
+        src[:] = v
+    elif source == "separate":
+        src = v.astype(np.int8)
+    else:
+        w[:] = v
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(spectra, "_workers", lambda: workers)
+        mp.setattr(spectra, "_FWHT_BLOCK", 1 << log_blk)
+        mp.setattr(spectra, "_FWHT_ROW", 1 << log_row)
+        mp.setattr(spectra, "_NARROW_STOP", 1 << log_stop)
+        mp.setattr(spectra, "_FWHT_PANEL", 1 << log_panel)
+        fwht_inplace(w, src)
+    assert np.array_equal(w, _textbook_fwht(v))
+
+
+def test_fwht_aliased_claims_hold_under_forced_thread_switches():
+    # more workers than cores and a thread switch every microsecond: a block
+    # written before every input block below it was copied would corrupt w
+    rng = np.random.default_rng(27)
+    switch = sys.getswitchinterval()
+    try:
+        sys.setswitchinterval(1e-6)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(spectra, "_workers", lambda: 4)
+            mp.setattr(spectra, "_FWHT_BLOCK", 1 << 4)
+            mp.setattr(spectra, "_FWHT_ROW", 1 << 2)
+            for _ in range(100):
+                v = rng.integers(-1, 2, 1 << 12)
+                w = np.zeros(v.size, dtype=np.int32)
+                src = w.view(np.int8)[3 * v.size:]
+                src[:] = v
+                fwht_inplace(w, src)
+                assert np.array_equal(w, _textbook_fwht(v))
+    finally:
+        sys.setswitchinterval(switch)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(2, 12), st.integers(1, 4), st.integers(1, 8), st.booleans())
+def test_power_blocks_parts_share_the_single_walk(n, log_m, parts, dual):
+    # blocks of 2^1..2^4 powers: each part gets every parts-th block from its
+    # own index, and the parts together give the single walk's blocks
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(gf2n, "POWER_BLOCK", 1 << log_m)
+        ctx = _field(n)
+        m = min(1 << log_m, ctx.size // 2)
+        whole = {a: (f.tolist(), r.tolist()) for a, f, r in ctx.power_blocks(dual)}
+        got = {}
+        for p in range(parts):
+            for a, f, r in ctx.power_blocks(dual, p, parts):
+                assert a // m % parts == p and a not in got
+                got[a] = (f.tolist(), r.tolist())
+    assert got == whole
+    assert sorted(whole) == list(range(0, ctx.size // 2, m))
 
 
 def test_fwht_refuses_a_bad_source():

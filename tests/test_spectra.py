@@ -6,6 +6,7 @@ import math
 import os
 import subprocess
 import sys
+import threading
 
 import numpy as np
 import pytest
@@ -258,6 +259,52 @@ def test_coverage_check_holds_on_dirty_allocations(monkeypatch, fresh_fields):
     monkeypatch.setattr(FieldCtx, "_generator", lambda self: cube)
     with pytest.raises(AssertionError, match="missed a nonzero element"):
         kloosterman_spectrum(mk_field(12))
+
+
+@pytest.mark.parametrize("n", range(17, 21))
+def test_spectrum_is_the_same_on_any_number_of_workers(n, monkeypatch):
+    # above TABLE_DEGREE each mk_field call is a fresh context, so each build
+    # is cold; from n = 18 on, 3 workers get blocks of the walk or the butterfly
+    threads = threading.active_count()
+    built = []
+    for workers in (1, 3):
+        monkeypatch.setattr(spectra, "_workers", lambda: workers)
+        built.append(kloosterman_spectrum(mk_field(n)).data)
+    assert built[0].tobytes() == built[1].tobytes()
+    assert threading.active_count() == threads
+
+
+def test_a_worker_exception_reaches_the_caller(monkeypatch):
+    # generator 0 fails the order check on the first block; with the parts
+    # handed out in reverse, that block is walked on a worker thread
+    threads = threading.active_count()
+    monkeypatch.setattr(spectra, "_workers", lambda: 3)
+    monkeypatch.setattr(FieldCtx, "_generator", lambda self: 0)
+    walk, first = FieldCtx.power_blocks, []
+
+    def reversed_parts(self, dual, part, parts, out):
+        if part == parts - 1:
+            first.append(threading.current_thread())
+        return walk(self, dual, parts - 1 - part, parts, out)
+
+    monkeypatch.setattr(FieldCtx, "power_blocks", reversed_parts)
+    with pytest.raises(AssertionError, match="generator order mismatch"):
+        kloosterman_spectrum(mk_field(19))  # 4 blocks of powers: 3 workers
+    assert first and first[0] is not threading.main_thread()
+    assert threading.active_count() == threads
+
+
+def test_non_primitive_generator_fails_the_coverage_check_on_workers(monkeypatch):
+    # the non-primitive generator of the coverage-check test above, with the
+    # walk shared between 3 workers at n = 20
+    threads = threading.active_count()
+    monkeypatch.setattr(spectra, "_workers", lambda: 3)
+    ctx = mk_field(20)
+    cube = ctx.pow(ctx._generator(), 3)  # order (2^20 - 1) / 3
+    monkeypatch.setattr(FieldCtx, "_generator", lambda self: cube)
+    with pytest.raises(AssertionError, match="missed a nonzero element"):
+        kloosterman_spectrum(mk_field(20))
+    assert threading.active_count() == threads
 
 
 _PEAK_SCRIPT = """
