@@ -299,10 +299,9 @@ def _check_subspace_sum_identity(args) -> dict:
 def _check_weil_bound(args) -> dict:
     violations = []
     for n in _span(args, 4, 20):
+        # the per-entry bound |K - 1| <= weil_bound() is asserted by every
+        # kloosterman_spectrum build, so only the global sum is left to check
         spec = kloosterman_spectrum(mk_field(n))
-        data = spec.data  # max |K - 1| from the extremes: no 2^n temporary
-        if max(int(data.max()) - 1, 1 - int(data.min())) > spec.weil_bound():
-            violations.append({"n": n, "kind": "entry"})
         if int(spec.data.sum()) != 1 << n:
             violations.append({"n": n, "kind": "global-sum"})
     for n in range(5, 25):

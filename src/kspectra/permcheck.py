@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -26,11 +27,44 @@ from numpy.lib.stride_tricks import sliding_window_view
 from kspectra.gf2n import (TABLE_DEGREE, FieldCtx, elem_dtype, memo, spans, xor_combine,
                            xor_table)
 from kspectra.linmap import LinMap, adjoint, identity_map, kernel_dim
-from kspectra.spectra import TruthTable, kloosterman_spectrum
+from kspectra.spectra import TruthTable, kloosterman_spectrum, memory_cap, spectrum_bytes
 from kspectra.zerospace import zero_subspace_bound
 
 #: fast-reject probe points: the first 8 nonzero field elements
 PROBE_BS = (1, 2, 3, 4, 5, 6, 7, 8)
+
+#: search_counterexample draws and probes this many pairs at a time
+_SEARCH_BATCH = 1 << 14
+
+#: each 2^n stage of the routes: its peak bytes per field element at 4-byte
+#: elements (twice that at n = 32) beyond the spectrum, and whether it holds
+#: the spectrum too.  The VmHWM growth of a cold call at n = 18..24, rounded
+#: up; 8 MiB more covers worker buffers and the plan.
+_STAGE_BYTES = {
+    "inverse table": (4.5, False),     # _prefix_plan
+    "direct table": (29, False),       # compose_truth_table and _first_collision
+    "probe tables": (2, True),         # the K != 0 bytes
+    "adjoint tables": (12, False),     # A1, A2 and A1 | A2 of columns that do not span
+    "spectral tables": (34, True),     # those, the products and their K
+    "search": (5.5, True),             # the zero mask and the inverse table
+}
+
+
+def stage_bytes(stage: str, n: int) -> int:
+    """Estimated peak bytes of stage at degree n, beyond the interpreter."""
+    per_entry, holds_spectrum = _STAGE_BYTES[stage]
+    tables = int(per_entry * np.dtype(elem_dtype(n)).itemsize / 4 * (1 << n))
+    return tables + (spectrum_bytes(n) if holds_spectrum else 0) + (8 << 20)
+
+
+#: each stage refuses the degrees above its cap, where it would not fit in this machine's RAM
+STAGE_CAPS = {stage: memory_cap(partial(stage_bytes, stage)) for stage in _STAGE_BYTES}
+
+
+def _refuse_over_cap(ctx: FieldCtx, stage: str) -> None:
+    if ctx.n > STAGE_CAPS[stage]:
+        raise ValueError(f"the {stage} for n={ctx.n} would exceed the memory cap "
+                         f"(n <= {STAGE_CAPS[stage]})")
 
 
 @dataclass(frozen=True)
@@ -94,18 +128,14 @@ def _prefix_plan(ctx: FieldCtx) -> list[tuple[int, int, tuple[int, ...], int, in
     in below 0) whose inverse is nearest to x^-1 in Hamming distance: one
     bitwise_count over a sliding window, O(64 k) rather than O(k^2).
     """
+    _refuse_over_cap(ctx, "inverse table")
     n, w = ctx.n, 64
     k = min(1 << n, max(64, 1 << (n // 2 + 2)))
     inv = ctx.inverse_table()[:k]
     x = np.arange(1, k)
     near = sliding_window_view(np.concatenate([np.zeros(w, inv.dtype), inv]), w)[1:k]
     p = np.maximum(x - w + np.bitwise_count(near ^ inv[1:, None]).argmin(axis=1), 0)
-    h = n // 2
-    lo, hi = [()], [()]  # lo[m], hi[m]: the set bits of m and of m << h, for m < 2^h
-    for i in range(n):
-        half = lo if i < h else hi
-        half += [b + (i,) for b in half]
-    steps = [lo[d & (1 << h) - 1] + hi[d >> h] for d in (inv[1:] ^ inv[p]).tolist()]
+    steps = [tuple(i for i in range(n) if d >> i & 1) for d in (inv[1:] ^ inv[p]).tolist()]
     low = np.bitwise_count((x & -x) - 1)
     return list(zip(x.tolist(), p.tolist(), steps, (x & (x - 1)).tolist(), low.tolist()))
 
@@ -134,12 +164,14 @@ def perm_direct(ctx: FieldCtx, L1: LinMap, L2: LinMap) -> PermReport:
         if v in seen:
             return PermReport(False, ("collision", seen[v], x), "direct")
         seen[v] = x
+    _refuse_over_cap(ctx, "direct table")
     return _first_collision(compose_truth_table(ctx, L1, L2))
 
 
 @memo
 def _probe_tables(ctx: FieldCtx) -> tuple[list[int], bytes]:
     """G*b for each PROBE_BS point b, and K != 0 as one byte per element."""
+    _refuse_over_cap(ctx, "probe tables")
     return ([ctx.dualenc(b) for b in PROBE_BS[:ctx.size - 1]],
             (kloosterman_spectrum(ctx).data != 0).tobytes())
 
@@ -168,11 +200,13 @@ def perm_spectral(ctx: FieldCtx, L1: LinMap, L2: LinMap) -> PermReport:
     F_2^n.  Then the PROBE_BS points, their G*b and K != 0 read from one
     memo table per field, settle most pairs before any 2^n table is built.
     """
-    if spans(L1.cols + L2.cols, ctx.n):
+    spanning = spans(L1.cols + L2.cols, ctx.n)
+    if spanning:
         ds, nonzero = _probe_tables(ctx)
         for b, d in zip(PROBE_BS, ds):
             if nonzero[ctx.mul(_adjoint_at(ctx, L1.cols, d), _adjoint_at(ctx, L2.cols, d))]:
                 return PermReport(False, ("spectral_b", b), "spectral")
+    _refuse_over_cap(ctx, "spectral tables" if spanning else "adjoint tables")
     A1, A2 = _adjoint_table(ctx, L1), _adjoint_table(ctx, L2)
     either = A1 | A2
     b = int(either[1:].argmin()) + 1  # the first common zero, if there is one
@@ -305,11 +339,11 @@ class SearchReport:
 
 
 def search_counterexample(ctx: FieldCtx, mode: str = "random", budget: int = 10**6,
-                          seed: int = 0, batch: int = 1 << 14) -> SearchReport:
+                          seed: int = 0) -> SearchReport:
     """Sample (L1, L2) pairs hunting a permutation L1(x^-1) + L2(x).
 
     Pairs are drawn as adjoint matrices (a bijective reparametrization),
-    batch pairs at a time, one column at a time: column i of A1 is drawn
+    _SEARCH_BATCH pairs at a time, one column at a time: column i of A1 is drawn
     when a probe b first reads it (the probes b < 17 read columns 0..4),
     for the rows still alive, by one rng.integers call; then column i of A2
     (random mode) or of the zero indices (structured mode).  After the last
@@ -324,8 +358,7 @@ def search_counterexample(ctx: FieldCtx, mode: str = "random", budget: int = 10*
         raise ValueError("search mirrors statements that need n >= 5")
     if mode not in ("random", "structured"):
         raise ValueError(f"unknown mode {mode!r}")
-    if batch < 1:
-        raise ValueError(f"batch must be positive, got {batch}")
+    _refuse_over_cap(ctx, "search")
     n = ctx.n
     N = ctx.size
     kz_mask = kloosterman_spectrum(ctx).data == 0
@@ -348,7 +381,7 @@ def search_counterexample(ctx: FieldCtx, mode: str = "random", budget: int = 10*
                 s2.append(ctx.mul_vec(zeros.take(zi), inv.take(s1[-1])))
 
     while examined < budget and found is None:
-        b_sz = min(batch, budget - examined)
+        b_sz = min(_SEARCH_BATCH, budget - examined)
         rows = b_sz             # rows that passed every probe so far
         s1, s2 = [], []         # s[i]: column i on those rows, drawn when a probe first reads it
         for b in probes:

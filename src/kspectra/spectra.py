@@ -36,7 +36,7 @@ def spectrum_bytes(n: int) -> int:
     eight of 8-byte entries, 4 MiB: in the walk of the powers the blocks of
     power_blocks, intp scatter indices and int8 signs (1.8 MiB); in the
     butterfly, two int16 blocks of _FWHT_BLOCK entries (1 MiB), then a share
-    of the _FWHT_PANEL panel entries.  Beyond the result, the peak measured
+    of _FWHT_BLOCK panel entries.  Beyond the result, the peak measured
     1.4-2.0 MiB at n = 18..24 on one worker and 3.5-3.7 MiB on two.
     """
     return (np.dtype(sign_dtype(n)).itemsize << n) + 8 * 8 * POWER_BLOCK * _workers()
@@ -168,10 +168,6 @@ _FWHT_ROW = 128
 #: with a +-1 int8 source, the levels below this stride run in int16: after
 #: the 14 levels of strides 1..2^13 every |v| <= 2^14, inside int16's 2^15 - 1
 _NARROW_STOP = 1 << 14
-#: the levels from stride _FWHT_BLOCK up run on contiguous copies of column
-#: panels of w.reshape(-1, _FWHT_BLOCK) with this many entries in all workers
-#: together (2^12 rows at n = 30), so that each panel's levels run in cache
-_FWHT_PANEL = 4 * POWER_BLOCK
 
 
 def _run_all(task, parts: int) -> None:
@@ -204,7 +200,9 @@ def fwht_inplace(w: np.ndarray, src: np.ndarray | None = None) -> None:
     the levels below _NARROW_STOP run in int16.  src may be the last bytes of
     w itself, w.view(np.int8)[(w.itemsize - 1) * w.size:].  Both stages run
     on _workers() threads, at most one per block or panel, each with two
-    blocks of _FWHT_BLOCK entries, then a panel of <= _FWHT_PANEL // _workers().
+    blocks of _FWHT_BLOCK entries, then a panel of <= _FWHT_BLOCK // _workers().
+    The levels from stride _FWHT_BLOCK up run on contiguous copies of column
+    panels of w.reshape(-1, _FWHT_BLOCK), so that each panel's levels run in cache.
     """
     if w.ndim != 1 or not w.flags.c_contiguous:
         raise ValueError("fwht_inplace needs a contiguous 1-d array")  # reshape would copy
@@ -246,8 +244,8 @@ def fwht_inplace(w: np.ndarray, src: np.ndarray | None = None) -> None:
     _run_all(blocks, parts)
     if m > blk:
         grid = w.reshape(-1, blk)
-        share = _FWHT_PANEL >> (workers - 1).bit_length()  # a power of two <= _FWHT_PANEL / workers
-        cols = min(blk, max(1, share // grid.shape[0]))
+        share = blk >> (workers - 1).bit_length()  # a power of two <= _FWHT_BLOCK / workers
+        cols = max(1, share // grid.shape[0])
         parts = min(workers, blk // cols)
         panel_tmp = np.empty((parts, grid.shape[0], cols), dtype=w.dtype)
 

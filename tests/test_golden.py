@@ -25,6 +25,7 @@ CASES = {
     "zerospace_12": ["zerospace", "--n", "12"],
     "zerospace_14": ["zerospace", "--n", "14"],
     "zerospace_12_mod16": ["zerospace", "--n", "12", "--set", "mod16"],
+    "zeros_12_include_zero": ["zeros", "--n", "12", "--include-zero"],
     # direct witnesses (0x2d, 0x43) and (0x48, 0x1b4): past x = 64, inside the
     # 2^(n/2 + 2)-point prefix; n = 18 is above TABLE_DEGREE, where the
     # spectral probes multiply by shift-and-reduce

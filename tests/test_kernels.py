@@ -215,13 +215,12 @@ def test_fwht_of_int8_signs_equals_int64(v, dtype, aliased):
 @given(st.integers(8, 12), st.integers(1, 3), st.sampled_from(["aliased", "separate", "none"]),
        st.integers(0, 2**32 - 1), st.data())
 def test_fwht_on_workers_matches_textbook_butterfly(k, workers, source, seed, data):
-    # blocks of 2^3..2^6 and panels of 1..2^8 entries, so 2^8..2^12 entries span
+    # blocks, and so panels, of 2^3..2^6 entries, so 2^8..2^12 entries span
     # many of each; the transposed rows and the int16 stop shrink with the
     # block, so every group of levels runs; an aliased source checks the claims
     log_blk = data.draw(st.integers(3, 6))
     log_row = data.draw(st.integers(1, log_blk - 1))
     log_stop = data.draw(st.integers(log_row, log_blk))
-    log_panel = data.draw(st.integers(0, 8))
     rng = np.random.default_rng(seed)
     v = rng.integers(-1000, 1001, 1 << k) if source == "none" else rng.integers(-1, 2, 1 << k)
     w = np.zeros(1 << k, dtype=np.int32)
@@ -238,7 +237,6 @@ def test_fwht_on_workers_matches_textbook_butterfly(k, workers, source, seed, da
         mp.setattr(spectra, "_FWHT_BLOCK", 1 << log_blk)
         mp.setattr(spectra, "_FWHT_ROW", 1 << log_row)
         mp.setattr(spectra, "_NARROW_STOP", 1 << log_stop)
-        mp.setattr(spectra, "_FWHT_PANEL", 1 << log_panel)
         fwht_inplace(w, src)
     assert np.array_equal(w, _textbook_fwht(v))
 

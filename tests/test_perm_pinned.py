@@ -172,7 +172,8 @@ def search_digest(n: int, mode: str, monkeypatch) -> tuple[str, list[int]]:
 
     monkeypatch.setattr(permcheck, "perm_direct", recording)
     monkeypatch.setattr(FieldCtx, "mul_vec", recording_mul_vec)
-    rep = search_counterexample(mk_field(n), mode, budget=40_000, seed=7, batch=5000)
+    monkeypatch.setattr(permcheck, "_SEARCH_BATCH", 5000)
+    rep = search_counterexample(mk_field(n), mode, budget=40_000, seed=7)
     monkeypatch.undo()
     return hashlib.sha256(repr((rep.to_json(), seen)).encode()).hexdigest(), sizes
 

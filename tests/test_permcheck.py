@@ -1,6 +1,11 @@
 """Permutation criteria: direct scan, spectral route, sweeps, searches."""
 
 import itertools
+import json
+import os
+import subprocess
+import sys
+import tracemalloc
 from contextlib import contextmanager
 from functools import lru_cache
 
@@ -9,6 +14,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import kspectra
 from kspectra import permcheck
 from kspectra.gf2n import mk_field, xor_combine
 from kspectra.linmap import (
@@ -237,9 +243,6 @@ def test_search_counterexample_modes():
     assert r2.found is None and r2.pairs_examined == 20000
     with pytest.raises(ValueError):
         search_counterexample(ctx, "exotic", budget=10)
-    for batch in (0, -1):  # an empty batch would never advance pairs_examined
-        with pytest.raises(ValueError, match="batch"):
-            search_counterexample(ctx, "random", budget=10, batch=batch)
     with pytest.raises(ValueError):
         search_counterexample(mk_field(4), "random", budget=10)
 
@@ -315,8 +318,10 @@ def _recording_perm_direct():
 
 def _assert_search_matches_eager(n, mode, seed, batch, budget):
     ctx = mk_field(n)
-    with _recording_perm_direct() as lazy_seen:
-        lazy = search_counterexample(ctx, mode, budget=budget, seed=seed, batch=batch)
+    # a context, not the monkeypatch fixture: hypothesis rejects function-scoped fixtures
+    with pytest.MonkeyPatch.context() as mp, _recording_perm_direct() as lazy_seen:
+        mp.setattr(permcheck, "_SEARCH_BATCH", batch)
+        lazy = search_counterexample(ctx, mode, budget=budget, seed=seed)
     with _recording_perm_direct() as eager_seen:
         eager = _eager_search(ctx, mode, budget, seed, batch)
     assert lazy == eager
@@ -387,3 +392,111 @@ def test_report_json():
     rep = PermReport(False, ("spectral_b", 3), "spectral")
     j = rep.to_json()
     assert j == {"is_perm": False, "witness": {"kind": "spectral_b", "args": ["0x3"]}, "method": "spectral"}
+
+
+# Each stage of the routes is called with its cap set below n = 17, where
+# mk_field shares no field, so nothing is cached yet: the first call of each
+# case must complete under that cap (it needs only other stages) and build
+# whatever the second call would find cached; the second call must then be
+# refused before allocating one byte per field element.
+_I, _0 = identity_map(17), zero_map(17)
+_CAP_CASES = {
+    "inverse table": (None, lambda ctx: perm_direct(ctx, _I, _0)),
+    "direct table": (lambda ctx: perm_direct(ctx, _I, _I),  # a collision in the prefix
+                     lambda ctx: perm_direct(ctx, _I, _0)),
+    "probe tables": (lambda ctx: perm_spectral(ctx, _0, _0),  # columns that do not span
+                     lambda ctx: perm_spectral(ctx, _I, _I)),
+    "adjoint tables": (lambda ctx: perm_spectral(ctx, _I, _I),  # decided by a probe
+                       lambda ctx: perm_spectral(ctx, _0, _0)),
+    "spectral tables": (lambda ctx: perm_spectral(ctx, _I, _I),
+                        lambda ctx: perm_spectral(ctx, _I, _0)),  # every probe passes
+    "search": (None, lambda ctx: search_counterexample(ctx, "random", budget=10)),
+}
+
+
+@pytest.mark.parametrize("stage", sorted(_CAP_CASES))
+def test_route_stage_over_its_memory_cap_is_refused_before_any_table(stage, monkeypatch):
+    assert sorted(_CAP_CASES) == sorted(permcheck.STAGE_CAPS)
+    allowed, refused = _CAP_CASES[stage]
+    monkeypatch.setitem(permcheck.STAGE_CAPS, stage, 16)
+    ctx = mk_field(17)
+    if allowed is not None:
+        allowed(ctx)
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match=f"{stage} for n=17 would exceed the memory cap"):
+            refused(ctx)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < ctx.size
+
+
+def _run_python(*args):
+    """python args in a fresh interpreter that imports this kspectra."""
+    src = os.path.dirname(os.path.dirname(kspectra.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    return subprocess.run([sys.executable, *args], env=env, capture_output=True, text=True,
+                          timeout=300)
+
+
+_CLI_UNDER_3_GIB = """
+import resource, sys
+resource.setrlimit(resource.RLIMIT_AS, (3 << 30, 3 << 30))
+from kspectra.cli import main
+sys.exit(main(sys.argv[1:]))
+"""
+
+
+@pytest.mark.parametrize("method,l1", [("direct", [1 << i for i in range(32)]),
+                                       ("spectral", [0] * 32)])
+def test_permcheck_n32_is_a_usage_error_under_3_gib(method, l1):
+    # the tables would take 32 GiB; the address-space limit turns a missed
+    # check into a quick MemoryError (exit 1) rather than an exhausted machine
+    pytest.importorskip("resource")
+    zero = json.dumps({"n": 32, "matrix_rows": ["0x0"] * 32})
+    l1 = json.dumps({"n": 32, "matrix_rows": [hex(r) for r in l1]})
+    run = _run_python("-c", _CLI_UNDER_3_GIB, "permcheck", "--n", "32", "--method", method,
+                      "--l1", l1, "--l2", zero)
+    assert run.returncode == 2, run.stderr
+    assert "memory cap" in run.stderr
+
+
+_PEAK_SCRIPT = """
+import sys
+import numpy as np
+from kspectra import permcheck
+from kspectra.gf2n import mk_field
+from kspectra.linmap import LinMap, adjoint, identity_map, random_map, zero_map
+
+def hwm():
+    with open("/proc/self/status") as fh:
+        return next(int(line.split()[1]) << 10 for line in fh if line.startswith("VmHWM:"))
+
+stage, n = sys.argv[1], 20
+ctx, rng = mk_field(n), np.random.default_rng(20)
+I, Z = identity_map(n), zero_map(n)
+# adjoint zero at b < 16: every probe passes, and K fails at nearly every other b
+A2 = LinMap(n, (0, 0, 0, 0) + tuple(int(v) for v in rng.integers(1, 1 << n, n - 4)))
+call = {
+    "inverse table": lambda: permcheck.perm_direct(ctx, random_map(rng, n), random_map(rng, n)),
+    "direct table": lambda: permcheck.perm_direct(ctx, I, Z),
+    "probe tables": lambda: permcheck.perm_spectral(ctx, I, I),
+    "adjoint tables": lambda: permcheck.perm_spectral(ctx, Z, Z),
+    "spectral tables": lambda: permcheck.perm_spectral(ctx, I, adjoint(ctx, A2)),
+    "search": lambda: permcheck.search_counterexample(ctx, "structured", budget=50000, seed=1),
+}[stage]
+before = hwm()
+call()
+print(hwm() - before, permcheck.stage_bytes(stage, n))
+"""
+
+
+@pytest.mark.parametrize("stage", sorted(_CAP_CASES))
+def test_route_stage_peak_memory_follows_stage_bytes(stage):
+    if not os.path.exists("/proc/self/status"):
+        pytest.skip("VmHWM needs /proc/self/status")
+    run = _run_python("-c", _PEAK_SCRIPT, stage)
+    assert run.returncode == 0, run.stderr
+    growth, estimate = map(int, run.stdout.split())
+    assert growth <= estimate
