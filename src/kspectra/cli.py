@@ -1,9 +1,10 @@
 """Command-line front end: spectra, searches, form invariants, verification bundles.
 
 Exit codes: 0 success / all checks verified, 1 a verification found a
-violation, 2 usage error (bad arguments, input files or --out), 3 nothing violated
-but some search was truncated (see the "inconclusive" entries), 4 internal
-error (an invariant of the computation failed).  Reports are deterministic
+violation, 2 usage error (bad arguments, input files, --out, or a request
+over a memory cap or out of memory), 3 nothing violated but some search was
+truncated (see the "inconclusive" entries), 4 internal error (an invariant of
+the computation failed).  Reports are deterministic
 for a fixed (range, seed) apart from wall-time fields.
 """
 from __future__ import annotations
@@ -49,12 +50,13 @@ def _emit(args, text: str) -> None:
 def _write(args, pieces) -> None:
     """Write string pieces to --out, or to stdout, as they are produced."""
     if getattr(args, "out", None):
+        step = "open"
         try:
-            fh = open(args.out, "w")
-        except OSError as exc:  # a bad --out is a usage error, not a violation
-            raise ValueError(f"cannot open --out: {exc}") from exc
-        with fh:
-            fh.writelines(pieces)
+            with open(args.out, "w") as fh:
+                step = "write"
+                fh.writelines(pieces)
+        except OSError as exc:  # a bad --out or a full disk is a usage error, not a violation
+            raise ValueError(f"cannot {step} --out: {exc}") from exc
         return
     try:
         sys.stdout.writelines(pieces)
@@ -457,6 +459,9 @@ def main(argv=None) -> int:
         return args.func(args)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError as exc:  # a limit below physical RAM, which the memory caps read
+        print(f"error: out of memory: {exc}", file=sys.stderr)
         return 2
     except AssertionError as exc:
         print(f"internal error: {exc}", file=sys.stderr)

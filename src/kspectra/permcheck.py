@@ -2,14 +2,14 @@
 
 The spectral route decides bijectivity from the adjoint maps alone: the
 composite is a permutation iff ker(L1*) and ker(L2*) meet trivially and every
-product L1*(b)*L2*(b) is a Kloosterman zero.  Both routes first try to
-settle a pair with Python ints: the spectral route by a rank test on the
-columns and the PROBE_BS points, the direct route by the values at
-x < 2^(n/2 + 2), walked from a per-field plan.  Otherwise they work on
-whole truth tables, one xor_table per map: an adjoint's from its n columns
-L*(x^i), computed as at the probes, and products go through the
-sentinel-log tables of gf2n; the direct route's table goes through
-_first_collision, one linear pass.  Both ways give the same witness.
+product L1*(b)*L2*(b) is a Kloosterman zero.  The kernel condition is linear
+algebra on the columns of L1 and L2 and needs no table.  Both routes then try
+to settle a pair with Python ints: the spectral route at the PROBE_BS points,
+the direct route by the values at x < 2^(n/2 + 2), walked from a per-field
+plan.  Otherwise they work on whole truth tables, one xor_table per map: an
+adjoint's from its n columns L*(x^i), computed as at the probes, and products
+go through the sentinel-log tables of gf2n; the direct route's table goes
+through _first_collision, one linear pass.  Both ways give the same witness.
 linmap.adjoint and kernel_intersection stay as the matrix-level oracles.
 The exhaustive sweep over x^-1 + L(x) applies the spectral criterion at every
 b, the randomized search at a few probes; both confirm every survivor by
@@ -26,7 +26,8 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from kspectra.gf2n import (TABLE_DEGREE, FieldCtx, elem_dtype, memo, spans, xor_combine,
                            xor_table)
-from kspectra.linmap import LinMap, adjoint, identity_map, kernel_dim
+from kspectra.linmap import (LinMap, adjoint, identity_map, kernel_dim, orthogonal_complement,
+                             subspace_from_vectors)
 from kspectra.spectra import TruthTable, kloosterman_spectrum, memory_cap, spectrum_bytes
 from kspectra.zerospace import zero_subspace_bound
 
@@ -39,13 +40,12 @@ _SEARCH_BATCH = 1 << 14
 #: each 2^n stage of the routes: its peak bytes per field element at 4-byte
 #: elements (twice that at n = 32) beyond the spectrum, and whether it holds
 #: the spectrum too.  The VmHWM growth of a cold call at n = 18..24, rounded
-#: up; 8 MiB more covers worker buffers and the plan.
+#: up; 8 MiB more covers worker buffers and the plan.  perm_spectral's probes
+#: read the spectrum alone, under its own cap.
 _STAGE_BYTES = {
     "inverse table": (4.5, False),     # _prefix_plan
     "direct table": (29, False),       # compose_truth_table and _first_collision
-    "probe tables": (2, True),         # the K != 0 bytes
-    "adjoint tables": (12, False),     # A1, A2 and A1 | A2 of columns that do not span
-    "spectral tables": (34, True),     # those, the products and their K
+    "spectral tables": (28, True),     # A1, A2, their products and their K
     "search": (5.5, True),             # the zero mask and the inverse table
 }
 
@@ -169,11 +169,9 @@ def perm_direct(ctx: FieldCtx, L1: LinMap, L2: LinMap) -> PermReport:
 
 
 @memo
-def _probe_tables(ctx: FieldCtx) -> tuple[list[int], bytes]:
-    """G*b for each PROBE_BS point b, and K != 0 as one byte per element."""
-    _refuse_over_cap(ctx, "probe tables")
-    return ([ctx.dualenc(b) for b in PROBE_BS[:ctx.size - 1]],
-            (kloosterman_spectrum(ctx).data != 0).tobytes())
+def _probe_tables(ctx: FieldCtx) -> tuple[list[int], np.ndarray]:
+    """G*b for each PROBE_BS point b, and the spectrum's K array itself."""
+    return [ctx.dualenc(b) for b in PROBE_BS[:ctx.size - 1]], kloosterman_spectrum(ctx).data
 
 
 def _adjoint_at(ctx: FieldCtx, cols, d: int) -> int:
@@ -190,29 +188,25 @@ def perm_spectral(ctx: FieldCtx, L1: LinMap, L2: LinMap) -> PermReport:
     """Decide bijectivity from adjoint kernels and Kloosterman values only.
 
     Kernel witness takes priority; then b scans in increasing encoded value.
-    The kernel witness is the first vector of the canonical basis of
-    ker L1* & ker L2* (linmap.kernel_intersection), which is the smallest
-    nonzero b with L1*(b) = L2*(b) = 0: no other element of the subspace has
-    that basis vector's leading bit.
-
-    L*(b) = 0 means G*b is orthogonal to every column of L, so the kernels
-    meet trivially exactly when the columns of L1 and L2 together span
-    F_2^n.  Then the PROBE_BS points, their G*b and K != 0 read from one
-    memo table per field, settle most pairs before any 2^n table is built.
+    L*(b) = 0 means G*b is orthogonal to every column of L, so ker L1* &
+    ker L2* is the trace-orthogonal complement of the columns of L1 and L2:
+    it is {0} exactly when they span F_2^n, and otherwise the witness is the
+    first vector of its canonical basis, the smallest nonzero b in it (no
+    other element has that vector's leading bit), found with no table.
+    Then the PROBE_BS points, their G*b and K read from one memo per field,
+    settle most pairs before the adjoint tables are built.
+    linmap.kernel_intersection is the matrix-level oracle.
     """
-    spanning = spans(L1.cols + L2.cols, ctx.n)
-    if spanning:
-        ds, nonzero = _probe_tables(ctx)
-        for b, d in zip(PROBE_BS, ds):
-            if nonzero[ctx.mul(_adjoint_at(ctx, L1.cols, d), _adjoint_at(ctx, L2.cols, d))]:
-                return PermReport(False, ("spectral_b", b), "spectral")
-    _refuse_over_cap(ctx, "spectral tables" if spanning else "adjoint tables")
-    A1, A2 = _adjoint_table(ctx, L1), _adjoint_table(ctx, L2)
-    either = A1 | A2
-    b = int(either[1:].argmin()) + 1  # the first common zero, if there is one
-    if either[b] == 0:
-        return PermReport(False, ("kernel_overlap", b), "spectral")
-    bad = kloosterman_spectrum(ctx).data.take(ctx.mul_vec(A1, A2)).nonzero()[0]
+    cols = L1.cols + L2.cols
+    if not spans(cols, ctx.n):
+        overlap = orthogonal_complement(ctx, subspace_from_vectors(ctx.n, cols))
+        return PermReport(False, ("kernel_overlap", overlap.vectors[0]), "spectral")
+    ds, K = _probe_tables(ctx)
+    for b, d in zip(PROBE_BS, ds):
+        if K[ctx.mul(_adjoint_at(ctx, L1.cols, d), _adjoint_at(ctx, L2.cols, d))]:
+            return PermReport(False, ("spectral_b", b), "spectral")
+    _refuse_over_cap(ctx, "spectral tables")
+    bad = K.take(ctx.mul_vec(_adjoint_table(ctx, L1), _adjoint_table(ctx, L2))).nonzero()[0]
     if bad.size:
         return PermReport(False, ("spectral_b", int(bad[0])), "spectral")
     return PermReport(True, None, "spectral")

@@ -205,6 +205,14 @@ def test_out_into_missing_directory_is_a_usage_error(tmp_path, capsys):
     assert err.startswith("error: cannot open --out: ")
 
 
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+def test_out_write_error_is_a_usage_error(capsys):
+    code = main(["zeros", "--n", "5", "--out", "/dev/full"])
+    out, err = capsys.readouterr()
+    assert code == 2 and out == ""
+    assert err.startswith("error: cannot write --out: ")
+
+
 def test_zero_subspace_bound_violation_is_observable(capsys, monkeypatch):
     # at n = 5..7 the bound is attained, so a bound lowered by one must be exceeded
     from kspectra import cli, zerospace

@@ -2,10 +2,11 @@
 coordinates, constant multiplication, the power walk shared between
 workers, the Walsh-Hadamard butterfly on any number of workers, the
 permutation kernels (adjoint tables, sentinel-log products, first collision,
-the rank-and-probe fast check, the direct route's prefix plan and its table
-stage) and the CSV block formatter."""
+the kernel-overlap witness, the rank-and-probe fast check, the direct
+route's prefix plan and its table stage) and the CSV block formatter."""
 
 import sys
+import tracemalloc
 from functools import lru_cache
 
 import numpy as np
@@ -329,6 +330,33 @@ def test_kernel_witness_is_the_canonical_basis_head(nm, data):
         assert rep.witness == ("kernel_overlap", inter.vectors[0])
     else:
         assert rep.witness is None or rep.witness[0] == "spectral_b"
+
+
+@st.composite
+def low_rank_pairs(draw, min_n=2, max_n=32):
+    """(n, L1, L2) with every column in the span of fewer than n drawn
+    vectors, so the columns do not span and the adjoint kernels meet."""
+    n = draw(st.integers(min_n, max_n))
+    basis = draw(st.lists(st.integers(0, (1 << n) - 1), max_size=n - 1))
+    cols = st.lists(st.integers(0, (1 << len(basis)) - 1), min_size=n, max_size=n)
+    return n, *(LinMap(n, tuple(xor_combine(basis, m) for m in draw(cols))) for _ in range(2))
+
+
+@PROPS
+@given(low_rank_pairs())
+def test_kernel_overlap_needs_no_table(nm):
+    n, L1, L2 = nm
+    ctx = _field(n)
+    want = kernel_intersection(adjoint(ctx, L1), adjoint(ctx, L2)).vectors[0]
+    tracemalloc.start()
+    try:
+        rep = perm_spectral(ctx, L1, L2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rep == PermReport(False, ("kernel_overlap", want), "spectral")
+    if n >= 17:  # no 2^n array: one of 2^17 single bytes is twice this bound
+        assert peak < 1 << 16
 
 
 def _spectral_oracle(ctx, L1, L2) -> PermReport:

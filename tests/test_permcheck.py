@@ -40,7 +40,7 @@ from kspectra.permcheck import (
     search_counterexample,
     sweep_inverse_plus_linear,
 )
-from kspectra.spectra import Spectrum, TruthTable, kloosterman_spectrum
+from kspectra.spectra import SPECTRUM_CAP, Spectrum, TruthTable, kloosterman_spectrum
 from kspectra.zerospace import zero_subspace_bound
 
 
@@ -404,11 +404,7 @@ _CAP_CASES = {
     "inverse table": (None, lambda ctx: perm_direct(ctx, _I, _0)),
     "direct table": (lambda ctx: perm_direct(ctx, _I, _I),  # a collision in the prefix
                      lambda ctx: perm_direct(ctx, _I, _0)),
-    "probe tables": (lambda ctx: perm_spectral(ctx, _0, _0),  # columns that do not span
-                     lambda ctx: perm_spectral(ctx, _I, _I)),
-    "adjoint tables": (lambda ctx: perm_spectral(ctx, _I, _I),  # decided by a probe
-                       lambda ctx: perm_spectral(ctx, _0, _0)),
-    "spectral tables": (lambda ctx: perm_spectral(ctx, _I, _I),
+    "spectral tables": (lambda ctx: perm_spectral(ctx, _I, _I),  # decided by a probe
                         lambda ctx: perm_spectral(ctx, _I, _0)),  # every probe passes
     "search": (None, lambda ctx: search_counterexample(ctx, "random", budget=10)),
 }
@@ -448,18 +444,45 @@ sys.exit(main(sys.argv[1:]))
 """
 
 
-@pytest.mark.parametrize("method,l1", [("direct", [1 << i for i in range(32)]),
-                                       ("spectral", [0] * 32)])
-def test_permcheck_n32_is_a_usage_error_under_3_gib(method, l1):
-    # the tables would take 32 GiB; the address-space limit turns a missed
-    # check into a quick MemoryError (exit 1) rather than an exhausted machine
+def _permcheck_n32_under_3_gib(method, l1):
+    """kspectra permcheck at n = 32 with L2 = 0 and L1 given by its rows."""
     pytest.importorskip("resource")
     zero = json.dumps({"n": 32, "matrix_rows": ["0x0"] * 32})
     l1 = json.dumps({"n": 32, "matrix_rows": [hex(r) for r in l1]})
-    run = _run_python("-c", _CLI_UNDER_3_GIB, "permcheck", "--n", "32", "--method", method,
-                      "--l1", l1, "--l2", zero)
+    return _run_python("-c", _CLI_UNDER_3_GIB, "permcheck", "--n", "32", "--method", method,
+                       "--l1", l1, "--l2", zero)
+
+
+_I32_ROWS = [1 << i for i in range(32)]
+
+
+@pytest.mark.parametrize("method,l1", [("direct", _I32_ROWS), ("spectral", _I32_ROWS)])
+def test_permcheck_n32_is_a_usage_error_under_3_gib(method, l1):
+    # L1 = I: the columns span, so the spectral probes need the n = 32
+    # spectrum.  The tables would take 32 GiB; the address-space limit turns
+    # a missed check into a quick MemoryError, which the message tells apart
+    run = _permcheck_n32_under_3_gib(method, l1)
     assert run.returncode == 2, run.stderr
     assert "memory cap" in run.stderr
+
+
+def test_permcheck_n32_kernel_overlap_needs_no_table_under_3_gib():
+    run = _permcheck_n32_under_3_gib("spectral", [0] * 32)
+    assert run.returncode == 0, run.stderr
+    assert json.loads(run.stdout)["spectral"] == {
+        "is_perm": False, "witness": {"kind": "kernel_overlap", "args": ["0x1"]},
+        "method": "spectral"}
+
+
+def test_memory_error_is_a_usage_error_under_3_gib():
+    # the spectrum cap reads physical RAM, so only the address-space limit
+    # stops the 4 GiB array of n = 30
+    pytest.importorskip("resource")
+    if SPECTRUM_CAP < 30:
+        pytest.skip("the spectrum cap refuses n = 30 on this machine")
+    run = _run_python("-c", _CLI_UNDER_3_GIB, "spectrum", "--n", "30", "--out", os.devnull)
+    assert run.returncode == 2, run.stderr
+    assert run.stderr.startswith("error: out of memory: ")
 
 
 _PEAK_SCRIPT = """
@@ -481,8 +504,6 @@ A2 = LinMap(n, (0, 0, 0, 0) + tuple(int(v) for v in rng.integers(1, 1 << n, n - 
 call = {
     "inverse table": lambda: permcheck.perm_direct(ctx, random_map(rng, n), random_map(rng, n)),
     "direct table": lambda: permcheck.perm_direct(ctx, I, Z),
-    "probe tables": lambda: permcheck.perm_spectral(ctx, I, I),
-    "adjoint tables": lambda: permcheck.perm_spectral(ctx, Z, Z),
     "spectral tables": lambda: permcheck.perm_spectral(ctx, I, adjoint(ctx, A2)),
     "search": lambda: permcheck.search_counterexample(ctx, "structured", budget=50000, seed=1),
 }[stage]
