@@ -460,7 +460,7 @@ def main(argv=None) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except MemoryError as exc:  # a limit below physical RAM, which the memory caps read
+    except MemoryError as exc:  # an allocation past what the memory caps estimated
         print(f"error: out of memory: {exc}", file=sys.stderr)
         return 2
     except AssertionError as exc:

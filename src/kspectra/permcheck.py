@@ -57,7 +57,7 @@ def stage_bytes(stage: str, n: int) -> int:
     return tables + (spectrum_bytes(n) if holds_spectrum else 0) + (8 << 20)
 
 
-#: each stage refuses the degrees above its cap, where it would not fit in this machine's RAM
+#: each stage refuses the degrees above its cap, where it would not fit in memory_cap's limit
 STAGE_CAPS = {stage: memory_cap(partial(stage_bytes, stage)) for stage in _STAGE_BYTES}
 
 
@@ -332,6 +332,19 @@ class SearchReport:
         }
 
 
+def _zero_quotients(ctx: FieldCtx, zeros: np.ndarray):
+    """quotient(zi, a) = zeros[zi] / a elementwise, 0 where a = 0.  Up to TABLE_DEGREE
+    it adds logs, ext[log z + log a^-1]: three takes per column, where mul_vec of
+    the gathered zeros and inverses takes five (the sentinel log of a = 0 lands on
+    a 0 entry); above it, mul_vec by the inverses."""
+    inv = ctx.inverse_table()
+    if ctx.n > TABLE_DEGREE:
+        return lambda zi, a: ctx.mul_vec(zeros.take(zi), inv.take(a))
+    ext, log = ctx.exp_log_tables()
+    logz, nlog = log.take(zeros), log.take(inv)
+    return lambda zi, a: ext.take(logz.take(zi) + nlog.take(a))
+
+
 def search_counterexample(ctx: FieldCtx, mode: str = "random", budget: int = 10**6,
                           seed: int = 0) -> SearchReport:
     """Sample (L1, L2) pairs hunting a permutation L1(x^-1) + L2(x).
@@ -357,7 +370,7 @@ def search_counterexample(ctx: FieldCtx, mode: str = "random", budget: int = 10*
     N = ctx.size
     kz_mask = kloosterman_spectrum(ctx).data == 0
     zeros = np.flatnonzero(kz_mask[1:]).astype(np.uint32) + 1  # the nonzero zeros
-    inv = ctx.inverse_table()
+    quotient = _zero_quotients(ctx, zeros) if mode == "structured" else None
     rng = np.random.default_rng(seed)
     # in structured mode the basis points b = x^i pass by construction:
     # A1(x^i) * A2(x^i) is a zero z, or 0 when column i of A1 is 0
@@ -371,8 +384,7 @@ def search_counterexample(ctx: FieldCtx, mode: str = "random", budget: int = 10*
             if mode == "random":
                 s2.append(rng.integers(0, N, size=rows, dtype=np.uint32))
             else:  # A2 = zeros[zi] / A1
-                zi = rng.integers(0, zeros.size, size=rows, dtype=np.uint32)
-                s2.append(ctx.mul_vec(zeros.take(zi), inv.take(s1[-1])))
+                s2.append(quotient(rng.integers(0, zeros.size, size=rows, dtype=np.uint32), s1[-1]))
 
     while examined < budget and found is None:
         b_sz = min(_SEARCH_BATCH, budget - examined)

@@ -5,6 +5,8 @@ x^(n-2) coefficient of the characteristic polynomial) and polarizes to
 B(x,y) = Tr(xy) + Tr(x)Tr(y).  q and its restrictions to subspaces are
 tabulated in place by one xor-doubling pass (_form_table) driven by basis
 values and the polarization; restrictions are classified by zero counting.
+The restriction to the trace-zero hyperplane reads q pointwise (q_evaluator),
+so it builds no table of q on the whole field.
 """
 from __future__ import annotations
 
@@ -77,26 +79,29 @@ def _q_by_traces(ctx: FieldCtx, a: int) -> int:
 
 
 def qform_bytes(n: int) -> int:
-    """Peak bytes of restrict_q_to_h beyond its field: q_table (2^n), the hyperplane's
-    table (2^(n-1)) and 6 MiB; VmHWM grew 1.5*2^n + 5.6-5.7 MiB at n = 20..28."""
-    return (3 << (n - 1)) + (6 << 20)
+    """Peak bytes of restrict_q_to_h beyond its field: the hyperplane's table (2^(n-1))
+    and 1 MiB; VmHWM grew 2^(n-1) + 0.01-0.07 MiB at n = 24..28, also with
+    MALLOC_MMAP_THRESHOLD_=131072 (no table of q on the whole field is built)."""
+    return (1 << (n - 1)) + (1 << 20)
 
 
-#: q_table refuses degrees above this one, whose tables would not fit in this machine's RAM
+#: restrict_q_to_h refuses degrees above this one, whose table would not fit in memory_cap's limit
 QFORM_CAP = memory_cap(qform_bytes)
 
 
 @memo
-def q_table(ctx: FieldCtx) -> np.ndarray:
-    """q on the whole field as uint8, by the polarization doubling pass from
-    the n basis values _q_by_traces(x^i), about n^2/2 table-free products."""
-    n = ctx.n
-    if n > QFORM_CAP:
-        raise ValueError(f"q table for n={n} is over the memory cap (n <= {QFORM_CAP})")
-    qb = [_q_by_traces(ctx, 1 << i) for i in range(n)]
+def _q_polar(ctx: FieldCtx) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """q's basis values _q_by_traces(x^i), about n^2/2 table-free products, and
+    the rows of its polarization B: bit j of row i is B(x^i, x^j)."""
     tr = ctx.trace_mask
-    masks = [ctx.gram[i] ^ (tr if (tr >> i) & 1 else 0) for i in range(n)]
-    return _form_table(n, qb, masks)
+    return (tuple(_q_by_traces(ctx, 1 << i) for i in range(ctx.n)),
+            tuple(g ^ (tr if (tr >> i) & 1 else 0) for i, g in enumerate(ctx.gram)))
+
+
+@memo
+def q_table(ctx: FieldCtx) -> np.ndarray:
+    """q on the whole field as uint8, by the polarization doubling pass from _q_polar."""
+    return _form_table(ctx.n, *_q_polar(ctx))
 
 
 def hyperplane_H(ctx: FieldCtx) -> SubspaceBasis:
@@ -216,10 +221,27 @@ def _validate_form(f, basis, ev, m: int):
             raise NotQuadraticFormError("evaluator disagrees with quadratic table")
 
 
+def q_evaluator(ctx: FieldCtx):
+    """q as a scalar evaluator with no 2^n table, from _q_polar: q(x) is the sum
+    of q(x^i) + B(x^i, x mod x^i) over the set bits i of x."""
+    qb, rows = _q_polar(ctx)
+
+    def q_at(x: int) -> int:
+        acc = 0
+        while x:
+            i = x.bit_length() - 1
+            x ^= 1 << i
+            acc ^= qb[i] ^ (rows[i] & x).bit_count()
+        return acc & 1
+    return q_at
+
+
 def restrict_q_to_h(ctx: FieldCtx) -> QuadFormRec:
-    """The canonical object of study: q restricted to the trace-zero hyperplane."""
-    qt = q_table(ctx)
-    return restrict(ctx, lambda x: int(qt[x]), hyperplane_H(ctx))
+    """The canonical object of study: q restricted to the trace-zero hyperplane,
+    read from q_evaluator, so its table of 2^(n-1) entries is the only large one."""
+    if ctx.n > QFORM_CAP:
+        raise ValueError(f"q on H for n={ctx.n} is over the memory cap (n <= {QFORM_CAP})")
+    return restrict(ctx, q_evaluator(ctx), hyperplane_H(ctx))
 
 
 def classify(qf: QuadFormRec) -> tuple[str, int, int]:

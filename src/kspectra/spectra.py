@@ -12,6 +12,11 @@ import os
 import threading
 from dataclasses import dataclass
 
+try:
+    import resource
+except ImportError:  # not on every platform
+    resource = None
+
 import numpy as np
 
 from kspectra.gf2n import MAX_DEGREE, POWER_BLOCK, FieldCtx, elem_dtype, memo
@@ -42,16 +47,40 @@ def spectrum_bytes(n: int) -> int:
     return (np.dtype(sign_dtype(n)).itemsize << n) + 8 * 8 * POWER_BLOCK * _workers()
 
 
-def memory_cap(bytes_of) -> int:
-    """Largest degree n <= MAX_DEGREE whose estimated peak bytes_of(n) fit in physical RAM."""
+def _memory_limit(cgroup: str = "/proc/self/cgroup", root: str = "/sys/fs/cgroup") -> int:
+    """Bytes this process may use: the least of physical RAM (4 GiB where sysconf
+    cannot tell), the soft RLIMIT_AS and the cgroup v2 memory.max of the process's
+    cgroup and of each cgroup above it."""
     try:
-        ram = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
+        limits = [os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")]
     except (AttributeError, ValueError, OSError):
-        ram = 4 << 30  # no sysconf: assume 4 GiB
-    return max(n for n in range(1, MAX_DEGREE + 1) if bytes_of(n) <= ram)
+        limits = [4 << 30]
+    if resource is not None:
+        soft = resource.getrlimit(resource.RLIMIT_AS)[0]
+        limits += [] if soft == resource.RLIM_INFINITY else [soft]
+    try:
+        with open(cgroup) as fh:  # the cgroup v2 line is 0::/path
+            dirs = [line[3:].strip().strip("/") for line in fh if line.startswith("0::")]
+    except OSError:
+        dirs = []
+    for parts in (d.split("/") if d else [] for d in dirs):
+        for k in range(len(parts) + 1):
+            try:
+                with open(os.path.join(root, *parts[:k], "memory.max")) as fh:
+                    limits.append(int(fh.read()))
+            except (OSError, ValueError):  # no such file, or "max"
+                pass
+    return min(limits)
 
 
-#: full spectra above this degree would not fit in this machine's RAM
+def memory_cap(bytes_of) -> int:
+    """Largest degree n <= MAX_DEGREE whose estimated peak bytes_of(n) fits in
+    _memory_limit(), read once per cap; 0 when none does."""
+    limit = _memory_limit()
+    return max((n for n in range(1, MAX_DEGREE + 1) if bytes_of(n) <= limit), default=0)
+
+
+#: full spectra above this degree would not fit in memory_cap's limit
 SPECTRUM_CAP = memory_cap(spectrum_bytes)
 
 #: CSV export converts and writes this many rows at a time

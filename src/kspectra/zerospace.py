@@ -18,7 +18,7 @@ import numpy as np
 from kspectra.gf2n import FieldCtx
 from kspectra.linmap import SubspaceBasis, canonical_search, orthogonal_complement, subspace_from_vectors
 from kspectra.quadform import q_table
-from kspectra.spectra import kloosterman_spectrum, kloosterman_zeros
+from kspectra.spectra import kloosterman_spectrum, kloosterman_zeros, memory_cap
 
 
 def zero_subspace_bound(n: int) -> int:
@@ -54,10 +54,25 @@ def weil_subspace_bound(n: int) -> int:
     return n // 2 + 1
 
 
+def mod16_bytes(n: int) -> int:
+    """Peak bytes of mod16_members beyond its field: q_table and trace_table (2^n
+    each, both kept) and 3 * 2^n of temporaries (two masks and their product; then
+    the product and its int64 indices; then those and their uint32 copy).  VmHWM
+    grew 5.01-5.03 * 2^n at n = 24..26 and 5.55 MiB at n = 20, also with
+    MALLOC_MMAP_THRESHOLD_=131072."""
+    return (5 << n) + (1 << 20)
+
+
+#: mod16_members refuses degrees above this one, whose tables would not fit in memory_cap's limit
+MOD16_CAP = memory_cap(mod16_bytes)
+
+
 def mod16_members(ctx: FieldCtx) -> np.ndarray:
     if ctx.n < 4:
         raise ValueError("mod16 characterization needs n >= 4")
-    qt = q_table(ctx)  # first: above its cap it refuses before any table is built
+    if ctx.n > MOD16_CAP:
+        raise ValueError(f"mod16 set for n={ctx.n} is over the memory cap (n <= {MOD16_CAP})")
+    qt = q_table(ctx)
     tr = ctx.trace_table()
     return np.flatnonzero((tr == 0) & (qt == 0)).astype(np.uint32)
 

@@ -19,7 +19,9 @@ CASES = {
     "verify_all": ["verify", "--theorem", "all"],
     "table1_right_5_16": ["table1", "--side", "right", "--from", "5", "--to", "16"],
     "table1_left_5_20": ["table1", "--side", "left", "--from", "5", "--to", "20"],
-    "qform_24": ["qform", "--n", "24"],
+    "qform_23": ["qform", "--n", "23"],  # hyperbolic
+    "qform_24": ["qform", "--n", "24"],  # elliptic
+    "qform_26": ["qform", "--n", "26"],  # parabolic
     "spectrum_12_json": ["spectrum", "--n", "12", "--format", "json"],
     "spectrum_12_csv": ["spectrum", "--n", "12"],
     "zerospace_12": ["zerospace", "--n", "12"],

@@ -134,7 +134,8 @@ SEARCH_SHA256 = {
 
 # sha256 of repr(sizes), sizes = the length of every FieldCtx.mul_vec result
 # in the same searches, in call order: the rows each probe stage still holds
-# (and, in structured mode, each column quotient drawn for them).  A stage
+# (and, in structured mode, each column quotient drawn for them, which up to
+# TABLE_DEGREE adds logs instead of calling mul_vec).  A stage
 # that rejected every pair would change them, even in the searches where no
 # pair reaches perm_direct.  (10, random) starts 5000, 270, 15, 2 (probes
 # b = 1..4; b = 4 rejects the last two rows) and (17, structured) 5000, 5000,
@@ -159,7 +160,7 @@ MUL_VEC_SIZES_SHA256 = {
 def search_digest(n: int, mode: str, monkeypatch) -> tuple[str, list[int]]:
     """(sha256 as in SEARCH_SHA256, mul_vec result sizes) of one seeded search."""
     seen, sizes = [], []
-    real, real_mul_vec = permcheck.perm_direct, FieldCtx.mul_vec
+    real, real_mul_vec, real_quotients = permcheck.perm_direct, FieldCtx.mul_vec, permcheck._zero_quotients
 
     def recording(ctx, L1, L2):
         seen.append((L1.cols, L2.cols))
@@ -170,8 +171,19 @@ def search_digest(n: int, mode: str, monkeypatch) -> tuple[str, list[int]]:
         sizes.append(len(out))
         return out
 
+    def recording_quotients(ctx, zeros):
+        quotient = real_quotients(ctx, zeros)
+
+        def recorded(zi, a):
+            k = len(sizes)
+            out = quotient(zi, a)
+            sizes[k:] = [len(out)]  # one size per quotient, with or without mul_vec
+            return out
+        return recorded
+
     monkeypatch.setattr(permcheck, "perm_direct", recording)
     monkeypatch.setattr(FieldCtx, "mul_vec", recording_mul_vec)
+    monkeypatch.setattr(permcheck, "_zero_quotients", recording_quotients)
     monkeypatch.setattr(permcheck, "_SEARCH_BATCH", 5000)
     rep = search_counterexample(mk_field(n), mode, budget=40_000, seed=7)
     monkeypatch.undo()

@@ -474,13 +474,29 @@ def test_permcheck_n32_kernel_overlap_needs_no_table_under_3_gib():
         "method": "spectral"}
 
 
+def test_spectrum_n30_is_refused_by_the_cap_under_3_gib():
+    # the caps read the soft RLIMIT_AS: 4 GiB of n = 30 is refused before allocating
+    pytest.importorskip("resource")
+    run = _run_python("-c", _CLI_UNDER_3_GIB, "spectrum", "--n", "30", "--out", os.devnull)
+    assert run.returncode == 2, run.stderr
+    assert "memory cap" in run.stderr
+
+
+_CLI_LIMITED_AFTER_IMPORT = """
+import resource, sys
+from kspectra.cli import main
+resource.setrlimit(resource.RLIMIT_AS, (3 << 30, 3 << 30))
+sys.exit(main(sys.argv[1:]))
+"""
+
+
 def test_memory_error_is_a_usage_error_under_3_gib():
-    # the spectrum cap reads physical RAM, so only the address-space limit
-    # stops the 4 GiB array of n = 30
+    # the caps are read at import, before this limit is set, so only the
+    # address-space limit stops the 4 GiB array of n = 30
     pytest.importorskip("resource")
     if SPECTRUM_CAP < 30:
         pytest.skip("the spectrum cap refuses n = 30 on this machine")
-    run = _run_python("-c", _CLI_UNDER_3_GIB, "spectrum", "--n", "30", "--out", os.devnull)
+    run = _run_python("-c", _CLI_LIMITED_AFTER_IMPORT, "spectrum", "--n", "30", "--out", os.devnull)
     assert run.returncode == 2, run.stderr
     assert run.stderr.startswith("error: out of memory: ")
 

@@ -12,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import kspectra
-from kspectra import quadform
+from kspectra import quadform, zerospace
 from kspectra.cli import main
 from kspectra.gf2n import TABLE_DEGREE, mk_field, xor_combine
 from kspectra.linmap import subspace_from_vectors
@@ -30,10 +30,12 @@ from kspectra.quadform import (
     hyperplane_H,
     max_isotropic_dim,
     q_eval,
+    q_evaluator,
     q_table,
     restrict,
     restrict_q_to_h,
 )
+from kspectra.zerospace import mod16_members
 
 #: sha256 of q_table(mk_field(n)).tobytes() for n = 2..24 (default polynomials),
 #: captured while the basis values came from the definitional q_eval
@@ -61,6 +63,14 @@ Q_TABLE_SHA256 = {
     22: "39c72b5784af5d39021b6cf05e9d70a87390f8a4745cbdc2b7c3316183869ba7",
     23: "c245fbf645dcc7b025ba13bdec62af4c0e0cc7174e67d058fd4a9e5f2d6c3eae",
     24: "1ac779d8f054338cf3594cca29a4e92381e063dd515f37586213433c333b3f00",
+}
+
+#: sha256 of restrict_q_to_h(mk_field(n)).eval.tobytes(), captured while the
+#: restriction read q from q_table
+RESTRICTED_SHA256 = {
+    17: "558de3c8af921d12b31b83f9e34eaf00a537e914aabfe4218520f95f47eef72d",
+    20: "991888cf0d0015a07e2d6e46761346e810aac8e8e6c85ba0dc64a84969084234",
+    24: "d24c1f81d1ed99db3f01b0a54c846620b5cfae12741698ad87ea53d3a865c6eb",
 }
 
 
@@ -137,45 +147,105 @@ def test_form_table_allocates_only_its_result():
     assert peak <= (1 << 20) + 4096
 
 
+@pytest.mark.parametrize("n", range(2, 11))
+def test_q_evaluator_matches_q_eval_everywhere(n):
+    ctx = mk_field(n)
+    q_at = q_evaluator(ctx)
+    assert [q_at(a) for a in range(ctx.size)] == [q_eval(ctx, a) for a in range(ctx.size)]
+
+
+@pytest.mark.parametrize("n", range(17, 25))
+def test_q_evaluator_matches_q_table(n):
+    ctx = mk_field(n)
+    q_at, qt = q_evaluator(ctx), q_table(ctx)
+    xs = np.random.default_rng(n).integers(0, ctx.size, 4096).tolist()
+    assert [q_at(x) for x in xs] == qt[xs].tolist()
+
+
+@pytest.mark.parametrize("n", range(4, 17))
+def test_restriction_matches_the_q_table_route(n):
+    ctx = mk_field(n)
+    qt = q_table(ctx)
+    want = restrict(ctx, lambda x: int(qt[x]), hyperplane_H(ctx))
+    got = restrict_q_to_h(ctx)
+    assert got.eval.tobytes() == want.eval.tobytes()
+    assert (got.basis, got.radical_basis, got.form_type, got.witt_index, got.lam) == \
+        (want.basis, want.radical_basis, want.form_type, want.witt_index, want.lam)
+
+
+@pytest.mark.parametrize("n", sorted(RESTRICTED_SHA256))
+def test_restriction_is_pinned(n):
+    assert hashlib.sha256(restrict_q_to_h(mk_field(n)).eval.tobytes()).hexdigest() == RESTRICTED_SHA256[n]
+
+
+def test_restriction_never_holds_a_table_of_the_field():
+    ctx = mk_field(20)  # above TABLE_DEGREE: a fresh field, with nothing cached
+    tracemalloc.start()
+    try:
+        rec = restrict_q_to_h(ctx)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rec.eval.nbytes == ctx.size // 2
+    assert peak < ctx.size
+    assert "q_table" not in ctx._cache
+
+
 def test_q_table_above_memory_cap_is_refused(monkeypatch, capsys, fresh_fields):
+    # the restriction and the mod-16 set have caps of their own
     monkeypatch.setattr(quadform, "QFORM_CAP", 10)
     assert main(["qform", "--n", "11"]) == 2
     assert "memory cap" in capsys.readouterr().err
+    assert main(["zerospace", "--n", "11", "--set", "mod16"]) == 0
+    capsys.readouterr()
+    monkeypatch.setattr(zerospace, "MOD16_CAP", 10)
     assert main(["zerospace", "--n", "11", "--set", "mod16"]) == 2
     assert "memory cap" in capsys.readouterr().err
-    ctx = mk_field(11)
-    with pytest.raises(ValueError, match="memory cap"):
-        q_table(ctx)
-    assert "q_table" not in ctx._cache  # a refused build caches nothing
+    ctx = mk_field(12)
+    for refused in (restrict_q_to_h, mod16_members):
+        with pytest.raises(ValueError, match="memory cap"):
+            refused(ctx)
+    assert "q_table" not in ctx._cache and "_q_polar" not in ctx._cache  # a refused call builds nothing
 
 
 _PEAK_SCRIPT = """
+import sys
 from kspectra.gf2n import mk_field
 from kspectra.quadform import qform_bytes, restrict_q_to_h
+from kspectra.zerospace import mod16_bytes, mod16_members
 
 def hwm():
     with open("/proc/self/status") as fh:
         return next(int(line.split()[1]) << 10 for line in fh if line.startswith("VmHWM:"))
 
+call, bytes_of = {"qform": (restrict_q_to_h, qform_bytes), "mod16": (mod16_members, mod16_bytes)}[sys.argv[1]]
 ctx = mk_field(24)
 before = hwm()
-restrict_q_to_h(ctx)
-print(hwm() - before, qform_bytes(24))
+call(ctx)
+print(hwm() - before, bytes_of(24))
 """
 
 
-def _run_fresh(script: str) -> str:
-    """stdout of script in a fresh interpreter that imports this kspectra."""
+def _run_fresh(script: str, *args: str) -> str:
+    """stdout of script, given args, in a fresh interpreter that imports this kspectra."""
     src = os.path.dirname(os.path.dirname(kspectra.__file__))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-    return subprocess.run([sys.executable, "-c", script], env=env, check=True,
+    return subprocess.run([sys.executable, "-c", script, *args], env=env, check=True,
                           capture_output=True, text=True).stdout
 
 
 def test_qform_peak_memory_follows_qform_bytes():
     if not os.path.exists("/proc/self/status"):
         pytest.skip("VmHWM needs /proc/self/status")
-    growth, estimate = map(int, _run_fresh(_PEAK_SCRIPT).split())
+    growth, estimate = map(int, _run_fresh(_PEAK_SCRIPT, "qform").split())
+    assert growth <= estimate + (4 << 20)
+
+
+def test_mod16_peak_memory_follows_mod16_bytes():
+    # mod16_members builds q_table and trace_table, which the restriction does not
+    if not os.path.exists("/proc/self/status"):
+        pytest.skip("VmHWM needs /proc/self/status")
+    growth, estimate = map(int, _run_fresh(_PEAK_SCRIPT, "mod16").split())
     assert growth <= estimate + (4 << 20)
 
 

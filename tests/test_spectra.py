@@ -29,6 +29,7 @@ from kspectra.spectra import (
     SPECTRUM_CAP,
     Spectrum,
     TruthTable,
+    _memory_limit,
     _validate_kloosterman,
     fwht_inplace,
     kloosterman,
@@ -187,6 +188,22 @@ def test_spectrum_cap_error(monkeypatch):
     with pytest.raises(ValueError, match="pointwise"):
         kloosterman_spectrum(ctx)
     assert "kloosterman_spectrum" not in ctx._cache  # a refused build caches nothing
+
+
+def test_memory_limit_reads_cgroup_v2_memory_max(tmp_path):
+    # the least memory.max of the cgroup and the cgroups above it; "max" sets none
+    (tmp_path / "a" / "b").mkdir(parents=True)
+    (tmp_path / "a" / "memory.max").write_text("67108864\n")
+    (tmp_path / "a" / "b" / "memory.max").write_text("max\n")
+    cgroup = tmp_path / "cgroup"
+    cgroup.write_text("4:memory:/elsewhere\n0::/a/b\n")
+    unlimited = _memory_limit(str(tmp_path / "missing"), str(tmp_path))
+    assert unlimited > 64 << 20
+    assert _memory_limit(str(cgroup), str(tmp_path)) == 64 << 20
+    cgroup.write_text("0::/\n")
+    assert _memory_limit(str(cgroup), str(tmp_path)) == unlimited
+    (tmp_path / "memory.max").write_text("33554432\n")
+    assert _memory_limit(str(cgroup), str(tmp_path)) == 32 << 20
 
 
 def test_spectrum_above_memory_cap_is_refused_before_any_table():
