@@ -23,8 +23,14 @@ from kspectra.gf2n import MAX_DEGREE, POWER_BLOCK, FieldCtx, elem_dtype, memo
 
 
 def sign_dtype(n: int):
-    """Signed type for 2^n-point butterflies: partial sums stay within +-2^n."""
-    return np.int32 if n <= 30 else np.int64
+    """Narrowest signed type that holds every Kloosterman sum K over F_2^n.
+
+    |K - 1| <= 2^(n/2+1) (Weil), which int16 holds for n <= 27 (n = 28 reaches
+    K = 2^15) and int32 for n <= 32.  The butterfly's partial sums reach +-2^n
+    and wrap, but numpy's integer adds and multiplies are exact modulo 2^bits,
+    so the result is exact wherever it fits (see fwht_inplace).
+    """
+    return np.int16 if n <= 27 else np.int32
 
 
 def _workers() -> int:
@@ -35,22 +41,23 @@ def _workers() -> int:
 def spectrum_bytes(n: int) -> int:
     """Peak bytes of kloosterman_spectrum beyond the interpreter, estimated.
 
-    The result array is the only 2^n allocation: 4 bytes per entry for
-    n <= 30 (see sign_dtype); the int8 signs live in its last bytes.  Next
-    to it live O(POWER_BLOCK) arrays per worker (_workers()), counted as
-    eight of 8-byte entries, 4 MiB: in the walk of the powers the blocks of
+    The result array is the only 2^n allocation: 2 bytes per entry for
+    n <= 27 and 4 above (see sign_dtype); the int8 signs live in its last
+    bytes.  Next to it live O(POWER_BLOCK) arrays per worker (_workers()),
+    counted as eight of 8-byte entries, 4 MiB: in the walk of the powers the blocks of
     power_blocks, intp scatter indices and int8 signs (1.8 MiB); in the
     butterfly, two int16 blocks of _FWHT_BLOCK entries (1 MiB), then a share
     of _FWHT_BLOCK panel entries.  Beyond the result, the peak measured
-    1.4-2.0 MiB at n = 18..24 on one worker and 3.5-3.7 MiB on two.
+    1.5-1.9 MiB at n = 18..24 on one worker and 2.8-3.8 MiB on two.
     """
     return (np.dtype(sign_dtype(n)).itemsize << n) + 8 * 8 * POWER_BLOCK * _workers()
 
 
 def _memory_limit(cgroup: str = "/proc/self/cgroup", root: str = "/sys/fs/cgroup") -> int:
     """Bytes this process may use: the least of physical RAM (4 GiB where sysconf
-    cannot tell), the soft RLIMIT_AS and the cgroup v2 memory.max of the process's
-    cgroup and of each cgroup above it."""
+    cannot tell), the soft RLIMIT_AS and the memory limit of the process's cgroup
+    and of each cgroup above it: memory.max under cgroup v2, memory.limit_in_bytes
+    in the memory/ tree under v1."""
     try:
         limits = [os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")]
     except (AttributeError, ValueError, OSError):
@@ -59,14 +66,18 @@ def _memory_limit(cgroup: str = "/proc/self/cgroup", root: str = "/sys/fs/cgroup
         soft = resource.getrlimit(resource.RLIMIT_AS)[0]
         limits += [] if soft == resource.RLIM_INFINITY else [soft]
     try:
-        with open(cgroup) as fh:  # the cgroup v2 line is 0::/path
-            dirs = [line[3:].strip().strip("/") for line in fh if line.startswith("0::")]
+        with open(cgroup) as fh:  # lines id:controllers:/path; the v2 line is 0::/path
+            lines = [line.rstrip("\n").split(":", 2) for line in fh if line.count(":") >= 2]
     except OSError:
-        dirs = []
-    for parts in (d.split("/") if d else [] for d in dirs):
-        for k in range(len(parts) + 1):
+        lines = []
+    for _, ctrls, path in lines:
+        if ctrls and "memory" not in ctrls.split(","):
+            continue
+        tree, name = (["memory"], "memory.limit_in_bytes") if ctrls else ([], "memory.max")
+        parts = tree + [p for p in path.split("/") if p]
+        for k in range(len(tree), len(parts) + 1):
             try:
-                with open(os.path.join(root, *parts[:k], "memory.max")) as fh:
+                with open(os.path.join(root, *parts[:k], name)) as fh:
                     limits.append(int(fh.read()))
             except (OSError, ValueError):  # no such file, or "max"
                 pass
@@ -195,7 +206,9 @@ _FWHT_BLOCK = 1 << 18
 #: that numpy's inner loops are long
 _FWHT_ROW = 128
 #: with a +-1 int8 source, the levels below this stride run in int16: after
-#: the 14 levels of strides 1..2^13 every |v| <= 2^14, inside int16's 2^15 - 1
+#: the 14 levels of strides 1..2^13 every |v| <= 2^14, inside int16's 2^15 - 1.
+#: An int32 w (n >= 28) then widens each block: with every level of a block in
+#: int32, the n = 28 transform ran about a fifth slower
 _NARROW_STOP = 1 << 14
 
 
@@ -223,11 +236,15 @@ def _run_all(task, parts: int) -> None:
 def fwht_inplace(w: np.ndarray, src: np.ndarray | None = None) -> None:
     """In-place Walsh-Hadamard transform of a contiguous length-2^k signed array.
 
-    Integer dtypes of any width work; the caller picks one that holds +-2^k
-    (see sign_dtype).  With src, an int8 array as long as w with entries
-    in {-1, 0, 1}, w receives the transform of src instead of its own, and
-    the levels below _NARROW_STOP run in int16.  src may be the last bytes of
-    w itself, w.view(np.int8)[(w.itemsize - 1) * w.size:].  Both stages run
+    Signed integer dtypes of any width work.  numpy's integer adds and
+    multiplies wrap modulo 2^bits, so each level (a + b, then (a + b) - 2b)
+    is exact modulo 2^bits, and so is the result: it is exact as a signed
+    value wherever the transform's values fit the dtype, whatever the partial
+    sums did on the way (sign_dtype relies on this).  With src, an int8 array
+    as long as w with entries in {-1, 0, 1}, w receives the transform of src
+    instead of its own, and the levels below _NARROW_STOP run in int16.  src
+    may be the last bytes of w itself, w.view(np.int8)[(w.itemsize - 1) * w.size:],
+    for any itemsize (see the claims below).  Both stages run
     on _workers() threads, at most one per block or panel, each with two
     blocks of _FWHT_BLOCK entries, then a panel of <= _FWHT_BLOCK // _workers().
     The levels from stride _FWHT_BLOCK up run on contiguous copies of column
@@ -267,7 +284,7 @@ def fwht_inplace(w: np.ndarray, src: np.ndarray | None = None) -> None:
             _butterfly_levels(tr, blk // row, blk)
             np.copyto(low.reshape(-1, row), tr.reshape(row, -1).T)
             _butterfly_levels(low, row, stop)
-            np.copyto(w[s:s + blk], low)  # widen
+            np.copyto(w[s:s + blk], low)  # widens an int32 w; a plain copy for int16
             _butterfly_levels(w[s:s + blk], stop, blk)
 
     _run_all(blocks, parts)
@@ -306,7 +323,8 @@ def walsh_row(ctx: FieldCtx, F: TruthTable, a: int) -> Spectrum:
     """All walsh(F, a, b) at once via the fast transform; entry enc(b)."""
     if F.n != ctx.n:
         raise ValueError("truth table degree mismatch")
-    w = np.empty(ctx.size, dtype=sign_dtype(ctx.n))
+    # sign_dtype would not do: an arbitrary F reaches +-2^n (F = 0 at b = 0)
+    w = np.empty(ctx.size, dtype=np.min_scalar_type(-(2 << ctx.n)))
     w[ctx.dualenc_table()] = _PLUS_MINUS.take(ctx.trace_table()[ctx.mul_vec(a, F.values)])
     fwht_inplace(w)
     w.flags.writeable = False

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from kspectra.gf2n import FieldCtx
+from kspectra.gf2n import POWER_BLOCK, FieldCtx
 from kspectra.linmap import SubspaceBasis, canonical_search, orthogonal_complement, subspace_from_vectors
 from kspectra.quadform import q_table
 from kspectra.spectra import kloosterman_spectrum, kloosterman_zeros, memory_cap
@@ -56,11 +56,10 @@ def weil_subspace_bound(n: int) -> int:
 
 def mod16_bytes(n: int) -> int:
     """Peak bytes of mod16_members beyond its field: q_table and trace_table (2^n
-    each, both kept) and 3 * 2^n of temporaries (two masks and their product; then
-    the product and its int64 indices; then those and their uint32 copy).  VmHWM
-    grew 5.01-5.03 * 2^n at n = 24..26 and 5.55 MiB at n = 20, also with
-    MALLOC_MMAP_THRESHOLD_=131072."""
-    return (5 << n) + (1 << 20)
+    each, both kept), the uint32 result (about 2^(n-2) members, 2^n bytes) and
+    block temporaries.  VmHWM grew 3.01-3.03 * 2^n at n = 24..26 and 0.3-0.8 MiB
+    past 3 * 2^n at n = 20..26, also with MALLOC_MMAP_THRESHOLD_=131072."""
+    return (3 << n) + (1 << 20)
 
 
 #: mod16_members refuses degrees above this one, whose tables would not fit in memory_cap's limit
@@ -68,13 +67,26 @@ MOD16_CAP = memory_cap(mod16_bytes)
 
 
 def mod16_members(ctx: FieldCtx) -> np.ndarray:
+    """The elements with Tr = 0 and q = 0 in increasing order, as uint32: the
+    members are counted, then written, one POWER_BLOCK of the tables at a time."""
     if ctx.n < 4:
         raise ValueError("mod16 characterization needs n >= 4")
     if ctx.n > MOD16_CAP:
         raise ValueError(f"mod16 set for n={ctx.n} is over the memory cap (n <= {MOD16_CAP})")
     qt = q_table(ctx)
     tr = ctx.trace_table()
-    return np.flatnonzero((tr == 0) & (qt == 0)).astype(np.uint32)
+    starts = range(0, ctx.size, POWER_BLOCK)
+
+    def hits(s):  # the members in [s, s + POWER_BLOCK), as block offsets
+        return np.flatnonzero((tr[s:s + POWER_BLOCK] | qt[s:s + POWER_BLOCK]) == 0)
+
+    out = np.empty(sum(hits(s).size for s in starts), dtype=np.uint32)
+    k = 0
+    for s in starts:
+        idx = hits(s)
+        out[k:k + idx.size] = idx + s
+        k += idx.size
+    return out
 
 
 @dataclass(frozen=True)
@@ -167,8 +179,9 @@ def subspace_sum_identity(ctx: FieldCtx, V: SubspaceBasis) -> tuple[int, int]:
     K = kloosterman_spectrum(ctx).data
     k = V.dim
     span = V.span()
-    # Spectra are int32 and |K| <= 2^(n/2+1) + 1, so K^2 - 2K stays below
-    # 2^31 only for n <= 28; widen the 2^k values of the subspace first.
+    # Spectra are int16 or int32 (sign_dtype), too narrow for K^2 - 2K:
+    # widen the 2^k values of the subspace first.  np.sum of K below
+    # accumulates in numpy's default integer, int64.
     kv = K[span].astype(np.int64)
     lhs = int(np.sum(kv * kv - 2 * kv))
     W = orthogonal_complement(ctx, V)

@@ -264,6 +264,32 @@ def test_fwht_aliased_claims_hold_under_forced_thread_switches():
         sys.setswitchinterval(switch)
 
 
+@pytest.mark.parametrize("n", range(3, 13))
+def test_int8_spectrum_models_the_wraparound_of_the_int32_range(n):
+    # int32 spectra at n = 31, 32 do not fit a test host, and there the
+    # butterfly's partial sums wrap modulo 2^32.  With the result in int8 the
+    # same scatter and butterfly wrap modulo 2^8 from n = 7 on: exact wherever
+    # |K| < 128 and modulo 256 everywhere (at n = 12, K = 128 reads -128).
+    # Small blocks and a low int16 stop run most levels in int8, on 3 workers
+    ctx = _field(n)
+    signs = np.zeros(ctx.size, dtype=np.int8)
+    spectra._scatter_signs(ctx, signs)
+    signs[0] = 1
+    wide = _textbook_fwht(signs)
+    w = signs.copy()
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(spectra, "_workers", lambda: 3)
+        mp.setattr(spectra, "_FWHT_BLOCK", 1 << 4)
+        mp.setattr(spectra, "_FWHT_ROW", 1 << 2)
+        mp.setattr(spectra, "_NARROW_STOP", 1 << 3)
+        fwht_inplace(w, w)  # w.view(np.int8)[(w.itemsize - 1) * w.size:] is w itself
+    assert np.array_equal(wide, kloosterman_spectrum(ctx).data)
+    fits = np.abs(wide) < 128
+    assert np.array_equal(w[fits], wide[fits])
+    assert np.array_equal(w.view(np.uint8), wide & 255)
+    assert fits.all() == (n < 12)
+
+
 @settings(max_examples=60, deadline=None)
 @given(st.integers(2, 12), st.integers(1, 4), st.integers(1, 8), st.booleans())
 def test_power_blocks_parts_share_the_single_walk(n, log_m, parts, dual):

@@ -24,7 +24,7 @@ from kspectra.gf2n import (
     smallest_irreducible,
 )
 from kspectra.linmap import random_map, random_subspace
-from kspectra.permcheck import perm_spectral
+from kspectra.permcheck import perm_spectral, search_counterexample
 from kspectra.spectra import (
     SPECTRUM_CAP,
     Spectrum,
@@ -35,6 +35,7 @@ from kspectra.spectra import (
     kloosterman,
     kloosterman_spectrum,
     kloosterman_zeros,
+    sign_dtype,
     walsh,
     walsh_row,
 )
@@ -206,6 +207,23 @@ def test_memory_limit_reads_cgroup_v2_memory_max(tmp_path):
     assert _memory_limit(str(cgroup), str(tmp_path)) == 32 << 20
 
 
+def test_memory_limit_reads_cgroup_v1_memory_limit_in_bytes(tmp_path):
+    # v1: the least memory.limit_in_bytes of the memory controller's cgroup and
+    # the cgroups above it, in the controller's own tree; no limit reads 2^63 - 4096
+    (tmp_path / "memory" / "a" / "b").mkdir(parents=True)
+    (tmp_path / "memory" / "memory.limit_in_bytes").write_text("9223372036854771712\n")
+    (tmp_path / "memory" / "a" / "memory.limit_in_bytes").write_text("67108864\n")
+    (tmp_path / "a").mkdir()
+    (tmp_path / "a" / "memory.limit_in_bytes").write_text("1048576\n")  # outside the memory tree
+    cgroup = tmp_path / "cgroup"
+    unlimited = _memory_limit(str(tmp_path / "missing"), str(tmp_path))
+    for line in ("4:memory:/a/b", "4:cpu,memory:/a/b", "4:memory:/a"):
+        cgroup.write_text(f"5:cpu,cpuacct:/a\n{line}\n0::/\n")
+        assert _memory_limit(str(cgroup), str(tmp_path)) == 64 << 20
+    cgroup.write_text("5:cpu,cpuacct:/a\n4:memory:/\n0::/\n")
+    assert _memory_limit(str(cgroup), str(tmp_path)) == unlimited
+
+
 def test_spectrum_above_memory_cap_is_refused_before_any_table():
     assert SPECTRUM_CAP < 32  # 2^32 entries need about 132 GiB
     ctx = mk_field(32)
@@ -221,7 +239,7 @@ def test_spectrum_above_memory_cap_is_a_usage_error(capsys):
 
 def test_spectrum_n24_is_pinned():
     data = kloosterman_spectrum(mk_field(24)).data
-    assert data.dtype == np.int32
+    assert data.dtype == np.int16
     assert hashlib.sha256(data.astype("<i8").tobytes()).hexdigest() == SPECTRUM_24_SHA256
 
 
@@ -325,36 +343,51 @@ def test_non_primitive_generator_fails_the_coverage_check_on_workers(monkeypatch
 
 
 _PEAK_SCRIPT = """
+import sys
+from kspectra import spectra
 from kspectra.gf2n import mk_field
-from kspectra.spectra import kloosterman_spectrum, spectrum_bytes
 
 def hwm():
     with open("/proc/self/status") as fh:
         return next(int(line.split()[1]) << 10 for line in fh if line.startswith("VmHWM:"))
 
+if sys.argv[1:] == ["one worker"]:
+    spectra._workers = lambda: 1
 ctx = mk_field(22)
 before = hwm()
-kloosterman_spectrum(ctx)
-print(hwm() - before, spectrum_bytes(22))
+spectra.kloosterman_spectrum(ctx)
+print(hwm() - before, spectra.spectrum_bytes(22))
 """
+
+
+def _spectrum_peak(*args: str) -> list[int]:
+    """VmHWM growth of the n = 22 spectrum in a fresh interpreter, and spectrum_bytes(22)."""
+    src = os.path.dirname(os.path.dirname(kspectra.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    out = subprocess.run([sys.executable, "-c", _PEAK_SCRIPT, *args], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    return list(map(int, out.split()))
 
 
 def test_spectrum_peak_memory_follows_spectrum_bytes():
     if not os.path.exists("/proc/self/status"):
         pytest.skip("VmHWM needs /proc/self/status")
-    src = os.path.dirname(os.path.dirname(kspectra.__file__))
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-    out = subprocess.run([sys.executable, "-c", _PEAK_SCRIPT], env=env, check=True,
-                         capture_output=True, text=True).stdout
-    growth, estimate = map(int, out.split())
+    growth, estimate = _spectrum_peak()
     assert growth <= 1.25 * estimate + (16 << 20)
+    # on one worker the peak is the 2-byte-per-entry result plus under 2 MiB:
+    # a 4-byte result alone would reach this bound
+    growth, _ = _spectrum_peak("one worker")
+    assert growth < 4 << 22
 
 
-def test_int32_spectrum_consumers_match_int64(capsys, monkeypatch):
-    n = 12
+@pytest.mark.parametrize("n", [12, 16])
+def test_narrow_spectrum_consumers_match_int64(n, capsys, monkeypatch):
+    # from n = 16 on, sum K = 2^n and the sum of K(u^-1) over V-perp = F_2^n
+    # (dim V = 0) overflow int16: every sum must accumulate in a wider type
     ctx = mk_field(n)
     spec = kloosterman_spectrum(ctx)
-    assert spec.data.dtype == np.int32
+    assert spec.data.dtype == sign_dtype(n) == np.int16
+    assert [sign_dtype(k) for k in (27, 28, 32)] == [np.int16, np.int32, np.int32]
     wide = Spectrum(n, spec.kind, spec.data.astype(np.int64))
     _validate_kloosterman(wide)
     rng = np.random.default_rng(12)
@@ -362,12 +395,19 @@ def test_int32_spectrum_consumers_match_int64(capsys, monkeypatch):
     pairs = [(random_map(rng, n), random_map(rng, n)) for _ in range(20)]
 
     def consumers():
+        K = kloosterman_spectrum(ctx).data
         return ([subspace_sum_identity(ctx, V) for V in subspaces],
-                [perm_spectral(ctx, L1, L2) for L1, L2 in pairs])
+                [perm_spectral(ctx, L1, L2) for L1, L2 in pairs],
+                search_counterexample(ctx, "structured", budget=2000, seed=n),
+                int(K.sum()),  # the weil-bound check of kspectra verify
+                np.flatnonzero(K % 16 == 0).tolist(),  # % takes the divisor's sign
+                np.flatnonzero(K == 0).tolist())
 
     narrow = consumers()
+    assert narrow[3] == 1 << n
     with monkeypatch.context() as m:
         m.setitem(ctx._cache, "kloosterman_spectrum", wide)
+        m.delitem(ctx._cache, "_probe_tables", raising=False)  # it holds the spectrum
         assert kloosterman_spectrum(ctx) is wide
         assert consumers() == narrow
     assert kloosterman_spectrum(ctx) is spec
