@@ -43,28 +43,40 @@ def spectrum_bytes(n: int) -> int:
 
     The result array is the only 2^n allocation: 2 bytes per entry for
     n <= 27 and 4 above (see sign_dtype); the int8 signs live in its last
-    bytes.  Next to it live O(POWER_BLOCK) arrays per worker (_workers()),
-    counted as eight of 8-byte entries, 4 MiB: in the walk of the powers the blocks of
-    power_blocks, intp scatter indices and int8 signs (1.8 MiB); in the
-    butterfly, two int16 blocks of _FWHT_BLOCK entries (1 MiB), then a share
-    of _FWHT_BLOCK panel entries.  Beyond the result, the peak measured
-    1.5-1.9 MiB at n = 18..24 on one worker and 2.8-3.8 MiB on two.
+    bytes and the scatter's keys in the others.  Next to it live
+    O(POWER_BLOCK) arrays per worker (_workers()), counted as eight of 8-byte
+    entries, 4 MiB: in the walk of the powers the blocks of power_blocks
+    (1.25 MiB), _FLUSH intp slots and, where the keys do not fit in the
+    result, a stage of 2 * POWER_BLOCK keys (0.5 MiB); in the butterfly, two
+    int16 blocks of _FWHT_BLOCK entries (1 MiB), then a share of _FWHT_BLOCK
+    panel entries.  Beyond the result, VmHWM grew 2.5-2.9 MiB at n = 18..24
+    on one worker and 4.3-4.9 MiB on two, field set-up included.
     """
     return (np.dtype(sign_dtype(n)).itemsize << n) + 8 * 8 * POWER_BLOCK * _workers()
 
 
 def _memory_limit(cgroup: str = "/proc/self/cgroup", root: str = "/sys/fs/cgroup") -> int:
     """Bytes this process may use: the least of physical RAM (4 GiB where sysconf
-    cannot tell), the soft RLIMIT_AS and the memory limit of the process's cgroup
-    and of each cgroup above it: memory.max under cgroup v2, memory.limit_in_bytes
-    in the memory/ tree under v1."""
+    cannot tell), the soft RLIMIT_AS less the address space already mapped
+    (VmSize, where /proc/self/statm tells) and the stacks of _workers() - 1
+    threads, and the memory limit of the process's cgroup and of each cgroup
+    above it: memory.max under cgroup v2, memory.limit_in_bytes in the memory/
+    tree under v1."""
     try:
         limits = [os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")]
     except (AttributeError, ValueError, OSError):
         limits = [4 << 30]
-    if resource is not None:
-        soft = resource.getrlimit(resource.RLIMIT_AS)[0]
-        limits += [] if soft == resource.RLIM_INFINITY else [soft]
+    if resource is not None and (soft := resource.getrlimit(resource.RLIMIT_AS)[0]) != resource.RLIM_INFINITY:
+        # a thread's stack is RLIMIT_STACK, or 2 MiB when that is unlimited (glibc,
+        # x86-64); a worker's malloc arena needs no room: glibc falls back on one it has
+        stack = threading.stack_size() or resource.getrlimit(resource.RLIMIT_STACK)[0]
+        stack = 2 << 20 if stack == resource.RLIM_INFINITY else stack
+        try:  # about 140 MiB after import kspectra.cli
+            with open("/proc/self/statm") as fh:
+                mapped = int(fh.read().split()[0]) * os.sysconf("SC_PAGE_SIZE")
+        except (OSError, ValueError):
+            mapped = 0
+        limits.append(soft - mapped - (_workers() - 1) * stack)
     try:
         with open(cgroup) as fh:  # lines id:controllers:/path; the v2 line is 0::/path
             lines = [line.rstrip("\n").split(":", 2) for line in fh if line.count(":") >= 2]
@@ -368,12 +380,12 @@ def _kloosterman_transform(ctx: FieldCtx) -> np.ndarray:
     cover every nonzero slot exactly when j -> g^j is onto, which the
     signs.all() check enforces before the transform.  The signs are int8 in
     the last bytes of the result w, which must start zero-filled: a slot no
-    write reached then reads 0 and fails that check.  Workers write disjoint
-    slots, so the result does not depend on how many ran.
+    write reached then reads 0 and fails that check.  The rest of w is
+    scratch for the scatter's keys until the butterfly overwrites it.
+    Workers write disjoint slots, so the result does not depend on how many ran.
     """
     w = np.zeros(ctx.size, dtype=sign_dtype(ctx.n))
-    signs = w.view(np.int8)[(w.itemsize - 1) * ctx.size:]
-    _scatter_signs(ctx, signs)
+    signs = _scatter_signs(ctx, w)
     signs[0] = 1  # x = 0 contributes (-1)^Tr(0)
     if not signs.all():
         raise AssertionError("the powers of the generator missed a nonzero element")
@@ -382,25 +394,68 @@ def _kloosterman_transform(ctx: FieldCtx) -> np.ndarray:
     return w
 
 
-def _scatter_signs(ctx: FieldCtx, signs: np.ndarray) -> None:
-    """signs[G*x] = (-1)^Tr(x^-1) for x != 0 on _workers() threads, at most one
-    per block of power_blocks.  Their buffers come from this thread (a worker
-    thread's allocations stay in its malloc arena) and go on return."""
+#: sorted keys reach the signs this many at a time, through an intp buffer
+#: per worker (numpy scatters faster by intp).  At n = 24 on two workers VmHWM
+#: grew 4.3 MiB beyond the result with 2^13, 5.1-5.2 MiB with 2^16, 4.2 with 2^11
+_FLUSH = 1 << 13
+
+
+def _scatter_signs(ctx: FieldCtx, w: np.ndarray) -> np.ndarray:
+    """Write signs[G*x] = (-1)^Tr(x^-1) for x != 0 into the int8 signs in the
+    last bytes of w, signs = w.view(np.int8)[(w.itemsize - 1) * 2^n:], and
+    return them.  Runs on _workers() threads, at most one per block of
+    power_blocks.
+
+    A random write per element into a 2^n array misses the cache from about
+    n = 21 on (one thread, 2^24 int8 writes: 22-26 ns each into 16 MiB, 3-4 ns
+    into 256 KiB).  So each worker packs the key Tr(x^-1) << n | G*x of each x
+    into its share of w's first (itemsize - 1) * 2^n bytes, which nothing reads
+    before the butterfly overwrites them.  When the share is full, and at the
+    end, it sorts the keys in place and writes the +1 run, then the -1 run, in
+    ascending slot order (3.4 ns a write).  Where a share cannot hold one
+    block pair of power_blocks (an int8 w, small n) each worker stages 2m keys
+    in a buffer of its own instead.  Every buffer comes from this thread (a
+    worker thread's allocations stay in its malloc arena) and goes on return.
+    """
     ctx._generator(), ctx._mul_image_tables(True)  # memo tables: built here, read by the workers
-    m = min(POWER_BLOCK, ctx.size // 2)
-    parts = min(_workers(), ctx.size // 2 // m)
-    blocks = np.empty((parts, 5, m), dtype=elem_dtype(ctx.n))
-    slots = np.empty((parts, m), dtype=np.intp)  # numpy scatters faster by intp
-    vals = np.empty((parts, m), dtype=np.int8)
+    n, size = ctx.n, ctx.size
+    m = min(POWER_BLOCK, size // 2)
+    parts = min(_workers(), size // 2 // m)
+    key = np.dtype(elem_dtype(n))  # holds 2^(n+1) - 1 for every n <= 32
+    share = (w.itemsize - 1) * size // key.itemsize // parts // (2 * m) * (2 * m)
+    if share:
+        stage = w.view(np.uint8)[:parts * share * key.itemsize].view(key).reshape(parts, share)
+    else:
+        stage = np.empty((parts, 2 * m), dtype=key)
+    blocks = np.empty((parts, 5, m), dtype=key)
+    slots = np.empty((parts, _FLUSH), dtype=np.intp)  # numpy scatters faster by intp
+    signs = w.view(np.int8)[(w.itemsize - 1) * size:]
+
+    def flush(p, keys):
+        keys.sort()
+        neg = int(keys.searchsorted(key.type(size)))  # first Tr(x^-1) = 1; a Python int would copy keys
+        for lo, hi, sign in ((0, neg, 1), (neg, keys.size, -1)):
+            for s in range(lo, hi, _FLUSH):
+                idx = slots[p, :min(_FLUSH, hi - s)]
+                np.bitwise_and(keys[s:s + idx.size], size - 1, out=idx)
+                signs[idx] = sign
 
     def scatter(p):
+        fill = 0
         for _, fwd, mir in ctx.power_blocks(True, p, parts, blocks[p]):
+            if fill == stage.shape[1]:
+                flush(p, stage[p])
+                fill = 0
             for slot, sign in ((fwd, mir), (mir, fwd)):  # a = 0 writes G*1 twice, alike
-                _PLUS_MINUS.take(np.bitwise_and(sign, 1, out=slots[p]), out=vals[p], mode="clip")
-                np.copyto(slots[p], slot)
-                signs[slots[p]] = vals[p]
+                keys = stage[p, fill:fill + m]
+                np.bitwise_and(sign, 1, out=keys)
+                keys <<= n
+                keys |= slot
+                fill += m
+        flush(p, stage[p, :fill])
 
     _run_all(scatter, parts)
+    return signs
 
 
 def _validate_kloosterman(spec: Spectrum) -> None:

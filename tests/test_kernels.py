@@ -5,6 +5,7 @@ permutation kernels (adjoint tables, sentinel-log products, first collision,
 the kernel-overlap witness, the rank-and-probe fast check, the direct
 route's prefix plan and its table stage) and the CSV block formatter."""
 
+import itertools
 import sys
 import tracemalloc
 from functools import lru_cache
@@ -288,6 +289,47 @@ def test_int8_spectrum_models_the_wraparound_of_the_int32_range(n):
     assert np.array_equal(w[fits], wide[fits])
     assert np.array_equal(w.view(np.uint8), wide & 255)
     assert fits.all() == (n < 12)
+
+
+@pytest.mark.parametrize("n", range(2, 21))
+def test_staged_scatter_matches_the_table_oracle(n):
+    # the oracle reads the field's tables: signs[G*x] = (-1)^Tr(x^-1).  The
+    # keys are staged in w's first (itemsize - 1) * 2^n bytes when a worker's
+    # share holds a block pair of power_blocks, else in a buffer of their own;
+    # the blocks of 2^(n-5) powers and the default 2^16 make the share hold
+    # 0, 1 and up to 12 pairs, and on 3 workers or in int32 the last flush of
+    # a share is partial.  A thread switch every microsecond on 3 workers
+    # would show a worker writing into another's share
+    ctx = _field(n)
+    want = np.zeros(ctx.size, dtype=np.int8)
+    want[ctx.dualenc_table()] = 1 - 2 * ctx.trace_table()[ctx.inverse_table()].astype(np.int8)
+    want[0] = 1
+    held = set()
+    for log_m in sorted({16, max(1, n - 5)}):
+        m = min(1 << log_m, ctx.size // 2)
+        for workers, dtype in itertools.product((1, 2, 3), (np.int8, np.int16, np.int32)):
+            parts = min(workers, ctx.size // 2 // m)
+            pairs = (np.dtype(dtype).itemsize - 1) * ctx.size // 4 // parts // (2 * m)
+            held.add(min(pairs, 2))
+            w = np.zeros(ctx.size, dtype=dtype)
+            switch = sys.getswitchinterval()
+            try:
+                sys.setswitchinterval(1e-6)
+                with pytest.MonkeyPatch.context() as mp:
+                    mp.setattr(spectra, "_workers", lambda: workers)
+                    mp.setattr(gf2n, "POWER_BLOCK", 1 << log_m)
+                    mp.setattr(spectra, "POWER_BLOCK", 1 << log_m)
+                    signs = spectra._scatter_signs(ctx, w)
+            finally:
+                sys.setswitchinterval(switch)
+            unused = (w.itemsize - 1) * ctx.size
+            assert signs.dtype == np.int8 and signs.size == ctx.size
+            assert signs.ctypes.data == w.ctypes.data + unused  # the last bytes of w
+            assert w.view(np.uint8)[:unused].any() == (pairs > 0)  # no key is 0: slot 0 is x = 0's
+            signs[0] = 1
+            assert np.array_equal(signs, want)
+    if n >= 6:
+        assert held == {0, 1, 2}
 
 
 @settings(max_examples=60, deadline=None)

@@ -40,7 +40,7 @@ from kspectra.permcheck import (
     search_counterexample,
     sweep_inverse_plus_linear,
 )
-from kspectra.spectra import SPECTRUM_CAP, Spectrum, TruthTable, kloosterman_spectrum
+from kspectra.spectra import SPECTRUM_CAP, Spectrum, TruthTable, kloosterman_spectrum, spectrum_bytes
 from kspectra.zerospace import zero_subspace_bound
 
 
@@ -480,6 +480,35 @@ def test_spectrum_n30_is_refused_by_the_cap_under_3_gib():
     run = _run_python("-c", _CLI_UNDER_3_GIB, "spectrum", "--n", "30", "--out", os.devnull)
     assert run.returncode == 2, run.stderr
     assert "memory cap" in run.stderr
+
+
+_CLI_LIMITED_PAST_THE_MAPPED = """
+import resource, sys
+import numpy
+with open("/proc/self/statm") as fh:
+    mapped = int(fh.read().split()[0]) * resource.getpagesize()
+hard = resource.getrlimit(resource.RLIMIT_AS)[1]
+resource.setrlimit(resource.RLIMIT_AS, (mapped + int(sys.argv[1]), hard))
+from kspectra.cli import main
+sys.exit(main(sys.argv[2:]))
+"""
+
+
+@pytest.mark.parametrize("extra_mib", [-1, 8, 16])
+def test_spectrum_near_the_address_space_left_runs_or_is_refused_by_the_cap(extra_mib):
+    # the address-space limit leaves the n = 22 estimate and extra_mib beyond
+    # what the interpreter had mapped after import numpy.  The cap counts that
+    # mapped space and a stack for each worker thread past the first: the run
+    # either ends (exit 0) or is refused by the cap, and 1 MiB short of the
+    # estimate it is refused; never a MemoryError, nor a thread that cannot start
+    pytest.importorskip("resource")
+    if not os.path.exists("/proc/self/statm"):
+        pytest.skip("VmSize needs /proc/self/statm")
+    room = spectrum_bytes(22) + (extra_mib << 20)
+    run = _run_python("-c", _CLI_LIMITED_PAST_THE_MAPPED, str(room), "spectrum", "--n", "22",
+                      "--out", os.devnull)
+    assert run.returncode in ((2,) if extra_mib < 0 else (0, 2)), run.stderr
+    assert run.returncode == 0 or "over the memory cap" in run.stderr
 
 
 _CLI_LIMITED_AFTER_IMPORT = """

@@ -342,6 +342,21 @@ def test_non_primitive_generator_fails_the_coverage_check_on_workers(monkeypatch
     assert threading.active_count() == threads
 
 
+def test_non_primitive_generator_fails_the_coverage_check_with_keys_staged_in_the_result(monkeypatch):
+    # at n = 22 each of 3 workers stages its keys in its share of the int16
+    # result's first 2^22 bytes (two block pairs of power_blocks), not in a
+    # buffer of its own as at n = 12 and 20 above
+    threads = threading.active_count()
+    monkeypatch.setattr(spectra, "_workers", lambda: 3)
+    assert (1 << 22) // 4 // 3 >= 2 * 2 * gf2n.POWER_BLOCK and sign_dtype(22) == np.int16
+    ctx = mk_field(22)
+    cube = ctx.pow(ctx._generator(), 3)  # order (2^22 - 1) / 3
+    monkeypatch.setattr(FieldCtx, "_generator", lambda self: cube)
+    with pytest.raises(AssertionError, match="missed a nonzero element"):
+        kloosterman_spectrum(mk_field(22))
+    assert threading.active_count() == threads
+
+
 _PEAK_SCRIPT = """
 import sys
 from kspectra import spectra
