@@ -2,7 +2,7 @@
 
 Exit codes: 0 success / all checks verified, 1 a verification found a
 violation, 2 usage error (bad arguments, input files, --out, or a request
-over a memory cap or out of memory), 3 nothing violated but some search was
+over the memory cap or out of memory), 3 nothing violated but some search was
 truncated (see the "inconclusive" entries), 4 internal error (an invariant of
 the computation failed).  Reports are deterministic
 for a fixed (range, seed) apart from wall-time fields.
@@ -120,22 +120,18 @@ def cmd_zeros(args) -> int:
     ctx = _ctx(args)
     zeros = sorted(kloosterman_zeros(ctx, include_trivial=args.include_zero))
     count = len(zeros)
-    ratio = count / 2 ** (ctx.n / 2)
     _emit(args, _json({
         "n": ctx.n,
         "zeros": [hex(z) for z in zeros],
         "count": count,
-        "ratio_to_2^{n/2}": round(ratio, 4),
+        "ratio_to_2^{n/2}": round(count / 2 ** (ctx.n / 2), 4),
     }))
     return 0
 
 
 def cmd_zerospace(args) -> int:
-    ctx = _ctx(args)
-    if args.set == "zeros":
-        rep = max_zero_subspace(ctx, node_budget=args.budget)
-    else:
-        rep = max_mod16_subspace(ctx, node_budget=args.budget)
+    search = max_zero_subspace if args.set == "zeros" else max_mod16_subspace
+    rep = search(_ctx(args), node_budget=args.budget)
     _emit(args, _json(rep.to_json()))
     return 0
 
@@ -317,6 +313,8 @@ def _check_weil_bound(args) -> dict:
 def _check_subfield_zeros(args) -> dict:
     violations = []
     for n in _span(args, 5, 20):
+        if n < 5:
+            raise ValueError("subfield-zeros needs n >= 5: K(1) = 0 at n = 4")
         ctx = mk_field(n)
         spec = kloosterman_spectrum(ctx)
         for d in range(1, n):
@@ -460,7 +458,7 @@ def main(argv=None) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except MemoryError as exc:  # an allocation past what the memory caps estimated
+    except MemoryError as exc:  # an allocation past what the memory estimates allowed for
         print(f"error: out of memory: {exc}", file=sys.stderr)
         return 2
     except AssertionError as exc:

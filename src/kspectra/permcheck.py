@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from functools import partial
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -28,7 +27,7 @@ from kspectra.gf2n import (TABLE_DEGREE, FieldCtx, elem_dtype, memo, spans, xor_
                            xor_table)
 from kspectra.linmap import (LinMap, adjoint, identity_map, kernel_dim, orthogonal_complement,
                              subspace_from_vectors)
-from kspectra.spectra import TruthTable, kloosterman_spectrum, memory_cap, spectrum_bytes
+from kspectra.spectra import TruthTable, kloosterman_spectrum, refuse_over_cap, spectrum_bytes
 from kspectra.zerospace import zero_subspace_bound
 
 #: fast-reject probe points: the first 8 nonzero field elements
@@ -41,7 +40,7 @@ _SEARCH_BATCH = 1 << 14
 #: elements (twice that at n = 32) beyond the spectrum, and whether it holds
 #: the spectrum too.  The VmHWM growth of a cold call at n = 18..24, rounded
 #: up; 8 MiB more covers worker buffers and the plan.  perm_spectral's probes
-#: read the spectrum alone, under its own cap.
+#: read the spectrum alone, under spectrum_bytes.
 _STAGE_BYTES = {
     "inverse table": (4.5, False),     # _prefix_plan
     "direct table": (29, False),       # compose_truth_table and _first_collision
@@ -57,14 +56,8 @@ def stage_bytes(stage: str, n: int) -> int:
     return tables + (spectrum_bytes(n) if holds_spectrum else 0) + (8 << 20)
 
 
-#: each stage refuses the degrees above its cap, where it would not fit in memory_cap's limit
-STAGE_CAPS = {stage: memory_cap(partial(stage_bytes, stage)) for stage in _STAGE_BYTES}
-
-
 def _refuse_over_cap(ctx: FieldCtx, stage: str) -> None:
-    if ctx.n > STAGE_CAPS[stage]:
-        raise ValueError(f"the {stage} for n={ctx.n} would exceed the memory cap "
-                         f"(n <= {STAGE_CAPS[stage]})")
+    refuse_over_cap(f"the {stage} for n={ctx.n}", stage_bytes(stage, ctx.n))
 
 
 @dataclass(frozen=True)

@@ -18,7 +18,7 @@ import numpy as np
 
 from kspectra.gf2n import FieldCtx, memo, nullspace_rows, rref, xor_combine
 from kspectra.linmap import SubspaceBasis, orthogonal_complement, subspace_from_vectors
-from kspectra.spectra import memory_cap
+from kspectra.spectra import refuse_over_cap
 
 HYPERBOLIC = "hyperbolic"
 PARABOLIC = "parabolic"
@@ -83,10 +83,6 @@ def qform_bytes(n: int) -> int:
     and 1 MiB; VmHWM grew 2^(n-1) + 0.01-0.07 MiB at n = 24..28, also with
     MALLOC_MMAP_THRESHOLD_=131072 (no table of q on the whole field is built)."""
     return (1 << (n - 1)) + (1 << 20)
-
-
-#: restrict_q_to_h refuses degrees above this one, whose table would not fit in memory_cap's limit
-QFORM_CAP = memory_cap(qform_bytes)
 
 
 @memo
@@ -239,8 +235,7 @@ def q_evaluator(ctx: FieldCtx):
 def restrict_q_to_h(ctx: FieldCtx) -> QuadFormRec:
     """The canonical object of study: q restricted to the trace-zero hyperplane,
     read from q_evaluator, so its table of 2^(n-1) entries is the only large one."""
-    if ctx.n > QFORM_CAP:
-        raise ValueError(f"q on H for n={ctx.n} is over the memory cap (n <= {QFORM_CAP})")
+    refuse_over_cap(f"q on H for n={ctx.n}", qform_bytes(ctx.n))
     return restrict(ctx, q_evaluator(ctx), hyperplane_H(ctx))
 
 

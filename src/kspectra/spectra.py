@@ -19,7 +19,7 @@ except ImportError:  # not on every platform
 
 import numpy as np
 
-from kspectra.gf2n import MAX_DEGREE, POWER_BLOCK, FieldCtx, elem_dtype, memo
+from kspectra.gf2n import POWER_BLOCK, FieldCtx, elem_dtype, memo
 
 
 def sign_dtype(n: int):
@@ -96,15 +96,16 @@ def _memory_limit(cgroup: str = "/proc/self/cgroup", root: str = "/sys/fs/cgroup
     return min(limits)
 
 
-def memory_cap(bytes_of) -> int:
-    """Largest degree n <= MAX_DEGREE whose estimated peak bytes_of(n) fits in
-    _memory_limit(), read once per cap; 0 when none does."""
-    limit = _memory_limit()
-    return max((n for n in range(1, MAX_DEGREE + 1) if bytes_of(n) <= limit), default=0)
+#: the bytes every 2^n stage may use, read once at import (about 140 MiB is
+#: mapped by then, whichever of the modules is imported first)
+MEMORY_LIMIT = _memory_limit()
 
 
-#: full spectra above this degree would not fit in memory_cap's limit
-SPECTRUM_CAP = memory_cap(spectrum_bytes)
+def refuse_over_cap(what: str, need: int) -> None:
+    """Raise ValueError when a stage's estimated peak need exceeds MEMORY_LIMIT."""
+    if need > MEMORY_LIMIT:
+        raise ValueError(f"{what} needs about {need:,} bytes, over the memory cap of {MEMORY_LIMIT:,}")
+
 
 #: CSV export converts and writes this many rows at a time
 CSV_CHUNK = 1 << 16
@@ -226,8 +227,10 @@ _NARROW_STOP = 1 << 14
 
 def _run_all(task, parts: int) -> None:
     """task(p) for p < parts, p = 0 on this thread and the others on threads of
-    their own; joins them all, then re-raises the first exception raised."""
-    errors = []
+    their own; a part whose thread cannot start (RuntimeError, as when the
+    address space is short) runs on this thread after part 0.  Joins every
+    started thread, then re-raises the first exception raised."""
+    errors, here, threads = [], [0], []
 
     def guarded(p):
         try:
@@ -235,10 +238,16 @@ def _run_all(task, parts: int) -> None:
         except BaseException as exc:
             errors.append(exc)
 
-    threads = [threading.Thread(target=guarded, args=(p,)) for p in range(1, parts)]
-    for t in threads:
-        t.start()
-    guarded(0)
+    for p in range(1, parts):
+        t = threading.Thread(target=guarded, args=(p,))
+        try:
+            t.start()
+        except RuntimeError:
+            here.append(p)
+        else:
+            threads.append(t)
+    for p in here:
+        guarded(p)
     for t in threads:
         t.join()
     if errors:
@@ -357,14 +366,12 @@ def kloosterman_spectrum(ctx: FieldCtx) -> Spectrum:
     """All Kloosterman sums, O(n*2^n) time and O(2^n) space, one memo table of ctx.
 
     Like every memo table it lives as long as ctx: for the contexts that
-    mk_field shares (n <= TABLE_DEGREE) that is the process.  Above
-    SPECTRUM_CAP the build raises ValueError and nothing is cached.
+    mk_field shares (n <= TABLE_DEGREE) that is the process.  Where
+    spectrum_bytes(n) exceeds MEMORY_LIMIT the build raises ValueError and
+    nothing is cached.
     """
-    if ctx.n > SPECTRUM_CAP:
-        raise ValueError(
-            f"full spectrum for n={ctx.n} is over the memory cap (n <= {SPECTRUM_CAP}; it needs "
-            f"about {spectrum_bytes(ctx.n):,} bytes); evaluate kloosterman() pointwise instead"
-        )
+    refuse_over_cap(f"the full spectrum for n={ctx.n} (evaluate kloosterman() pointwise instead)",
+                    spectrum_bytes(ctx.n))
     spec = Spectrum(ctx.n, "kloosterman", _kloosterman_transform(ctx))
     _validate_kloosterman(spec)
     return spec

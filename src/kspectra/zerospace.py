@@ -18,7 +18,7 @@ import numpy as np
 from kspectra.gf2n import POWER_BLOCK, FieldCtx
 from kspectra.linmap import SubspaceBasis, canonical_search, orthogonal_complement, subspace_from_vectors
 from kspectra.quadform import q_table
-from kspectra.spectra import kloosterman_spectrum, kloosterman_zeros, memory_cap
+from kspectra.spectra import kloosterman_spectrum, kloosterman_zeros, refuse_over_cap
 
 
 def zero_subspace_bound(n: int) -> int:
@@ -62,17 +62,12 @@ def mod16_bytes(n: int) -> int:
     return (3 << n) + (1 << 20)
 
 
-#: mod16_members refuses degrees above this one, whose tables would not fit in memory_cap's limit
-MOD16_CAP = memory_cap(mod16_bytes)
-
-
 def mod16_members(ctx: FieldCtx) -> np.ndarray:
     """The elements with Tr = 0 and q = 0 in increasing order, as uint32: the
     members are counted, then written, one POWER_BLOCK of the tables at a time."""
     if ctx.n < 4:
         raise ValueError("mod16 characterization needs n >= 4")
-    if ctx.n > MOD16_CAP:
-        raise ValueError(f"mod16 set for n={ctx.n} is over the memory cap (n <= {MOD16_CAP})")
+    refuse_over_cap(f"the mod16 set for n={ctx.n}", mod16_bytes(ctx.n))
     qt = q_table(ctx)
     tr = ctx.trace_table()
     starts = range(0, ctx.size, POWER_BLOCK)

@@ -213,6 +213,16 @@ def test_out_write_error_is_a_usage_error(capsys):
     assert err.startswith("error: cannot write --out: ")
 
 
+@pytest.mark.parametrize("theorem", ["subfield-zeros", "zero-subspace-bound", "mod16-sharpness",
+                                     "perm-search"])
+def test_degree_below_the_statement_is_a_usage_error(capsys, theorem):
+    # the statements hold from n = 5 on; at n = 4, K(1) = 0 puts a zero in F_2
+    code = main(["verify", "--theorem", theorem, "--from", "4", "--to", "5"])
+    out, err = capsys.readouterr()
+    assert code == 2 and out == ""
+    assert "n >= 5" in err
+
+
 def test_zero_subspace_bound_violation_is_observable(capsys, monkeypatch):
     # at n = 5..7 the bound is attained, so a bound lowered by one must be exceeded
     from kspectra import cli, zerospace

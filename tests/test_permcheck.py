@@ -7,7 +7,7 @@ import subprocess
 import sys
 import tracemalloc
 from contextlib import contextmanager
-from functools import lru_cache
+from functools import lru_cache, partial
 
 import numpy as np
 import pytest
@@ -15,7 +15,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import kspectra
-from kspectra import permcheck
+from kspectra import permcheck, spectra
 from kspectra.gf2n import mk_field, xor_combine
 from kspectra.linmap import (
     LinMap,
@@ -40,8 +40,9 @@ from kspectra.permcheck import (
     search_counterexample,
     sweep_inverse_plus_linear,
 )
-from kspectra.spectra import SPECTRUM_CAP, Spectrum, TruthTable, kloosterman_spectrum, spectrum_bytes
-from kspectra.zerospace import zero_subspace_bound
+from kspectra.quadform import qform_bytes, restrict_q_to_h
+from kspectra.spectra import Spectrum, TruthTable, kloosterman_spectrum, spectrum_bytes
+from kspectra.zerospace import mod16_bytes, mod16_members, zero_subspace_bound
 
 
 def test_is_permutation_basics():
@@ -394,11 +395,12 @@ def test_report_json():
     assert j == {"is_perm": False, "witness": {"kind": "spectral_b", "args": ["0x3"]}, "method": "spectral"}
 
 
-# Each stage of the routes is called with its cap set below n = 17, where
-# mk_field shares no field, so nothing is cached yet: the first call of each
-# case must complete under that cap (it needs only other stages) and build
-# whatever the second call would find cached; the second call must then be
-# refused before allocating one byte per field element.
+# Each 2^n stage is called with MEMORY_LIMIT set to its estimate at n = 16,
+# at n = 17, where mk_field shares no field, so nothing is cached yet: the
+# first call of each case must complete under that limit (it needs only
+# stages of smaller estimates) and build whatever the second call would find
+# cached; the second call must then be refused before allocating one byte per
+# field element.  Each case: (allowed call or None, refused call).
 _I, _0 = identity_map(17), zero_map(17)
 _CAP_CASES = {
     "inverse table": (None, lambda ctx: perm_direct(ctx, _I, _0)),
@@ -407,25 +409,39 @@ _CAP_CASES = {
     "spectral tables": (lambda ctx: perm_spectral(ctx, _I, _I),  # decided by a probe
                         lambda ctx: perm_spectral(ctx, _I, _0)),  # every probe passes
     "search": (None, lambda ctx: search_counterexample(ctx, "random", budget=10)),
+    "full spectrum": (restrict_q_to_h, kloosterman_spectrum),
+    "mod16 set": (restrict_q_to_h, mod16_members),
+    "q on H": (None, restrict_q_to_h),
 }
+_ESTIMATES = {"full spectrum": spectrum_bytes, "mod16 set": mod16_bytes, "q on H": qform_bytes}
+_ESTIMATES.update({stage: partial(permcheck.stage_bytes, stage) for stage in permcheck._STAGE_BYTES})
 
 
 @pytest.mark.parametrize("stage", sorted(_CAP_CASES))
 def test_route_stage_over_its_memory_cap_is_refused_before_any_table(stage, monkeypatch):
-    assert sorted(_CAP_CASES) == sorted(permcheck.STAGE_CAPS)
+    assert sorted(_CAP_CASES) == sorted(_ESTIMATES)
     allowed, refused = _CAP_CASES[stage]
-    monkeypatch.setitem(permcheck.STAGE_CAPS, stage, 16)
+    need = _ESTIMATES[stage]
+    monkeypatch.setattr(spectra, "MEMORY_LIMIT", need(16))
     ctx = mk_field(17)
     if allowed is not None:
         allowed(ctx)
     tracemalloc.start()
     try:
-        with pytest.raises(ValueError, match=f"{stage} for n=17 would exceed the memory cap"):
+        with pytest.raises(ValueError, match=f"{stage} for n=17.* needs about {need(17):,} bytes, "
+                                             f"over the memory cap of {need(16):,}$"):
             refused(ctx)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert peak < ctx.size
+
+
+@pytest.mark.parametrize("stage", sorted(_ESTIMATES))
+def test_memory_cap_estimate_never_falls_as_n_grows(stage):
+    # so "estimate > MEMORY_LIMIT" refuses exactly the degrees above the largest that fits
+    need = [_ESTIMATES[stage](n) for n in range(2, 33)]
+    assert need == sorted(need)
 
 
 def _run_python(*args):
@@ -475,11 +491,37 @@ def test_permcheck_n32_kernel_overlap_needs_no_table_under_3_gib():
 
 
 def test_spectrum_n30_is_refused_by_the_cap_under_3_gib():
-    # the caps read the soft RLIMIT_AS: 4 GiB of n = 30 is refused before allocating
+    # the memory limit reads the soft RLIMIT_AS: 4 GiB of n = 30 is refused before allocating
     pytest.importorskip("resource")
     run = _run_python("-c", _CLI_UNDER_3_GIB, "spectrum", "--n", "30", "--out", os.devnull)
     assert run.returncode == 2, run.stderr
     assert "memory cap" in run.stderr
+
+
+_COUNT_LIMIT_READS = """
+import sys
+reads = []
+sys.setprofile(lambda frame, event, arg: event == "call" and frame.f_code.co_name == "_memory_limit"
+               and reads.append(frame))
+import kspectra.cli
+from kspectra import permcheck, quadform, spectra, zerospace
+from kspectra.gf2n import mk_field
+from kspectra.linmap import identity_map, zero_map
+ctx = mk_field(8)
+I, Z = identity_map(8), zero_map(8)
+spectra.kloosterman_spectrum(ctx), quadform.restrict_q_to_h(ctx), zerospace.mod16_members(ctx)
+permcheck.perm_direct(ctx, I, Z), permcheck.perm_spectral(ctx, I, Z)
+permcheck.search_counterexample(ctx, "random", budget=10)
+sys.setprofile(None)
+print(len(reads))
+"""
+
+
+def test_memory_limit_is_read_once_per_process():
+    # every stage's refusal compares its estimate with the MEMORY_LIMIT read at import
+    run = _run_python("-c", _COUNT_LIMIT_READS)
+    assert run.returncode == 0, run.stderr
+    assert run.stdout.split() == ["1"]
 
 
 _CLI_LIMITED_PAST_THE_MAPPED = """
@@ -520,11 +562,11 @@ sys.exit(main(sys.argv[1:]))
 
 
 def test_memory_error_is_a_usage_error_under_3_gib():
-    # the caps are read at import, before this limit is set, so only the
+    # the memory limit is read at import, before this limit is set, so only the
     # address-space limit stops the 4 GiB array of n = 30
     pytest.importorskip("resource")
-    if SPECTRUM_CAP < 30:
-        pytest.skip("the spectrum cap refuses n = 30 on this machine")
+    if spectrum_bytes(30) > spectra.MEMORY_LIMIT:
+        pytest.skip("the memory cap refuses the n = 30 spectrum on this machine")
     run = _run_python("-c", _CLI_LIMITED_AFTER_IMPORT, "spectrum", "--n", "30", "--out", os.devnull)
     assert run.returncode == 2, run.stderr
     assert run.stderr.startswith("error: out of memory: ")
@@ -558,7 +600,7 @@ print(hwm() - before, permcheck.stage_bytes(stage, n))
 """
 
 
-@pytest.mark.parametrize("stage", sorted(_CAP_CASES))
+@pytest.mark.parametrize("stage", sorted(permcheck._STAGE_BYTES))
 def test_route_stage_peak_memory_follows_stage_bytes(stage):
     if not os.path.exists("/proc/self/status"):
         pytest.skip("VmHWM needs /proc/self/status")

@@ -12,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import kspectra
-from kspectra import quadform, zerospace
+from kspectra import spectra
 from kspectra.cli import main
 from kspectra.gf2n import TABLE_DEGREE, mk_field, xor_combine
 from kspectra.linmap import subspace_from_vectors
@@ -32,10 +32,11 @@ from kspectra.quadform import (
     q_eval,
     q_evaluator,
     q_table,
+    qform_bytes,
     restrict,
     restrict_q_to_h,
 )
-from kspectra.zerospace import mod16_members
+from kspectra.zerospace import mod16_bytes, mod16_members
 
 #: sha256 of q_table(mk_field(n)).tobytes() for n = 2..24 (default polynomials),
 #: captured while the basis values came from the definitional q_eval
@@ -192,20 +193,21 @@ def test_restriction_never_holds_a_table_of_the_field():
 
 
 def test_q_table_above_memory_cap_is_refused(monkeypatch, capsys, fresh_fields):
-    # the restriction and the mod-16 set have caps of their own
-    monkeypatch.setattr(quadform, "QFORM_CAP", 10)
-    assert main(["qform", "--n", "11"]) == 2
-    assert "memory cap" in capsys.readouterr().err
-    assert main(["zerospace", "--n", "11", "--set", "mod16"]) == 0
-    capsys.readouterr()
-    monkeypatch.setattr(zerospace, "MOD16_CAP", 10)
-    assert main(["zerospace", "--n", "11", "--set", "mod16"]) == 2
-    assert "memory cap" in capsys.readouterr().err
+    # the restriction and the mod-16 set are each refused by their own
+    # estimate; the mod-16 set needs more than q on H at every n
+    monkeypatch.setattr(spectra, "MEMORY_LIMIT", qform_bytes(11))
+    assert main(["qform", "--n", "11"]) == 0
+    for argv in (["qform", "--n", "12"], ["zerospace", "--n", "11", "--set", "mod16"]):
+        capsys.readouterr()
+        assert main(argv) == 2
+        assert "over the memory cap" in capsys.readouterr().err
     ctx = mk_field(12)
     for refused in (restrict_q_to_h, mod16_members):
         with pytest.raises(ValueError, match="memory cap"):
             refused(ctx)
     assert "q_table" not in ctx._cache and "_q_polar" not in ctx._cache  # a refused call builds nothing
+    monkeypatch.setattr(spectra, "MEMORY_LIMIT", mod16_bytes(11))
+    assert main(["zerospace", "--n", "11", "--set", "mod16"]) == 0
 
 
 _PEAK_SCRIPT = """

@@ -26,7 +26,6 @@ from kspectra.gf2n import (
 from kspectra.linmap import random_map, random_subspace
 from kspectra.permcheck import perm_spectral, search_counterexample
 from kspectra.spectra import (
-    SPECTRUM_CAP,
     Spectrum,
     TruthTable,
     _memory_limit,
@@ -36,6 +35,7 @@ from kspectra.spectra import (
     kloosterman_spectrum,
     kloosterman_zeros,
     sign_dtype,
+    spectrum_bytes,
     walsh,
     walsh_row,
 )
@@ -185,7 +185,7 @@ def test_kloosterman_zeros_n10_count():
 def test_spectrum_cap_error(monkeypatch):
     # n = 17: mk_field shares no field above TABLE_DEGREE, so no spectrum is cached yet
     ctx = mk_field(17)
-    monkeypatch.setattr(spectra, "SPECTRUM_CAP", 16)
+    monkeypatch.setattr(spectra, "MEMORY_LIMIT", spectrum_bytes(16))
     with pytest.raises(ValueError, match="pointwise"):
         kloosterman_spectrum(ctx)
     assert "kloosterman_spectrum" not in ctx._cache  # a refused build caches nothing
@@ -225,7 +225,7 @@ def test_memory_limit_reads_cgroup_v1_memory_limit_in_bytes(tmp_path):
 
 
 def test_spectrum_above_memory_cap_is_refused_before_any_table():
-    assert SPECTRUM_CAP < 32  # 2^32 entries need about 132 GiB
+    assert spectrum_bytes(32) > spectra.MEMORY_LIMIT  # 2^32 entries need about 16 GiB
     ctx = mk_field(32)
     with pytest.raises(ValueError, match="memory cap"):
         kloosterman_spectrum(ctx)
@@ -306,6 +306,29 @@ def test_spectrum_is_the_same_on_any_number_of_workers(n, monkeypatch):
         monkeypatch.setattr(spectra, "_workers", lambda: workers)
         built.append(kloosterman_spectrum(mk_field(n)).data)
     assert built[0].tobytes() == built[1].tobytes()
+    assert threading.active_count() == threads
+
+
+def test_a_thread_that_cannot_start_leaves_its_part_to_the_caller(monkeypatch):
+    # past its first call Thread.start fails as it does when the address space
+    # is short: one worker of the scatter starts, the other parts of the
+    # scatter, the fwht blocks and the panels run on this thread, and the
+    # result is unchanged
+    threads = threading.active_count()
+    start, calls = threading.Thread.start, []
+
+    def start_once(self):
+        calls.append(self)
+        if len(calls) > 1:
+            raise RuntimeError("can't start new thread")
+        start(self)
+
+    monkeypatch.setattr(spectra, "_workers", lambda: 3)
+    monkeypatch.setattr(threading.Thread, "start", start_once)
+    data = kloosterman_spectrum(mk_field(20)).data
+    monkeypatch.undo()
+    assert len(calls) == 6  # two workers in each of the scatter, the fwht blocks and the panels
+    assert hashlib.sha256(data.astype("<i8").tobytes()).hexdigest() == SPECTRUM_SHA256[20]
     assert threading.active_count() == threads
 
 
