@@ -302,6 +302,22 @@ def xor_apply(images, arr: np.ndarray, out=None) -> np.ndarray:
     return res
 
 
+def form_table(m: int, fvals, bmat, width: int = 1) -> np.ndarray:
+    """Truth table of a form over coordinate masks, in place, by polarization doubling:
+    f(c + e_i) = f(c) + f(e_i) + B(c, e_i) for c below bit i.  Values are width bits
+    wide (the narrowest unsigned dtype); B(e_j, e_i) is bits width*j.. of bmat[i],
+    read for j < i only."""
+    mask = (1 << width) - 1
+    ev = np.zeros(1 << m, dtype=np.min_scalar_type(mask))
+    for i in range(m):
+        h = 1 << i
+        ev[h] = fvals[i]
+        for j in range(i):  # the linear part f(e_i) + B(., e_i), doubled over bits j < i
+            np.bitwise_xor(ev[h:h + (1 << j)], (bmat[i] >> width * j) & mask, out=ev[h + (1 << j):h + (2 << j)])
+        ev[h:2 * h] ^= ev[:h]
+    return ev
+
+
 def _byte_tables(images) -> list[list[int]]:
     """ceil(k/8) lists of 256 entries for the F_2-linear map with these k
     basis images: table j holds xor_combine(images[8j:8j + 8], m) for every m."""

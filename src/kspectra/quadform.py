@@ -3,7 +3,7 @@
 The form q(x) = sum_{0<=i<j<n} x^(2^i+2^j) takes values in F_2 (it is the
 x^(n-2) coefficient of the characteristic polynomial) and polarizes to
 B(x,y) = Tr(xy) + Tr(x)Tr(y).  q and its restrictions to subspaces are
-tabulated in place by one xor-doubling pass (_form_table) driven by basis
+tabulated in place by one xor-doubling pass (gf2n.form_table) driven by basis
 values and the polarization; restrictions are classified by zero counting.
 The restriction to the trace-zero hyperplane reads q pointwise (q_evaluator),
 so it builds no table of q on the whole field.
@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from kspectra.gf2n import FieldCtx, memo, nullspace_rows, rref, xor_combine
+from kspectra.gf2n import FieldCtx, form_table, memo, nullspace_rows, rref, xor_combine
 from kspectra.linmap import SubspaceBasis, orthogonal_complement, subspace_from_vectors
 from kspectra.spectra import refuse_over_cap
 
@@ -97,7 +97,7 @@ def _q_polar(ctx: FieldCtx) -> tuple[tuple[int, ...], tuple[int, ...]]:
 @memo
 def q_table(ctx: FieldCtx) -> np.ndarray:
     """q on the whole field as uint8, by the polarization doubling pass from _q_polar."""
-    return _form_table(ctx.n, *_q_polar(ctx))
+    return form_table(ctx.n, *_q_polar(ctx))
 
 
 def hyperplane_H(ctx: FieldCtx) -> SubspaceBasis:
@@ -120,19 +120,6 @@ class QuadFormRec:
     @property
     def m(self) -> int:
         return len(self.basis)
-
-
-def _form_table(m: int, fvals, bmat) -> np.ndarray:
-    """Truth table of a form over coordinate masks, in place, by polarization doubling:
-    f(c + e_i) = f(c) + f(e_i) + B(c, e_i) for c below bit i; bmat[i] is read below bit i."""
-    ev = np.zeros(1 << m, dtype=np.uint8)
-    for i in range(m):
-        h = 1 << i
-        ev[h] = fvals[i]
-        for j in range(i):  # the linear part f(e_i) + B(., e_i), doubled over bits j < i
-            np.bitwise_xor(ev[h:h + (1 << j)], (bmat[i] >> j) & 1, out=ev[h + (1 << j):h + (2 << j)])
-        ev[h:2 * h] ^= ev[:h]
-    return ev
 
 
 def _radical_coords(m: int, bmat, ev) -> tuple[int, ...]:
@@ -191,7 +178,7 @@ def restrict(ctx: FieldCtx, f, S: SubspaceBasis) -> QuadFormRec:
             b = (fvals[i] ^ fvals[j] ^ int(f(basis[i] ^ basis[j]))) & 1
             bmat[i] |= b << j
             bmat[j] |= b << i
-    ev = _form_table(m, fvals, bmat)
+    ev = form_table(m, fvals, bmat)
     _validate_form(f, basis, ev, m)
     rad = _radical_coords(m, bmat, ev)
     nzeros = (1 << m) - int(np.count_nonzero(ev))

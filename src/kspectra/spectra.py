@@ -2,7 +2,10 @@
 
 The fast paths place each sign (-1)^Tr(f(x)) at the dual-basis coordinates
 G*x of x and run a Walsh-Hadamard butterfly.  Since Tr(b*x) = parity(b & G*x),
-the output is already indexed by the encoding of b: no gather follows.
+the output is already indexed by the encoding of b: no gather follows.  The
+Kloosterman signs (-1)^Tr(x^-1) come from a walk of the powers of a generator
+for odd n and n = 2, and for even n >= 4 from one pass through the dual-basis
+coordinates in order, through tables of the half field F_2^(n/2).
 Direct summation variants are kept as slow, independent oracles.
 """
 from __future__ import annotations
@@ -19,7 +22,8 @@ except ImportError:  # not on every platform
 
 import numpy as np
 
-from kspectra.gf2n import POWER_BLOCK, FieldCtx, elem_dtype, memo
+from kspectra.gf2n import (POWER_BLOCK, FieldCtx, elem_dtype, form_table, is_irreducible, mat_inverse_rows, memo,
+                           mk_field, xor_combine, xor_table)
 
 
 def sign_dtype(n: int):
@@ -43,14 +47,17 @@ def spectrum_bytes(n: int) -> int:
 
     The result array is the only 2^n allocation: 2 bytes per entry for
     n <= 27 and 4 above (see sign_dtype); the int8 signs live in its last
-    bytes and the scatter's keys in the others.  Next to it live
+    bytes and, for odd n, the scatter's keys in the others.  Next to it live
     O(POWER_BLOCK) arrays per worker (_workers()), counted as eight of 8-byte
     entries, 4 MiB: in the walk of the powers the blocks of power_blocks
     (1.25 MiB), _FLUSH intp slots and, where the keys do not fit in the
-    result, a stage of 2 * POWER_BLOCK keys (0.5 MiB); in the butterfly, two
-    int16 blocks of _FWHT_BLOCK entries (1 MiB), then a share of _FWHT_BLOCK
-    panel entries.  Beyond the result, VmHWM grew 2.5-2.9 MiB at n = 18..24
-    on one worker and 4.3-4.9 MiB on two, field set-up included.
+    result, a stage of 2 * POWER_BLOCK keys (0.5 MiB); in the half-field route
+    three uint16 chunks of POWER_BLOCK entries (0.375 MiB) and the intp copy
+    numpy makes of a take's indices (0.5 MiB), beside the n - 16 rows of
+    flips the workers share (2 MiB at n = 32); in the butterfly, two int16
+    blocks of _FWHT_BLOCK entries (1 MiB), then a share of _FWHT_BLOCK panel
+    entries.  Beyond the result, VmHWM grew 2.2-2.4 MiB at n = 18..24 on one
+    worker and 2.9-4.9 MiB on two, field set-up included.
     """
     return (np.dtype(sign_dtype(n)).itemsize << n) + 8 * 8 * POWER_BLOCK * _workers()
 
@@ -378,21 +385,24 @@ def kloosterman_spectrum(ctx: FieldCtx) -> Spectrum:
 
 
 def _kloosterman_transform(ctx: FieldCtx) -> np.ndarray:
-    """K(b) for every b, entry enc(b), from one scatter in dual-basis coordinates.
+    """K(b) for every b, entry enc(b), from the signs in dual-basis coordinates.
 
-    With y_j = G*g^j (power_blocks), x = g^j has sign (-1)^Tr(x^-1) =
-    1 - 2*(y_-j & 1), because Tr(z) = Tr(z*1) is bit 0 of G*z; it goes to
-    slot y_j, so the butterfly output at b is sum_x (-1)^(Tr(x^-1) + Tr(b*x)).
-    Each block pair writes both x = g^j and x = g^-j.  The 2^n - 1 writes
-    cover every nonzero slot exactly when j -> g^j is onto, which the
-    signs.all() check enforces before the transform.  The signs are int8 in
-    the last bytes of the result w, which must start zero-filled: a slot no
-    write reached then reads 0 and fails that check.  The rest of w is
-    scratch for the scatter's keys until the butterfly overwrites it.
-    Workers write disjoint slots, so the result does not depend on how many ran.
+    The sign (-1)^Tr(x^-1) of x goes to slot G*x, so the butterfly output at b
+    is sum_x (-1)^(Tr(x^-1) + Tr(b*x)).  Even n >= 4 take _half_field_signs,
+    which writes every slot in order; odd n and n = 2, which have no half
+    field, take _scatter_signs, the walk of the powers of a generator.  There,
+    with y_j = G*g^j (power_blocks), x = g^j has sign 1 - 2*(y_-j & 1),
+    because Tr(z) = Tr(z*1) is bit 0 of G*z; each block pair writes both x =
+    g^j and x = g^-j.  The walk's 2^n - 1 writes cover every nonzero slot
+    exactly when j -> g^j is onto, which the signs.all() check enforces before
+    the transform.  The signs are int8 in the last bytes of the result w,
+    which starts zero-filled: a slot the walk did not reach then reads 0 and
+    fails that check.  The rest of w is scratch for the walk's keys until the
+    butterfly overwrites it.  Workers write disjoint slots, so the result
+    does not depend on how many ran.
     """
     w = np.zeros(ctx.size, dtype=sign_dtype(ctx.n))
-    signs = _scatter_signs(ctx, w)
+    signs = (_half_field_signs if ctx.n % 2 == 0 and ctx.n >= 4 else _scatter_signs)(ctx, w)
     signs[0] = 1  # x = 0 contributes (-1)^Tr(0)
     if not signs.all():
         raise AssertionError("the powers of the generator missed a nonzero element")
@@ -410,8 +420,8 @@ _FLUSH = 1 << 13
 def _scatter_signs(ctx: FieldCtx, w: np.ndarray) -> np.ndarray:
     """Write signs[G*x] = (-1)^Tr(x^-1) for x != 0 into the int8 signs in the
     last bytes of w, signs = w.view(np.int8)[(w.itemsize - 1) * 2^n:], and
-    return them.  Runs on _workers() threads, at most one per block of
-    power_blocks.
+    return them: the route of odd n and n = 2.  Runs on _workers() threads, at
+    most one per block of power_blocks.
 
     A random write per element into a 2^n array misses the cache from about
     n = 21 on (one thread, 2^24 int8 writes: 22-26 ns each into 16 MiB, 3-4 ns
@@ -465,15 +475,122 @@ def _scatter_signs(ctx: FieldCtx, w: np.ndarray) -> np.ndarray:
     return signs
 
 
+def _half_field_signs(ctx: FieldCtx, w: np.ndarray) -> np.ndarray:
+    """Write signs[G*x] = (-1)^Tr(x^-1) for every x into the int8 signs in the
+    last bytes of w, as _scatter_signs does, for even n = 2d >= 4; return them.
+
+    With q = 2^d, the half field K = {z : z^q = z}, T(x) = x + x^q and N(x) =
+    x^(q+1) in K, x^-1 = x^q / N(x) gives Tr(x^-1) = Tr_K(T(x) / N(x)).  K is
+    identified with sub = mk_field(d) through psi, which maps a root in sub of
+    the minimal polynomial of some beta = T(mu) onto beta.  With t = psi^-1 T(x)
+    and s = psi^-1 N(x) in sub's polynomial coordinates the sign is P[D[s] & t],
+    D[s] = G_sub * s^-1 and P the +-1 parity table.  For u = G*x, x is the sum
+    of d_k = G^-1 e_k over the bits k of u, and Tr(d_k * z) is bit k of z.  So,
+    with eps_i = psi of sub's dual basis element i, bit i of t is Tr_K(T(x) eps_i)
+    = Tr(x eps_i) = parity(u & eps_i), and s is a quadratic form in u: bit i of
+    B(e_j, e_k) is bit j of d_k^q eps_i, and bit i of Q(e_k) is bit k of
+    d_k^q eps_i lam, where T(lam) = 1.  u runs in chunks of m = min(POWER_BLOCK,
+    2^n) entries, u = hi*m + lo, so that t = TL[lo] ^ t(hi) and s = QL[lo] ^
+    QH[hi] ^ B(lo, hi), with L = log2(m).  Each of the _workers() threads takes
+    a run of chunks in Gray-code order, where one bit k of hi changes per
+    chunk: B(., hi) then changes by the row flips[k] = B(., e_(L+k)) and t(hi)
+    by t(e_(L+k)).  No generator of the field, no walk and no table of 2^n
+    entries but w.
+    """
+    n, d = ctx.n, ctx.n // 2
+    sub, u16 = mk_field(d), np.uint16
+
+    def frob(z):  # z^q
+        for _ in range(d):
+            z = ctx.sqr(z)
+        return z
+
+    for mu in range(2, ctx.size):  # beta = T(mu) is in K: stop at the first that generates K
+        beta = conj = mu ^ frob(mu)
+        poly = [1]
+        for _ in range(d):  # prod_{i<d} (Y + beta^(2^i)), coefficients in F_2
+            poly = [a ^ ctx._mul_raw(b, conj) for a, b in zip([0] + poly, poly + [0])]
+            conj = ctx.sqr(conj)
+        if is_irreducible(poly := sum(c << i for i, c in enumerate(poly))):
+            break
+    ys, vals = np.arange(sub.size, dtype=elem_dtype(d)), 0
+    for i in range(d, -1, -1):  # poly at every element of sub, by Horner
+        vals = sub.mul_vec(vals, ys) ^ ((poly >> i) & 1)
+    gamma = int(np.flatnonzero(vals == 0)[0])
+    # psi(gamma^j) = beta^j: column r of the inverse of [gamma^j] gives psi(X^r)
+    powers = [ctx.pow(beta, j) for j in range(d)]
+    psi = [xor_combine(powers, col) for col in mat_inverse_rows([sub.pow(gamma, j) for j in range(d)], d)]
+    eps = [xor_combine(psi, delta) for delta in sub.gram_inv]
+    lam = ctx._mul_raw(mu, ctx.pow(beta, (1 << d) - 2))
+    dq_bits = ((np.array([frob(dk) for dk in ctx.gram_inv])[:, None] >> np.arange(n)) & 1)[:, :, None]
+
+    def times_dq(cs):  # [k, i]: d_k^q * cs[i], summed from the cs[i] * x^j over the bits j of d_k^q
+        imgs = [np.array(cs)]
+        for _ in range(n - 1):
+            imgs.append(ctx.mulx_vec(imgs[-1]))
+        return np.bitwise_xor.reduce(dq_bits * np.array(imgs), 1)
+
+    def coords(a):  # [..., j]: bit j of a[..., i] at bit i, for every i < d
+        return (((a[..., :, None] >> np.arange(n)) & 1) << np.arange(d)[:, None]).sum(-2).astype(u16)
+
+    timg, bmat = coords(np.array(eps)), coords(times_dq(eps))  # t(e_j); B(e_j, e_k) at [k, j]
+    qvals = np.diagonal(coords(times_dq([ctx._mul_raw(e, lam) for e in eps])))
+    m = min(POWER_BLOCK, ctx.size)
+    L = m.bit_length() - 1
+
+    def form(ks):  # Q on the span of the e_k, k in ks
+        return form_table(len(ks), qvals[ks], [sum(int(v) << d * j for j, v in enumerate(bmat[k, ks])) for k in ks], d)
+
+    QL, QH, TL = form(range(L)), form(range(L, n)), xor_table(timg[:L], u16)
+    flips = [xor_table(row, u16) for row in bmat[L:, :L]]  # flips[k][lo] = B(lo, e_(L+k))
+    D = sub.dualenc_table().take(sub.inverse_table()).astype(u16)
+    P = _PLUS_MINUS.take(xor_table([1] * d, np.uint8))
+    chunks = ctx.size // m
+    parts = min(_workers(), chunks)
+    signs = w.view(np.int8)[(w.itemsize - 1) * ctx.size:]
+    bufs = np.empty((parts, 3, m), dtype=u16)
+
+    def fill(p):
+        acc, t, s = bufs[p]  # acc = QL ^ B(., hi), t = TL ^ t(hi)
+        acc[:], t[:], prev = QL, TL, 0
+        for i in range(p * chunks // parts, (p + 1) * chunks // parts):
+            hi = i ^ i >> 1
+            for k in range(n - L):
+                if (hi ^ prev) >> k & 1:
+                    acc ^= flips[k]
+                    t ^= timg[L + k]
+            prev = hi
+            np.bitwise_xor(acc, QH[hi], out=s)
+            D.take(s, out=s, mode="clip")
+            s &= t
+            P.take(s, out=signs[hi * m:(hi + 1) * m], mode="clip")
+
+    _run_all(fill, parts)
+    return signs
+
+
 def _validate_kloosterman(spec: Spectrum) -> None:
+    """K(0) = 0, every K even and |K - 1| within the Weil bound, from the OR, max
+    and min of each block of _FWHT_BLOCK entries, read in cache, with the blocks
+    shared by _workers() threads."""
     data = spec.data
     if int(data[0]) != 0:
         raise AssertionError("K(0) must vanish")
-    if int(np.bitwise_or.reduce(data)) & 1:
+    blk = min(_FWHT_BLOCK, data.size)
+    parts, found = min(_workers(), data.size // blk), []
+
+    def reduce(p):
+        for s in range(p * blk, data.size, parts * blk):
+            block = data[s:s + blk]
+            found.append((int(np.bitwise_or.reduce(block)), int(block.max()), int(block.min())))
+
+    _run_all(reduce, parts)
+    ors, highs, lows = zip(*found)
+    if any(v & 1 for v in ors):
         raise AssertionError("Kloosterman sums must be even")
     # Weil bound for the x != 0 part; the x = 0 term shifts everything by +1.
     # max |K - 1| from the extremes in Python ints: no 2^n temporary.
-    if max(int(data.max()) - 1, 1 - int(data.min())) > spec.weil_bound():
+    if max(max(highs) - 1, 1 - min(lows)) > spec.weil_bound():
         raise AssertionError("spectrum violates the Weil bound")
 
 

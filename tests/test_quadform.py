@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 import kspectra
 from kspectra import spectra
 from kspectra.cli import main
-from kspectra.gf2n import TABLE_DEGREE, mk_field, xor_combine
+from kspectra.gf2n import TABLE_DEGREE, form_table, mk_field, xor_combine
 from kspectra.linmap import subspace_from_vectors
 from kspectra.quadform import (
     ELLIPTIC,
@@ -22,7 +22,6 @@ from kspectra.quadform import (
     PARABOLIC,
     InconsistentFormError,
     NotQuadraticFormError,
-    _form_table,
     _q_by_traces,
     classify,
     count_zeros,
@@ -133,7 +132,7 @@ def test_form_table_matches_pointwise_form(fb):
     want = [((c & fmask).bit_count()
              + sum((c & bmat[i] & ((1 << i) - 1)).bit_count() for i in range(m) if c >> i & 1)) & 1
             for c in range(1 << m)]
-    assert _form_table(m, fvals, bmat).tolist() == want
+    assert form_table(m, fvals, bmat).tolist() == want
 
 
 def test_form_table_allocates_only_its_result():
@@ -141,7 +140,7 @@ def test_form_table_allocates_only_its_result():
     fvals, bmat = rng.integers(0, 2, 20).tolist(), rng.integers(0, 1 << 20, 20).tolist()
     tracemalloc.start()
     try:
-        _form_table(20, fvals, bmat)
+        form_table(20, fvals, bmat)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

@@ -269,12 +269,69 @@ def test_spectrum_matches_pointwise_on_other_polynomials(n, start, data):
         assert int(spec.data[a]) == kloosterman(ctx, a)
 
 
+@pytest.mark.parametrize("n", range(4, 23, 2))
+def test_half_field_signs_match_the_walk(n, monkeypatch):
+    # the route of even n against the walk of the powers, on one and on three
+    # workers (more than the cores, switching threads every microsecond) and on
+    # two polynomials.  It writes every slot, x = 0's (+1) included, so its w
+    # need not start zero-filled: a chunk no worker wrote keeps 0xA5 bytes
+    interval = sys.getswitchinterval()
+    try:
+        sys.setswitchinterval(1e-6)
+        for poly in (smallest_irreducible(n), _other_irreducible(n, 0)):
+            ctx = mk_field(n, poly)
+            walk = spectra._scatter_signs(ctx, np.zeros(ctx.size, dtype=sign_dtype(n)))
+            for workers in (1, 3):
+                monkeypatch.setattr(spectra, "_workers", lambda: workers)
+                w = np.empty(ctx.size, dtype=sign_dtype(n))
+                w.view(np.uint8).fill(0xA5)
+                signs = spectra._half_field_signs(ctx, w)
+                assert signs[0] == 1 and np.array_equal(signs[1:], walk[1:])
+    finally:
+        sys.setswitchinterval(interval)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(2, 16).map(lambda d: 2 * d), st.data())
+def test_inverse_trace_through_the_half_field(n, data):
+    # Tr(x^-1) = Tr_K(T(x) / N(x)), T(x) = x + x^q and N(x) = x^(q+1) in the half
+    # field K = F_2^(n/2), q = 2^(n/2): the identity of the route of even n,
+    # checked with the field's own inverse and trace
+    ctx, d = mk_field(n), n // 2
+    x = xq = data.draw(st.integers(0, ctx.size - 1))
+    for _ in range(d):
+        xq = ctx.sqr(xq)
+    y = ctx._mul_raw(x ^ xq, ctx.inv0(ctx._mul_raw(x, xq)))
+    tr_k, conj = 0, y
+    for _ in range(d):
+        tr_k ^= conj
+        conj = ctx.sqr(conj)
+    assert conj == y  # y^q = y: y is in K
+    assert tr_k == ctx.trace(ctx.inv0(x))
+
+
+def test_each_check_of_the_spectrum_reads_every_block(monkeypatch):
+    # the checks reduce blocks of _FWHT_BLOCK entries on the workers: a fault
+    # in block 2 of 4, which the third of 3 workers reads, is found
+    monkeypatch.setattr(spectra, "_workers", lambda: 3)
+    spec = kloosterman_spectrum(mk_field(20))
+    bound = spec.weil_bound()
+    for value, match in ((3, "must be even"), (bound + 4, "Weil bound"), (-bound - 2, "Weil bound")):
+        data = spec.data.copy()
+        data[2 * spectra._FWHT_BLOCK + 5] = value
+        with pytest.raises(AssertionError, match=match):
+            _validate_kloosterman(Spectrum(20, "kloosterman", data))
+    _validate_kloosterman(spec)
+
+
 def test_non_primitive_generator_fails_the_coverage_check(monkeypatch, fresh_fields):
-    ctx = mk_field(12)
-    cube = ctx.pow(ctx._generator(), 3)  # order (2^12 - 1) / 3
-    monkeypatch.setattr(FieldCtx, "_generator", lambda self: cube)
+    # the walk of the powers, and so the check, runs for odd n (even n >= 4 take
+    # the half-field route, which meets every slot without a generator)
+    ctx = mk_field(11)
+    short = ctx.pow(ctx._generator(), 23)  # order (2^11 - 1) / 23 = 89
+    monkeypatch.setattr(FieldCtx, "_generator", lambda self: short)
     with pytest.raises(AssertionError, match="missed a nonzero element"):
-        kloosterman_spectrum(mk_field(12))
+        kloosterman_spectrum(mk_field(11))
 
 
 def test_coverage_check_holds_on_dirty_allocations(monkeypatch, fresh_fields):
@@ -288,12 +345,12 @@ def test_coverage_check_holds_on_dirty_allocations(monkeypatch, fresh_fields):
             out.view(np.uint8).fill(0xA5)
         return out
 
-    ctx = mk_field(12)
-    cube = ctx.pow(ctx._generator(), 3)
+    ctx = mk_field(11)
+    short = ctx.pow(ctx._generator(), 23)
     monkeypatch.setattr(np, "empty", dirty_empty)
-    monkeypatch.setattr(FieldCtx, "_generator", lambda self: cube)
+    monkeypatch.setattr(FieldCtx, "_generator", lambda self: short)
     with pytest.raises(AssertionError, match="missed a nonzero element"):
-        kloosterman_spectrum(mk_field(12))
+        kloosterman_spectrum(mk_field(11))
 
 
 @pytest.mark.parametrize("n", range(17, 21))
@@ -311,9 +368,9 @@ def test_spectrum_is_the_same_on_any_number_of_workers(n, monkeypatch):
 
 def test_a_thread_that_cannot_start_leaves_its_part_to_the_caller(monkeypatch):
     # past its first call Thread.start fails as it does when the address space
-    # is short: one worker of the scatter starts, the other parts of the
-    # scatter, the fwht blocks and the panels run on this thread, and the
-    # result is unchanged
+    # is short: one worker of the sign pass starts, the other parts of the
+    # sign pass, the fwht blocks, the panels and the checks run on this
+    # thread, and the result is unchanged
     threads = threading.active_count()
     start, calls = threading.Thread.start, []
 
@@ -327,7 +384,7 @@ def test_a_thread_that_cannot_start_leaves_its_part_to_the_caller(monkeypatch):
     monkeypatch.setattr(threading.Thread, "start", start_once)
     data = kloosterman_spectrum(mk_field(20)).data
     monkeypatch.undo()
-    assert len(calls) == 6  # two workers in each of the scatter, the fwht blocks and the panels
+    assert len(calls) == 8  # two workers in each of the sign pass, the fwht blocks, the panels and the checks
     assert hashlib.sha256(data.astype("<i8").tobytes()).hexdigest() == SPECTRUM_SHA256[20]
     assert threading.active_count() == threads
 
@@ -353,30 +410,31 @@ def test_a_worker_exception_reaches_the_caller(monkeypatch):
 
 
 def test_non_primitive_generator_fails_the_coverage_check_on_workers(monkeypatch):
-    # the non-primitive generator of the coverage-check test above, with the
-    # walk shared between 3 workers at n = 20
+    # a non-primitive generator, as in the coverage-check test above, with the
+    # walk shared between 3 workers at n = 21
     threads = threading.active_count()
     monkeypatch.setattr(spectra, "_workers", lambda: 3)
-    ctx = mk_field(20)
-    cube = ctx.pow(ctx._generator(), 3)  # order (2^20 - 1) / 3
-    monkeypatch.setattr(FieldCtx, "_generator", lambda self: cube)
+    ctx = mk_field(21)
+    short = ctx.pow(ctx._generator(), 7)  # order (2^21 - 1) / 7
+    monkeypatch.setattr(FieldCtx, "_generator", lambda self: short)
     with pytest.raises(AssertionError, match="missed a nonzero element"):
-        kloosterman_spectrum(mk_field(20))
+        kloosterman_spectrum(mk_field(21))
     assert threading.active_count() == threads
 
 
 def test_non_primitive_generator_fails_the_coverage_check_with_keys_staged_in_the_result(monkeypatch):
-    # at n = 22 each of 3 workers stages its keys in its share of the int16
-    # result's first 2^22 bytes (two block pairs of power_blocks), not in a
-    # buffer of its own as at n = 12 and 20 above
+    # at n = 23 each of 3 workers stages its keys in its share of the int16
+    # result's first 2^23 bytes (at least two block pairs of power_blocks, so
+    # the share is flushed more than once), not in a buffer of its own as at
+    # n = 11 above
     threads = threading.active_count()
     monkeypatch.setattr(spectra, "_workers", lambda: 3)
-    assert (1 << 22) // 4 // 3 >= 2 * 2 * gf2n.POWER_BLOCK and sign_dtype(22) == np.int16
-    ctx = mk_field(22)
-    cube = ctx.pow(ctx._generator(), 3)  # order (2^22 - 1) / 3
-    monkeypatch.setattr(FieldCtx, "_generator", lambda self: cube)
+    assert (1 << 23) // 4 // 3 >= 2 * 2 * gf2n.POWER_BLOCK and sign_dtype(23) == np.int16
+    ctx = mk_field(23)
+    short = ctx.pow(ctx._generator(), 47)  # order (2^23 - 1) / 47
+    monkeypatch.setattr(FieldCtx, "_generator", lambda self: short)
     with pytest.raises(AssertionError, match="missed a nonzero element"):
-        kloosterman_spectrum(mk_field(22))
+        kloosterman_spectrum(mk_field(23))
     assert threading.active_count() == threads
 
 
